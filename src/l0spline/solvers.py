@@ -176,9 +176,18 @@ class _SegmentSweeper:
 # fitting at fixed knots
 # ---------------------------------------------------------------------------
 
-def _fit_at(y: np.ndarray, d: int, d0: int, knots) -> tuple:
-    """Least squares fit at one knot vector.  Returns (theta, sse, coeffs)
-    with coeffs in per-piece local storage aligned to the given vector."""
+def _series(y, params: ModelParams) -> np.ndarray:
+    """y as a float array, checked against the grid size."""
+    y = np.asarray(y, dtype=float)
+    if y.size != params.n:
+        raise ValidationError(
+            f"y has length {y.size}, params expect n={params.n}")
+    return y
+
+
+def _fit_at(y: np.ndarray, d: int, d0: int, knots) -> FitResult:
+    """Least squares fit at one knot vector, with coeffs in per-piece local
+    storage aligned to the given vector."""
     n = y.size
     kv = KnotVector(tuple(knots), d)
     if d0 == -1:
@@ -199,113 +208,100 @@ def _fit_at(y: np.ndarray, d: int, d0: int, knots) -> tuple:
                     f"piece ({lo};{hi}] design rank {rank} < {d + 1}")
             theta[lo:hi] = X @ coef
             coeffs.append(tuple(coef))
-        resid = y - theta
-        return theta, float(resid @ resid), tuple(coeffs)
-
-    distinct = kv.distinct()
-    X = raw_basis(n, d, d0, distinct)
-    coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=_RCOND)
-    if rank < X.shape[1]:
-        raise DegenerateSystemError(
-            f"design with knots {distinct} has rank {rank} < {X.shape[1]}")
-    theta = X @ coef
+        coeffs = tuple(coeffs)
+    else:
+        distinct = kv.distinct()
+        X = raw_basis(n, d, d0, distinct)
+        coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=_RCOND)
+        if rank < X.shape[1]:
+            raise DegenerateSystemError(
+                f"design with knots {distinct} has rank {rank} < {X.shape[1]}")
+        theta = X @ coef
+        # spread the distinct-knot coefficients over the full vector, zero
+        # blocks on duplicated inner knots
+        per_knot = d - d0
+        g = list(coef[: d + 1])
+        pos = d + 1
+        for jx in range(1, kv.k):
+            if kv.knots[jx] == kv.knots[jx - 1]:
+                g.extend([0.0] * per_knot)
+            else:
+                g.extend(coef[pos: pos + per_knot])
+                pos += per_knot
+        coeffs = local_coefficients_from_truncated_power(
+            kv, d0, np.asarray(g)).coeffs
     resid = y - theta
-    # spread the distinct-knot coefficients over the full vector, zero
-    # blocks on duplicated inner knots
-    per_knot = d - d0
-    g = list(coef[: d + 1])
-    pos = d + 1
-    for jx in range(1, kv.k):
-        if kv.knots[jx] == kv.knots[jx - 1]:
-            g.extend([0.0] * per_knot)
-        else:
-            g.extend(coef[pos: pos + per_knot])
-            pos += per_knot
-    spline = local_coefficients_from_truncated_power(kv, d0, np.asarray(g))
-    return theta, float(resid @ resid), spline.coeffs
+    return FitResult(SignalVector(theta), kv, coeffs, float(resid @ resid),
+                     kv.k)
 
 
 def fit_given_knots(y, params: ModelParams, knots) -> FitResult:
     """Project y onto the span of the class members with these knots."""
-    y = np.asarray(y, dtype=float)
-    if y.size != params.n:
-        raise ValidationError(
-            f"y has length {y.size}, params expect n={params.n}")
+    y = _series(y, params)
     kv = (knots if isinstance(knots, KnotVector)
           else validate_knots(knots, params.d, params.n))
     if kv.k != params.k:
         raise ValidationError(
             f"knot vector has {kv.k} pieces, params expect {params.k}")
-    theta, sse, coeffs = _fit_at(y, params.d, params.d0, kv.knots)
-    return FitResult(SignalVector(theta), kv, coeffs, sse, kv.k)
+    return _fit_at(y, params.d, params.d0, kv.knots)
 
 
 # ---------------------------------------------------------------------------
 # global solvers
 # ---------------------------------------------------------------------------
 
+def _dp_table(y: np.ndarray, d: int, k_max: int) -> tuple:
+    """Segment-neighbourhood forward pass for every piece count up to k_max.
+
+    Returns (C, nxt).  C[r, t] is the least cost of fitting y on (t; n]
+    with at most r pieces; nxt[r, t] is the first split minimizing the cost
+    of a nonempty piece starting at t plus C[r-1] after it.  Row r depends
+    only on row r-1, so a table built for k_max serves every k <= k_max.
+    """
+    n = y.size
+    sweeper = _SegmentSweeper(y, d)
+    C = np.full((k_max + 1, n + 1), np.inf)
+    C[:, n] = 0.0
+    nxt = np.full((k_max + 1, n + 1), n)
+    rows = np.arange(k_max)
+    for t in range(n - d - 1, -1, -1):
+        starts = t + d + 1
+        cand = C[:k_max, starts:] + sweeper.sweep(t)
+        hit = cand.argmin(axis=1)
+        # an empty piece (C[r-1, t]) wins ties with the best split
+        C[1:, t] = np.minimum.accumulate(cand[rows, hit])
+        nxt[1:, t] = hit + starts
+    return C, nxt
+
+
+def _backtrack(table: tuple, k: int) -> tuple:
+    """The lexicographically smallest optimal knot vector with k pieces,
+    read off a _dp_table: an empty piece wherever one attains the cost."""
+    C, nxt = table
+    knots = [0]
+    t = 0
+    for r in range(k, 0, -1):
+        if C[r - 1, t] != C[r, t]:
+            t = int(nxt[r, t])
+        knots.append(t)
+    return tuple(knots)
+
+
 def dp_fit(y, params: ModelParams) -> FitResult:
     """Exact minimizer over all knot vectors with <= k pieces for d0 = -1.
 
-    Optimal-partitioning recursion over segment costs, O(n^2 k d) work.
-    Ties are resolved to the lexicographically smallest knot vector by
-    walking the table from the left and preferring the smallest feasible
-    next knot (an empty piece first, then the nearest split).
+    One forward pass over segment costs, O(n^2 k d) work, fills the cost
+    table for every piece count up to k and stores each step's choice, so
+    the backtrack reads the table and sweeps no segment again.  Ties are
+    resolved to the lexicographically smallest knot vector: at each step
+    an empty piece first, then the nearest split.
     """
-    y = np.asarray(y, dtype=float)
     if params.d0 != -1:
         raise ValidationError(
             f"dynamic program requires d0 = -1, got d0={params.d0}")
-    if y.size != params.n:
-        raise ValidationError(
-            f"y has length {y.size}, params expect n={params.n}")
-    n, d, k = params.n, params.d, params.k
-    sweeper = _SegmentSweeper(y, d)
-
-    INF = np.inf
-    C = np.full((n + 1, k + 1), INF)
-    C[n, :] = 0.0
-    sweeps_cache = {}
-    for t in range(n - 1, -1, -1):
-        costs = sweeper.sweep(t)
-        starts = t + d + 1
-        for r in range(1, k + 1):
-            best = C[t, r - 1]
-            if costs.size:
-                cand = costs + C[starts: n + 1, r - 1]
-                m = cand.min()
-                if m < best:
-                    best = m
-            C[t, r] = best
-
-    knots = [0]
-    t, r = 0, k
-    while t < n:
-        if C[t, r - 1] == C[t, r]:
-            knots.append(t)
-            r -= 1
-            continue
-        costs = sweeps_cache.get(t)
-        if costs is None:
-            costs = sweeper.sweep(t)
-            sweeps_cache[t] = costs
-        starts = t + d + 1
-        cand = costs + C[starts: n + 1, r - 1]
-        hits = np.nonzero(cand == C[t, r])[0]
-        if hits.size == 0:
-            # numerically impossible by construction; guard regardless
-            hits = np.array([int(np.argmin(cand))])
-        s = starts + int(hits[0])
-        knots.append(s)
-        t = s
-        r -= 1
-    while r > 0:
-        knots.append(n)
-        r -= 1
-
-    theta, sse, coeffs = _fit_at(y, d, -1, knots)
-    return FitResult(SignalVector(theta), KnotVector(tuple(knots), d),
-                     coeffs, sse, k)
+    y = _series(y, params)
+    knots = _backtrack(_dp_table(y, params.d, params.k), params.k)
+    return _fit_at(y, params.d, -1, knots)
 
 
 def exhaustive_fit(y, params: ModelParams,
@@ -316,10 +312,7 @@ def exhaustive_fit(y, params: ModelParams,
     The first strictly best configuration in lexicographic order wins, so
     ties go to the lexicographically smallest knot vector.
     """
-    y = np.asarray(y, dtype=float)
-    if y.size != params.n:
-        raise ValidationError(
-            f"y has length {y.size}, params expect n={params.n}")
+    y = _series(y, params)
     n, d, d0, k = params.n, params.d, params.d0, params.k
     total = count_knot_vectors(n, k, d)
     if total > budget:
@@ -355,9 +348,7 @@ def exhaustive_fit(y, params: ModelParams,
             best_sse = sse
             best_knots = knots
 
-    theta, sse, coeffs = _fit_at(y, d, d0, best_knots)
-    return FitResult(SignalVector(theta), KnotVector(best_knots, d),
-                     coeffs, sse, k)
+    return _fit_at(y, d, d0, best_knots)
 
 
 def default_k_max(params: ModelParams) -> int:
@@ -372,9 +363,10 @@ def adaptive_fit(y, params: ModelParams, spec: PenaltySpec,
 
     Minimizes sse(k) + penalty(k) over k in [1; k_max]; ties go to the
     smallest k.  sse(k) comes from the dynamic program when d0 = -1 and
-    from the exhaustive scan otherwise (or per the solver override).
+    from the exhaustive scan otherwise (or per the solver override).  The
+    dynamic program runs once, to k_max; every k is backtracked from that
+    one table and refit at its knots, exactly as dp_fit at k would be.
     """
-    y = np.asarray(y, dtype=float)
     if k_max is None:
         k_max = default_k_max(params)
     if k_max < 1:
@@ -386,14 +378,18 @@ def adaptive_fit(y, params: ModelParams, spec: PenaltySpec,
     if solver not in ("dp", "exhaustive"):
         raise ValidationError(f"unknown solver {solver!r}")
 
+    y = _series(y, params)
+    if solver == "dp":
+        table = _dp_table(y, params.d, k_max)
+
     best = None
     best_obj = np.inf
     trace = []
     for k in range(1, k_max + 1):
-        pk = ModelParams(params.d, params.d0, k, params.n, params.sigma)
         if solver == "dp":
-            fit = dp_fit(y, pk)
+            fit = _fit_at(y, params.d, -1, _backtrack(table, k))
         else:
+            pk = ModelParams(params.d, params.d0, k, params.n, params.sigma)
             fit = exhaustive_fit(y, pk, budget=budget)
         pen = penalty(k, spec)
         obj = fit.sse + pen
