@@ -475,17 +475,15 @@ def _pad_knots(distinct, k):
     return (distinct[0],) * missing + tuple(distinct)
 
 
-def _reexpand_coefs(padded_kv: KnotVector, d0, dedup_coef):
-    """Spread coefficients fit on distinct knots back over a padded knot
-    vector (padded with leading duplicates of 0, which carry zero blocks)."""
-    d = padded_kv.d
+def _reexpand_coefs(kv: KnotVector, d0, dedup_coef):
+    """Spread truncated power coefficients fit on kv.distinct() over the
+    full knot vector: each duplicated inner knot carries a zero block."""
+    d = kv.d
     per_knot = d - d0
-    # leading duplicates all sit at knot 0 and carry zero blocks
     g = list(dedup_coef[:d + 1])
     pos = d + 1
-    for j in range(1, padded_kv.k):
-        t = padded_kv.knots[j]
-        if t == padded_kv.knots[j - 1]:
+    for j in range(1, kv.k):
+        if kv.knots[j] == kv.knots[j - 1]:
             g.extend([0.0] * per_knot)
         else:
             g.extend(dedup_coef[pos:pos + per_knot])

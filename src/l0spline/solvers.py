@@ -24,7 +24,9 @@ from .model import (
     ModelParams,
     PiecewiseSpline,
     SignalVector,
+    _reexpand_coefs,
     count_knot_vectors,
+    evaluate_spline,
     iter_knot_vectors,
     local_coefficients_from_truncated_power,
     raw_basis,
@@ -191,24 +193,17 @@ def _fit_at(y: np.ndarray, d: int, d0: int, knots) -> FitResult:
     n = y.size
     kv = KnotVector(tuple(knots), d)
     if d0 == -1:
-        theta = np.empty(n)
+        # each piece in its own well-conditioned (j/L)^l basis, rescaled to
+        # local storage on (j/n)^l
         coeffs = []
-        for p in range(kv.k):
-            lo, hi = kv.knots[p], kv.knots[p + 1]
+        for lo, hi in zip(kv.knots, kv.knots[1:]):
             if lo == hi:
                 coeffs.append(None)
                 continue
-            seg = y[lo:hi]
-            Lloc = hi - lo
-            jj = (np.arange(1, Lloc + 1, dtype=float)) / n
-            X = np.column_stack([jj ** ell for ell in range(d + 1)])
-            coef, _, rank, _ = np.linalg.lstsq(X, seg, rcond=_RCOND)
-            if rank < d + 1:
-                raise DegenerateSystemError(
-                    f"piece ({lo};{hi}] design rank {rank} < {d + 1}")
-            theta[lo:hi] = X @ coef
-            coeffs.append(tuple(coef))
+            _, coef = segment_cost(y[lo:hi], d)
+            coeffs.append(tuple(coef * (n / (hi - lo)) ** np.arange(d + 1)))
         coeffs = tuple(coeffs)
+        theta = evaluate_spline(PiecewiseSpline(kv, coeffs))
     else:
         distinct = kv.distinct()
         X = raw_basis(n, d, d0, distinct)
@@ -217,19 +212,8 @@ def _fit_at(y: np.ndarray, d: int, d0: int, knots) -> FitResult:
             raise DegenerateSystemError(
                 f"design with knots {distinct} has rank {rank} < {X.shape[1]}")
         theta = X @ coef
-        # spread the distinct-knot coefficients over the full vector, zero
-        # blocks on duplicated inner knots
-        per_knot = d - d0
-        g = list(coef[: d + 1])
-        pos = d + 1
-        for jx in range(1, kv.k):
-            if kv.knots[jx] == kv.knots[jx - 1]:
-                g.extend([0.0] * per_knot)
-            else:
-                g.extend(coef[pos: pos + per_knot])
-                pos += per_knot
         coeffs = local_coefficients_from_truncated_power(
-            kv, d0, np.asarray(g)).coeffs
+            kv, d0, _reexpand_coefs(kv, d0, coef)).coeffs
     resid = y - theta
     return FitResult(SignalVector(theta), kv, coeffs, float(resid @ resid),
                      kv.k)

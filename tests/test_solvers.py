@@ -152,6 +152,26 @@ class TestDpFit:
         with pytest.raises(ValidationError):
             dp_fit(np.zeros(6), ModelParams(d=0, d0=0, k=2, n=6))
 
+    def test_short_last_piece_at_degree_5(self):
+        """A 12-point last piece at d=5 is refit in its own (j/L)^l basis,
+        where a (j/n)^l basis is numerically rank deficient."""
+        n, d = 300, 5
+        x = np.arange(1, n + 1) / n
+        rng = np.random.default_rng(33)
+        y = np.sin(3 * x) + 5.0 * (x > 288 / n) + 0.5 * rng.standard_normal(n)
+        o_sse, o_knots = min(
+            (sum(orc.segment_poly_fit(y, lo, hi, d, hi - lo)[0]
+                 for lo, hi in zip(kn, kn[1:]) if hi > lo), kn)
+            for kn in orc.iter_knot_vectors(n, 2, d))
+        p = ModelParams(d=d, d0=-1, k=2, n=n)
+        fr = dp_fit(y, p)
+        assert fr.knots.knots == o_knots == (0, 288, 300)
+        assert fr.sse == pytest.approx(o_sse, rel=1e-9)
+        fk = fit_given_knots(y, p, o_knots)
+        assert fk.sse == pytest.approx(o_sse, rel=1e-9)
+        np.testing.assert_allclose(evaluate_spline(fk.spline),
+                                   fk.theta_hat.values, atol=1e-9)
+
 
 class TestExhaustiveFit:
     def test_budget_refusal_reports_count(self):
