@@ -14,6 +14,7 @@ from .errors import (
     KnotGapError,
     KnotOrderError,
     L0SplineError,
+    NonConvergenceError,
     SeriesFormatError,
     ValidationError,
 )

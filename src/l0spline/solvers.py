@@ -252,7 +252,8 @@ def _dp_table(y: np.ndarray, d: int, k_max: int) -> tuple:
         starts = t + d + 1
         cand = C[:k_max, starts:] + sweeper.sweep(t)
         hit = cand.argmin(axis=1)
-        # an empty piece (C[r-1, t]) wins ties with the best split
+        # C[r, t] = min(C[r-1, t], best split): the running minimum over r
+        # is the empty-piece option, which _backtrack prefers on ties
         C[1:, t] = np.minimum.accumulate(cand[rows, hit])
         nxt[1:, t] = hit + starts
     return C, nxt

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
-from l0spline.errors import NonConvergenceError, ValidationError
+from l0spline import NonConvergenceError, ValidationError
 from l0spline.model import (
     KnotVector,
     ModelParams,

@@ -16,6 +16,8 @@ from l0spline import (
 )
 from l0spline.solvers import (
     FitResult,
+    _backtrack,
+    _dp_table,
     PenaltySpec,
     adaptive_fit,
     default_k_max,
@@ -305,6 +307,44 @@ class TestAdaptiveFit:
         spec = PenaltySpec(tau=1.0, sigma=1.0, d=1, d0=0, n=8)
         with pytest.raises(ValidationError):
             adaptive_fit(np.zeros(8), p, spec, solver="dp")
+
+
+class TestSingleTable:
+    """The dp path of adaptive_fit backtracks every k from one table built
+    for k_max; each k must read exactly what dp_fit at that k returns."""
+
+    @pytest.mark.parametrize("kind", ["noise", "zero", "rounded"])
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_trace_matches_dp_fit_at_every_k(self, kind, d):
+        n = 13
+        rng = np.random.default_rng(40 + d)
+        y = {"noise": rng.standard_normal(n), "zero": np.zeros(n),
+             "rounded": np.round(rng.standard_normal(n))}[kind]
+        k_max = n // (d + 1) + 2
+        p = ModelParams(d=d, d0=-1, k=1, n=n)
+        spec = PenaltySpec(tau=0.5, sigma=1.0, d=d, d0=-1, n=n)
+        fr, trace = adaptive_fit(y, p, spec, k_max=k_max, with_trace=True)
+        assert [row[0] for row in trace] == list(range(1, k_max + 1))
+        table = _dp_table(y, d, k_max)
+        for k, sse, _, _ in trace:
+            ref = dp_fit(y, ModelParams(d=d, d0=-1, k=k, n=n))
+            assert sse == ref.sse
+            assert _backtrack(table, k) == ref.knots.knots
+        ref = dp_fit(y, ModelParams(d=d, d0=-1, k=fr.k_selected, n=n))
+        assert fr.knots == ref.knots
+        assert fr.sse == ref.sse
+
+    def test_lex_tie_break_prefers_leading_empties(self):
+        n = 8
+        table = _dp_table(np.zeros(n), 0, n + 2)
+        for k in range(1, n + 3):
+            assert _backtrack(table, k) == (0,) * k + (n,)
+
+    def test_rejects_wrong_length(self):
+        p = ModelParams(d=0, d0=-1, k=1, n=8)
+        spec = PenaltySpec(tau=1.0, sigma=1.0, d=0, d0=-1, n=8)
+        with pytest.raises(ValidationError):
+            adaptive_fit(np.zeros(7), p, spec)
 
 
 class TestFitResultInvariants:
