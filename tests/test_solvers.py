@@ -340,6 +340,28 @@ class TestSingleTable:
         for k in range(1, n + 3):
             assert _backtrack(table, k) == (0,) * k + (n,)
 
+    def test_one_sweeper_and_no_backtrack_sweeps(self, monkeypatch):
+        import l0spline.solvers as solvers
+
+        made, swept = [], []
+
+        class Counting(solvers._SegmentSweeper):
+            def __init__(self, y, d):
+                made.append(d)
+                super().__init__(y, d)
+
+            def sweep(self, t):
+                swept.append(t)
+                return super().sweep(t)
+
+        monkeypatch.setattr(solvers, "_SegmentSweeper", Counting)
+        n = 40
+        y = np.random.default_rng(50).standard_normal(n)
+        spec = PenaltySpec(tau=2.5, sigma=1.0, d=1, d0=-1, n=n)
+        adaptive_fit(y, ModelParams(d=1, d0=-1, k=1, n=n), spec, k_max=6)
+        assert len(made) == 1
+        assert len(swept) == len(set(swept)) <= n
+
     def test_rejects_wrong_length(self):
         p = ModelParams(d=0, d0=-1, k=1, n=8)
         spec = PenaltySpec(tau=1.0, sigma=1.0, d=0, d0=-1, n=8)
