@@ -20,10 +20,12 @@ from .errors import (
     ValidationError,
 )
 from .model import (
+    KnotVector,
     ModelParams,
     SignalVector,
+    _KnotScreen,
     count_knot_vectors,
-    iter_knot_vectors,
+    raw_basis,
 )
 from .solvers import PenaltySpec, adaptive_fit, dp_fit, exhaustive_fit
 from .shape import shape_lse
@@ -254,19 +256,21 @@ def complexity_width(eps, params: ModelParams,
     if total > budget:
         raise BudgetExceededError(
             f"{total} knot configurations exceed budget {budget}")
-    from .model import _dedup_design
 
-    best = 0.0
-    seen = set()
-    for knots in iter_knot_vectors(n, k, d):
-        key = tuple(sorted(set(knots)))
-        if key in seen:
-            continue
-        seen.add(key)
-        X = _dedup_design(n, d, d0, knots)
+    def proj_sq(knots):
+        X = raw_basis(n, d, d0, KnotVector(knots, d).distinct())
         coef, _, _, _ = np.linalg.lstsq(X, eps, rcond=None)
         proj = X @ coef
-        best = max(best, float(proj @ proj))
+        return float(proj @ proj)
+
+    # the largest projection leaves the least SSE, so the screen's best set
+    # bounds it from below and only sets screened near it can beat it
+    screen = _KnotScreen(eps, d, d0, k)
+    first = screen.knots(int(np.argmin(screen.score)))
+    best = max(0.0, proj_sq(first))
+    for knots in screen.within(float(eps @ eps) - best + screen.tol):
+        if knots != first:
+            best = max(best, proj_sq(knots))
     return best
 
 

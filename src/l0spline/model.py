@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -212,22 +211,20 @@ class SignalVector:
 
 def count_knot_vectors(n: int, k: int, d: int) -> int:
     """Exact number of valid knot vectors for the class (d, ., k) on grid n."""
-
-    @lru_cache(maxsize=None)
-    def ways(pos: int, left: int) -> int:
-        if pos == n:
-            return 1
-        if left == 0:
-            return 0
-        total = ways(pos, left - 1)
-        for s in range(pos + d + 1, n + 1):
-            if s == n or n - s >= d + 1:
-                total += ways(s, left - 1)
-        return total
-
-    total = ways(0, k)
-    ways.cache_clear()
-    return total
+    # ways[pos]: completions from a knot at pos with the pieces placed so
+    # far; the next knot repeats pos or is any later s that is n or leaves
+    # n - s >= d + 1, and tail sums ways over those s
+    ways = [0] * n + [1]
+    for _ in range(k):
+        nxt = [0] * n + [1]
+        tail = 0
+        for pos in range(n - 1, -1, -1):
+            s = pos + d + 1
+            if s == n or s <= n - d - 1:
+                tail += ways[s]
+            nxt[pos] = ways[pos] + tail
+        ways = nxt
+    return ways[0]
 
 
 def iter_knot_vectors(n: int, k: int, d: int):
@@ -278,18 +275,10 @@ def basis_matrix(params: ModelParams, knots) -> np.ndarray:
 def raw_basis(n: int, d: int, d0: int, knots) -> np.ndarray:
     """basis_matrix without the parameter cross-checks; knots is any valid
     integer tuple."""
-    knots = tuple(knots)
     i = np.arange(1, n + 1, dtype=float)
-    cols = [(i / n) ** ell for ell in range(d + 1)]
-    for j in range(1, len(knots) - 1):
-        u = (i - knots[j]) / n
-        pos = u > 0
-        for ell in range(d0 + 1, d + 1):
-            if ell == 0:
-                cols.append(pos.astype(float))
-            else:
-                cols.append(np.where(pos, u, 0.0) ** ell)
-    return np.column_stack(cols)
+    poly = np.column_stack([(i / n) ** ell for ell in range(d + 1)])
+    inner = _knot_columns(n, d, d0, tuple(knots)[1:-1])
+    return np.hstack([poly, inner.reshape(n, -1)])
 
 
 def evaluate_spline(spline: PiecewiseSpline, n: int | None = None) -> np.ndarray:
@@ -428,9 +417,10 @@ def check_membership(theta, params: ModelParams, tol: float = 1e-8,
                      budget: int = 200_000):
     """Decide whether a sequence lies in the class, up to sup-norm tol.
 
-    Enumerates knot vectors, solves the least squares problem for each,
-    and accepts on the first configuration reproducing theta to within
-    tol in every coordinate.  Returns (True, witness spline) or
+    Screens every distinct knot set, solves the least squares problem for
+    each set whose screened cost admits a hit, and accepts on the first
+    configuration in lexicographic order reproducing theta to within tol
+    in every coordinate.  Returns (True, witness spline) or
     (False, None).  Raises BudgetExceededError when the enumeration would
     visit more configurations than the budget allows.
     """
@@ -443,30 +433,128 @@ def check_membership(theta, params: ModelParams, tol: float = 1e-8,
     if total > budget:
         raise BudgetExceededError(
             f"{total} knot configurations exceed budget {budget}")
-    seen = set()
-    for knots in iter_knot_vectors(n, k, d):
-        key = tuple(sorted(set(knots)))
-        if key in seen:
-            continue
-        seen.add(key)
-        X = _dedup_design(n, d, d0, knots)
+    # a sup-norm hit has SSE <= n tol^2, so only sets screened below that
+    # can reproduce theta; they are tried in the order of the knot scan
+    screen = _KnotScreen(theta, d, d0, k)
+    for knots in screen.within(n * tol ** 2 + screen.tol):
+        kv = KnotVector(knots, d)
+        X = raw_basis(n, d, d0, kv.distinct())
         coef, _, _, _ = np.linalg.lstsq(X, theta, rcond=None)
         fit = X @ coef
         if np.max(np.abs(fit - theta)) <= tol:
-            kv = KnotVector(tuple(knots), d)
-            dedup = kv.distinct()
-            dk = KnotVector(_pad_knots(dedup, k), d)
-            full = _reexpand_coefs(dk, d0, coef)
-            witness = local_coefficients_from_truncated_power(dk, d0, full)
+            full = _reexpand_coefs(kv, d0, coef)
+            witness = local_coefficients_from_truncated_power(kv, d0, full)
             return True, witness
     return False, None
 
 
-def _dedup_design(n, d, d0, knots):
-    """Design matrix over distinct knots only (one column set per distinct
-    inner knot)."""
-    kv = KnotVector(tuple(knots), d)
-    return raw_basis(n, d, d0, kv.distinct())
+# Sets screened within this fraction of ||y||^2 above the best rescored
+# cost are rescored.  The screen and the per-set lstsq differ by rounding,
+# of order eps * cond(design) * ||y||^2, far below it; an rcond cut can
+# only raise the per-set cost.
+_SCREEN_TOL = 1e-9
+# candidate last knots whose columns are built and projected at once, so
+# no n x n block is ever allocated
+_CHUNK = 64
+
+
+def _knot_columns(n, d, d0, knots) -> np.ndarray:
+    """Truncated power columns ((i - t)/n)_+^l, l in [d0+1;d], of every
+    knot t, shaped (n, len(knots), d - d0)."""
+    i = np.arange(1, n + 1, dtype=float)
+    u = (i[:, None] - np.asarray(knots, dtype=float)) / n
+    pos = u > 0
+    u = np.where(pos, u, 0.0)
+    return np.stack([pos.astype(float) if ell == 0 else u ** ell
+                     for ell in range(d0 + 1, d + 1)], axis=2)
+
+
+class _KnotScreen:
+    """Screened least squares cost of every distinct inner-knot set.
+
+    Each valid set of at most k-1 distinct inner knots is scored exactly
+    once, one fixed prefix at a time: the prefix design is QR-factored
+    once, y and the truncated power block of every candidate last knot are
+    projected onto the complement of its span, and all last knots are
+    scored in one vectorized pass, ||r||^2 - (b'r)^2 / ||b||^2 for a
+    one-column block and through a batched QR otherwise.  The scores match
+    the per-set least squares costs up to rounding only, so callers rescore
+    the sets near the best with their own arithmetic.  Set j is the
+    prefix _prefixes[_owner[j]] followed by _last[j]; a _last of 0 (never
+    an inner knot) stands for the prefix alone.
+    """
+
+    def __init__(self, y: np.ndarray, d: int, d0: int, k: int):
+        n = y.size
+        self.n, self.k = n, k
+        self.tol = _SCREEN_TOL * float(y @ y)
+        poly = raw_basis(n, d, d0, (0, n))
+        self._prefixes = []
+        owner, last, score = [], [], []
+        stack = [()]
+        while stack:
+            prefix = stack.pop()
+            idx = len(self._prefixes)
+            self._prefixes.append(prefix)
+            cols = _knot_columns(n, d, d0, prefix).reshape(n, -1)
+            Q, _ = np.linalg.qr(np.hstack([poly, cols]))
+            r = y - Q @ (Q.T @ y)
+            rr = float(r @ r)
+            if not prefix:
+                owner.append([idx])
+                last.append([0])
+                score.append([rr])
+            if len(prefix) == k - 1:
+                continue
+            first = (prefix[-1] if prefix else 0) + d + 1
+            cand = np.arange(first, n - d)
+            for lo in range(0, cand.size, _CHUNK):
+                ts = cand[lo:lo + _CHUNK]
+                B = _knot_columns(n, d, d0, ts)
+                B -= (Q @ (Q.T @ B.reshape(n, -1))).reshape(B.shape)
+                if d - d0 == 1:
+                    b = B[:, :, 0]
+                    gain = (r @ b) ** 2 / np.einsum("ij,ij->j", b, b)
+                else:
+                    Qb, _ = np.linalg.qr(B.transpose(1, 0, 2))
+                    gain = np.sum((r @ Qb) ** 2, axis=1)
+                owner.append(np.full(ts.size, idx))
+                last.append(ts)
+                score.append(rr - gain)
+            if len(prefix) + 2 < k:
+                # only knots that leave room for one more extend further
+                stack.extend(prefix + (int(t),) for t in cand[::-1]
+                             if t + d + 1 < n - d)
+        self._owner = np.concatenate(owner)
+        self._last = np.concatenate(last)
+        self.score = np.concatenate(score)
+
+    def knots(self, j: int) -> tuple:
+        """Set j as its lexicographically smallest knot vector, the one a
+        lexicographic scan of all knot vectors meets first."""
+        inner = self._prefixes[self._owner[j]]
+        if self._last[j]:
+            inner = inner + (int(self._last[j]),)
+        return _pad_knots((0,) + inner + (self.n,), self.k)
+
+    def within(self, bound: float) -> list:
+        """Knot vectors of the sets screened at or below bound, in
+        lexicographic order."""
+        return sorted(self.knots(j)
+                      for j in np.flatnonzero(self.score <= bound))
+
+    def best(self, cost):
+        """(cost, knots) minimizing cost(knots) over every set, ties to the
+        lexicographically smallest knot vector.  cost is the caller's own
+        least squares cost; it never falls below the screened score by
+        more than tol, so every set that can attain the minimum is within
+        tol of the screen's best set once that one is rescored."""
+        first = self.knots(int(np.argmin(self.score)))
+        best = (cost(first), first)
+        for knots in self.within(best[0] + self.tol):
+            if knots != first:
+                best = min(best, (cost(knots), knots))
+        return best
 
 
 def _pad_knots(distinct, k):

@@ -22,6 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .model import (
+    _SCREEN_TOL,
     KnotVector,
     ModelParams,
     SignalVector,
@@ -292,7 +293,17 @@ def fit_shape_given_knots(y, d: int, knots, j_star: int) -> ShapeFitResult:
     if not (0 <= j_star <= kv.k):
         raise ValidationError(
             f"pivot must lie in [0;{kv.k}], got {j_star}")
-    C, F = _shape_design(n, d, kv, j_star)
+    rep, theta, sse = _cone_fit(y, d, kv, j_star)
+    return ShapeFitResult(
+        theta_hat=SignalVector(theta), knots=kv,
+        coeffs=_local_coeffs_from_canonical(rep),
+        sse=sse, k_selected=kv.k, canonical=rep)
+
+
+def _cone_fit(y: np.ndarray, d: int, kv: KnotVector, j_star: int):
+    """Canonical representation, fitted values and SSE of the cone least
+    squares fit at fixed knots and pivot."""
+    C, F = _shape_design(y.size, d, kv, j_star)
     c, g = _solve_with_free_block(C, F, y)
     sign = (-1.0) ** (d + 1)
     a = tuple(sign * v for v in g[:j_star])
@@ -300,10 +311,7 @@ def fit_shape_given_knots(y, d: int, knots, j_star: int) -> ShapeFitResult:
     rep = MonotoneCanonical(j_star, a, b, tuple(c), kv)
     theta = canonical_evaluate(rep)
     resid = y - theta
-    return ShapeFitResult(
-        theta_hat=SignalVector(theta), knots=kv,
-        coeffs=_local_coeffs_from_canonical(rep),
-        sse=float(resid @ resid), k_selected=kv.k, canonical=rep)
+    return rep, theta, float(resid @ resid)
 
 
 def _isotonic_blocks(y: np.ndarray):
@@ -356,8 +364,12 @@ def shape_lse(y, d: int, k: int, budget: int = 10_000_000) -> ShapeFitResult:
     """Exact least squares over the d-monotone class with <= k pieces.
 
     Enumerates knot vectors and pivots; ties go to the lexicographically
-    smallest knot vector, then the smallest pivot.  For d = 0 with k >= n
-    the problem is plain isotonic regression and is solved by pooling.
+    smallest knot vector, then the smallest pivot.  Every pair is scored
+    by the SSE of one NNLS solve on columns projected once per call; only
+    the pairs scored near the best are refit as fit_shape_given_knots
+    fits them, and only the winner's full result is built.  For d = 0
+    with k >= n the problem is plain isotonic regression and is solved by
+    pooling.
     """
     y = np.asarray(y, dtype=float)
     n = y.size
@@ -377,14 +389,42 @@ def shape_lse(y, d: int, k: int, budget: int = 10_000_000) -> ShapeFitResult:
         raise BudgetExceededError(
             f"{total} configuration/pivot pairs exceed the budget of "
             f"{budget}")
-    best = None
-    for knots in iter_knot_vectors(n, k, d):
-        kv = KnotVector(knots, d)
-        for j_star in range(0, k + 1):
-            fit = fit_shape_given_knots(y, d, kv, j_star)
-            if best is None or fit.sse < best.sse:
-                best = fit
-    return best
+    # the free block's QR, y and the sign-flipped left and right hinges at
+    # every knot position do not depend on the pair: project them once
+    C, _ = _shape_design(n, d, KnotVector((0, n), d), 0)
+    i = np.arange(1, n + 1, dtype=float)[:, None]
+    pos = np.arange(n + 1, dtype=float)
+    F = np.hstack([(-1.0) ** (d + 1) * _left_hinge(i, pos, n, d),
+                   _right_hinge(i, pos, n, d)])
+    y_perp = y
+    if d:
+        Q, _ = np.linalg.qr(C)
+        y_perp = y - Q @ (Q.T @ y)
+        F = F - Q @ (Q.T @ F)
+    vectors = list(iter_knot_vectors(n, k, d))
+    score = np.empty(len(vectors) * (k + 1))
+    for v, knots in enumerate(vectors):
+        for j_star in range(k + 1):
+            cols = F[:, list(knots[1:j_star + 1])
+                     + [n + 1 + t for t in knots[j_star:k]]]
+            r = y_perp - cols @ nnls_activeset(cols, y_perp)
+            score[v * (k + 1) + j_star] = r @ r
+
+    # a pair's fit never costs less than its screened SSE minus the
+    # rounding bound, so only pairs screened near the best fit can win
+    sses = {}
+
+    def sse(p):
+        if p not in sses:
+            v, j_star = divmod(p, k + 1)
+            sses[p] = _cone_fit(y, d, KnotVector(vectors[v], d), j_star)[2]
+        return sses[p]
+
+    first = int(np.argmin(score))
+    near = np.flatnonzero(score <= sse(first) + _SCREEN_TOL * float(y @ y))
+    best = min(near.tolist() + [first], key=lambda p: (sse(p), p))
+    v, j_star = divmod(best, k + 1)
+    return fit_shape_given_knots(y, d, KnotVector(vectors[v], d), j_star)
 
 
 def coef_bound_statistic(theta_star, d: int, k: int, knots=None,

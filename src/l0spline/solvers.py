@@ -24,6 +24,7 @@ from .model import (
     ModelParams,
     PiecewiseSpline,
     SignalVector,
+    _KnotScreen,
     _reexpand_coefs,
     count_knot_vectors,
     evaluate_spline,
@@ -243,7 +244,10 @@ def _dp_table(y: np.ndarray, d: int, k_max: int) -> tuple:
     only on row r-1, so a table built for k_max serves every k <= k_max.
     """
     n = y.size
-    sweeper = _SegmentSweeper(y, d)
+    # every segment cost is invariant to removing a global degree-d fit,
+    # and the sweeper's normal equations lose accuracy with the offset
+    Q, _ = np.linalg.qr(raw_basis(n, d, -1, (0, n)))
+    sweeper = _SegmentSweeper(y - Q @ (Q.T @ y), d)
     C = np.full((k_max + 1, n + 1), np.inf)
     C[:, n] = 0.0
     nxt = np.full((k_max + 1, n + 1), n)
@@ -295,7 +299,9 @@ def exhaustive_fit(y, params: ModelParams,
 
     Refuses with the exact configuration count when it exceeds the budget.
     The first strictly best configuration in lexicographic order wins, so
-    ties go to the lexicographically smallest knot vector.
+    ties go to the lexicographically smallest knot vector.  For d0 >= 0
+    every distinct knot set is screened once and only the sets near the
+    best are refit one by one; d0 = -1 sums cached segment costs.
     """
     y = _series(y, params)
     n, d, d0, k = params.n, params.d, params.d0, params.k
@@ -303,6 +309,16 @@ def exhaustive_fit(y, params: ModelParams,
     if total > budget:
         raise BudgetExceededError(
             f"{total} knot configurations exceed the budget of {budget}")
+
+    if d0 >= 0:
+        def cost(knots):
+            X = raw_basis(n, d, d0, KnotVector(knots, d).distinct())
+            coef, _, _, _ = np.linalg.lstsq(X, y, rcond=_RCOND)
+            r = y - X @ coef
+            return float(r @ r)
+
+        _, best_knots = _KnotScreen(y, d, d0, k).best(cost)
+        return _fit_at(y, d, d0, best_knots)
 
     seg_cache = {}
 
@@ -321,14 +337,7 @@ def exhaustive_fit(y, params: ModelParams,
     best_sse = np.inf
     best_knots = None
     for knots in iter_knot_vectors(n, k, d):
-        if d0 == -1:
-            sse = cost_decoupled(knots)
-        else:
-            distinct = KnotVector(knots, d).distinct()
-            X = raw_basis(n, d, d0, distinct)
-            coef, _, _, _ = np.linalg.lstsq(X, y, rcond=_RCOND)
-            r = y - X @ coef
-            sse = float(r @ r)
+        sse = cost_decoupled(knots)
         if sse < best_sse:
             best_sse = sse
             best_knots = knots

@@ -9,6 +9,7 @@ from l0spline.model import (
     KnotVector,
     ModelParams,
     check_membership,
+    count_knot_vectors,
     iter_knot_vectors,
 )
 from l0spline.shape import (
@@ -18,6 +19,7 @@ from l0spline.shape import (
     fit_shape_given_knots,
     is_d_monotone,
     nnls_activeset,
+    sample_shape_member,
     shape_lse,
 )
 
@@ -244,6 +246,80 @@ class TestShapeLse:
         with pytest.raises(BudgetExceededError) as exc:
             shape_lse(np.ones(300), d=0, k=4, budget=1000)
         assert "budget" in str(exc.value).lower()
+
+
+class TestShapeScreen:
+    """shape_lse scores every (knots, pivot) pair by one NNLS solve on
+    columns projected once, then refits only the pairs near the best.  It
+    must return bit for bit what the per-pair scan it replaced returns;
+    the scan is copied here as the reference."""
+
+    @staticmethod
+    def _cases(count):
+        """Seeded (y, d, k): d <= 3, k <= 3, and noise, zero, rounded,
+        offset-1e3, exact-member and noisy-member inputs."""
+        for case in range(count):
+            rng = np.random.default_rng([72, case])
+            d = int(rng.integers(0, 4))
+            k = int(rng.integers(1, 4))
+            n = int(rng.integers(max(k * (d + 1), k + 1), k * (d + 1) + 9))
+            kind = ("noise", "zero", "rounded", "offset", "member",
+                    "noisy member")[case % 6]
+            y = rng.normal(size=n)
+            if kind == "zero":
+                y = np.zeros(n)
+            elif kind == "rounded":
+                y = np.round(y)
+            elif kind == "offset":
+                y = y + 1e3
+            elif kind.endswith("member"):
+                member, _, _ = sample_shape_member(rng, d, k, n)
+                y = member + (0.1 * y if kind == "noisy member" else 0.0)
+            yield y, d, k
+
+    def test_matches_scan(self):
+        for y, d, k in self._cases(200):
+            ref = None
+            for knots in iter_knot_vectors(y.size, k, d):
+                kv = KnotVector(knots, d)
+                for j_star in range(0, k + 1):
+                    fit = fit_shape_given_knots(y, d, kv, j_star)
+                    if ref is None or fit.sse < ref.sse:
+                        ref = fit
+            fit = shape_lse(y, d, k)
+            assert fit.knots == ref.knots
+            assert fit.canonical == ref.canonical
+            assert fit.sse == ref.sse
+            assert fit.coeffs == ref.coeffs
+            assert np.array_equal(fit.theta_hat.values, ref.theta_hat.values)
+
+    def test_refits_only_near_ties(self, monkeypatch):
+        """The scan built a full result for each of the 696 pairs at
+        n=20, d=1, k=3; now every pair costs one NNLS solve and only the
+        winner's result is built."""
+        import l0spline.shape as shape
+
+        built, solves = [], []
+        fit, nnls = shape.fit_shape_given_knots, shape.nnls_activeset
+
+        def counting_fit(*a, **kw):
+            built.append(a)
+            return fit(*a, **kw)
+
+        def counting_nnls(*a, **kw):
+            solves.append(a)
+            return nnls(*a, **kw)
+
+        monkeypatch.setattr(shape, "fit_shape_given_knots", counting_fit)
+        monkeypatch.setattr(shape, "nnls_activeset", counting_nnls)
+        y = np.random.default_rng(82).normal(size=20)
+        shape_lse(y, 1, 3)
+        pairs = count_knot_vectors(20, 3, 1) * 4
+        assert pairs == 696
+        assert len(built) == 1
+        # one screening solve per pair, one per near-tie refit, one for
+        # the winner's result
+        assert pairs + 2 <= len(solves) < pairs + 20
 
 
 class TestCoefBoundStatistic:

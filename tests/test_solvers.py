@@ -12,8 +12,11 @@ from l0spline import (
     check_membership,
     evaluate_spline,
     iter_knot_vectors,
+    local_coefficients_from_truncated_power,
     raw_basis,
 )
+from l0spline.experiments import complexity_width
+from l0spline.model import _KnotScreen, _pad_knots, _reexpand_coefs
 from l0spline.solvers import (
     FitResult,
     _backtrack,
@@ -175,6 +178,34 @@ class TestDpFit:
                                    fk.theta_hat.values, atol=1e-9)
 
 
+    def test_offset_1e4_at_degree_5(self):
+        """With an offset of 1e4 at d=5 the sweeper's normal equations lost
+        the optimum, (0, 150, 300) at SSE 68.006; the global degree-d fit
+        removed before sweeping keeps the exact optimum."""
+        n, d = 300, 5
+        x = np.arange(1, n + 1) / n
+        gen = np.random.Generator(np.random.Philox(key=[0, 6]))
+        y = 1e4 + (x > 0.5) + 3 * x ** 2 + 0.5 * gen.standard_normal(n)
+        p = ModelParams(d=d, d0=-1, k=2, n=n)
+        fr = dp_fit(y, p)
+        ex = exhaustive_fit(y, p)
+        assert fr.knots.knots == ex.knots.knots == (0, 151, 300)
+        assert fr.sse == pytest.approx(ex.sse, rel=1e-9)
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_matches_exhaustive_with_large_offset(self, d):
+        for n in (40, 50, 60):
+            rng = np.random.default_rng([d, n])
+            x = np.arange(1, n + 1) / n
+            y = (1e4 + (x > 0.4) + np.sin(3 * x)
+                 + 0.3 * rng.standard_normal(n))
+            p = ModelParams(d=d, d0=-1, k=2, n=n)
+            fr = dp_fit(y, p)
+            ex = exhaustive_fit(y, p)
+            assert fr.knots.knots == ex.knots.knots
+            assert fr.sse == pytest.approx(ex.sse, rel=1e-9)
+
+
 class TestExhaustiveFit:
     def test_budget_refusal_reports_count(self):
         from l0spline import count_knot_vectors
@@ -224,6 +255,130 @@ class TestExhaustiveFit:
             fr = exhaustive_fit(y, p)
             o_sse, _ = orc.brute_force_best_fit(y, d, d0, k)
             assert fr.sse == pytest.approx(o_sse, abs=1e-9)
+
+
+def _screen_cases(count, smooth_only):
+    """Seeded (y, d, d0, k) cases: d <= 3, every d0, k <= 3, and noise,
+    zero, rounded, offset-1e3 and exact-member inputs."""
+    for case in range(count):
+        rng = np.random.default_rng([71, case])
+        d = int(rng.integers(0 if not smooth_only else 1, 4))
+        d0 = int(rng.integers(0 if smooth_only else -1, d))
+        k = int(rng.integers(1, 4))
+        n = int(rng.integers(d + 1, (d + 1) * k + 9))
+        kind = ("noise", "zero", "rounded", "offset", "member")[case % 5]
+        y = rng.standard_normal(n)
+        if kind == "zero":
+            y = np.zeros(n)
+        elif kind == "rounded":
+            y = np.round(y)
+        elif kind == "offset":
+            y = y + 1e3
+        elif kind == "member":
+            inner, t = [], 0
+            for _ in range(k - 1):
+                if t + d + 1 > n - d - 1:
+                    break
+                t = int(rng.integers(t + d + 1, n - d))
+                inner.append(t)
+            X = raw_basis(n, d, d0, (0, *inner, n))
+            y = X @ rng.standard_normal(X.shape[1])
+        yield y, ModelParams(d=d, d0=d0, k=k, n=n)
+
+
+class TestKnotScreen:
+    """exhaustive_fit (d0 >= 0), the enumeration path of complexity_width
+    and check_membership screen each distinct knot set once and rescore
+    only the sets near the best.  Each must return bit for bit what the
+    per-configuration scan it replaced returns; the scans are copied here
+    as the reference."""
+
+    def test_exhaustive_fit_matches_scan(self):
+        for y, p in _screen_cases(200, smooth_only=True):
+            best_sse, best_knots = np.inf, None
+            for knots in iter_knot_vectors(p.n, p.k, p.d):
+                key = KnotVector(knots, p.d).distinct()
+                X = raw_basis(p.n, p.d, p.d0, key)
+                coef, _, _, _ = np.linalg.lstsq(X, y, rcond=1e-10)
+                r = y - X @ coef
+                sse = float(r @ r)
+                if sse < best_sse:
+                    best_sse, best_knots = sse, knots
+            ref = fit_given_knots(y, p, best_knots)
+            fr = exhaustive_fit(y, p)
+            assert fr.knots == ref.knots
+            assert fr.sse == ref.sse == best_sse
+            assert fr.coeffs == ref.coeffs
+            assert np.array_equal(fr.theta_hat.values, ref.theta_hat.values)
+
+    def test_complexity_width_matches_scan(self):
+        for eps, p in _screen_cases(200, smooth_only=False):
+            if p.d == 0 and p.d0 == -1 and p.k in (2, 3):
+                continue  # prefix-sum paths, not screened
+            best, seen = 0.0, set()
+            for knots in iter_knot_vectors(p.n, p.k, p.d):
+                key = tuple(sorted(set(knots)))
+                if key in seen:
+                    continue
+                seen.add(key)
+                X = raw_basis(p.n, p.d, p.d0, key)
+                coef, _, _, _ = np.linalg.lstsq(X, eps, rcond=None)
+                proj = X @ coef
+                best = max(best, float(proj @ proj))
+            assert complexity_width(eps, p) == best
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-3])
+    def test_check_membership_matches_scan(self, tol):
+        for theta, p in _screen_cases(200, smooth_only=False):
+            ref, seen = (False, None), set()
+            for knots in iter_knot_vectors(p.n, p.k, p.d):
+                key = KnotVector(knots, p.d).distinct()
+                if key in seen:
+                    continue
+                seen.add(key)
+                X = raw_basis(p.n, p.d, p.d0, key)
+                coef, _, _, _ = np.linalg.lstsq(X, theta, rcond=None)
+                if np.max(np.abs(X @ coef - theta)) <= tol:
+                    kv = KnotVector(_pad_knots(key, p.k), p.d)
+                    ref = (True, local_coefficients_from_truncated_power(
+                        kv, p.d0, _reexpand_coefs(kv, p.d0, coef)))
+                    break
+            ok, wit = check_membership(theta, p, tol=tol)
+            assert ok == ref[0]
+            if ok:
+                assert wit.knots == ref[1].knots
+                assert wit.coeffs == ref[1].coeffs
+
+    def test_one_design_per_rescored_set(self, monkeypatch):
+        """At n=60, d=1, d0=0, k=3 the scan built 1714 designs and ran as
+        many lstsq solves.  The screen builds one design, its polynomial
+        block, and solves by QR; only the rescored sets and the final
+        refit build a design and run lstsq, one each."""
+        import l0spline.model as model
+        import l0spline.solvers as solvers
+
+        designs, solves = [], []
+        raw, lstsq = model.raw_basis, np.linalg.lstsq
+
+        def counting_raw(*a, **kw):
+            designs.append(a)
+            return raw(*a, **kw)
+
+        def counting_lstsq(*a, **kw):
+            solves.append(a)
+            return lstsq(*a, **kw)
+
+        n = 60
+        y = np.random.default_rng(81).standard_normal(n)
+        prefixes = len(_KnotScreen(y, 1, 0, 3)._prefixes)
+        monkeypatch.setattr(model, "raw_basis", counting_raw)
+        monkeypatch.setattr(solvers, "raw_basis", counting_raw)
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        exhaustive_fit(y, ModelParams(d=1, d0=0, k=3, n=n))
+        assert prefixes <= n
+        assert 3 <= len(designs) <= prefixes
+        # lstsq calls = rescored sets + 1 (the final refit)
+        assert len(solves) == len(designs) - 1
 
 
 class TestPenalty:
