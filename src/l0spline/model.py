@@ -237,6 +237,11 @@ def iter_knot_vectors(n: int, k: int, d: int):
             if last == n:
                 yield tuple(prefix)
             return
+        if left == 1:
+            # the last knot is n: a repeat, or a piece of >= d + 1 points
+            if last == n or n - last >= d + 1:
+                yield tuple(prefix) + (n,)
+            return
         candidates = [last] + [s for s in range(last + d + 1, n + 1)]
         for s in candidates:
             rem = n - s

@@ -45,6 +45,9 @@ __all__ = [
 ]
 
 _DUAL_TOL = 1e-10
+# (knots, pivot) pairs screened per batched solve; their gathered columns
+# take 512 (k + 1) n doubles, 512 KB at n = 32, k = 3
+_PAIR_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -117,6 +120,33 @@ def _right_hinge(i: np.ndarray, knot: int, n: int, d: int) -> np.ndarray:
     return np.where(u > 0, u, 0.0) ** d
 
 
+class _Grid:
+    """Columns on the grid i = 1..n at degree d, each built on first use:
+    the monomials (i/n)^l and the left and right hinges at a knot."""
+
+    def __init__(self, n: int, d: int):
+        self.n, self.d = n, d
+        self.i = np.arange(1, n + 1, dtype=float)
+        self._cols = {}
+
+    def _col(self, key, make):
+        col = self._cols.get(key)
+        if col is None:
+            col = self._cols[key] = make()
+        return col
+
+    def power(self, ell: int) -> np.ndarray:
+        return self._col(("x", ell), lambda: (self.i / self.n) ** ell)
+
+    def left(self, knot: int) -> np.ndarray:
+        return self._col(("l", knot), lambda: _left_hinge(
+            self.i, knot, self.n, self.d))
+
+    def right(self, knot: int) -> np.ndarray:
+        return self._col(("r", knot), lambda: _right_hinge(
+            self.i, knot, self.n, self.d))
+
+
 def canonical_evaluate(rep: MonotoneCanonical, n: int | None = None) -> np.ndarray:
     """Sample the canonical representation at i = 1..n."""
     kv = rep.knots
@@ -125,15 +155,18 @@ def canonical_evaluate(rep: MonotoneCanonical, n: int | None = None) -> np.ndarr
     if kv.n != n:
         raise ValidationError(
             f"representation lives on grid {kv.n}, asked for {n}")
-    d = kv.d
-    i = np.arange(1, n + 1, dtype=float)
-    out = np.zeros(n)
-    for ell in range(d):
-        out += rep.c[ell] / math.factorial(ell) * (i / n) ** ell
+    return _evaluate(rep, _Grid(n, kv.d))
+
+
+def _evaluate(rep: MonotoneCanonical, grid: _Grid) -> np.ndarray:
+    kv = rep.knots
+    out = np.zeros(grid.n)
+    for ell in range(kv.d):
+        out += rep.c[ell] / math.factorial(ell) * grid.power(ell)
     for jx, aj in enumerate(rep.a, start=1):
-        out += aj * _left_hinge(i, kv.knots[jx], n, d)
+        out += aj * grid.left(kv.knots[jx])
     for jx, bj in enumerate(rep.b, start=rep.j_star):
-        out += bj * _right_hinge(i, kv.knots[jx], n, d)
+        out += bj * grid.right(kv.knots[jx])
     return out
 
 
@@ -155,12 +188,15 @@ def nnls_activeset(A: np.ndarray, y: np.ndarray,
     """min ||y - A g||^2 subject to g >= 0.
 
     Classic active-set iteration.  Terminates when every inactive dual
-    coordinate is <= dual_tol; raises NonConvergenceError after
-    100 * n_variables iterations.
+    coordinate is <= dual_tol * ||y|| * max_j ||A_j||, a bound that scales
+    with the data, so rescaling y rescales g and nothing else; raises
+    NonConvergenceError after 100 * n_variables iterations.
     """
     n, m = A.shape
     if max_iter is None:
         max_iter = 100 * max(m, 1)
+    dual_tol *= math.sqrt(float(y @ y) * float(
+        np.einsum("ij,ij->j", A, A).max(initial=0.0)))
     g = np.zeros(m)
     active: list = []
     resid = y.copy()
@@ -199,46 +235,153 @@ def nnls_activeset(A: np.ndarray, y: np.ndarray,
         w = A.T @ resid
 
 
-def _solve_with_free_block(C: np.ndarray, F: np.ndarray, y: np.ndarray):
-    """min ||y - C c - F g||^2 over free c and g >= 0.
+def _nnls_screen(F: np.ndarray, y: np.ndarray, idx: np.ndarray,
+                 max_iter: int | None = None) -> np.ndarray:
+    """min ||y - F[:, idx[p]] g||^2 over g >= 0, for every row p of idx.
 
-    The free block is eliminated by projecting y and F onto the orthogonal
-    complement of span(C); c is recovered afterwards by back substitution.
+    One batched QR of each [F[:, idx[p]], y] reduces row p to a k x k
+    problem min ||c - R g||^2 plus the constant ||y||^2 - ||c||^2 (the
+    squared last diagonal entry, so nothing cancels).  The active set of
+    nnls_activeset then runs on every row in lockstep, one boolean mask
+    per row, with the same rules: the largest dual enters first, ties go
+    to the smallest index, an infeasible step moves to the boundary and
+    drops the zeroed variables, and a row stops when every inactive dual
+    is <= _DUAL_TOL * ||y|| * (its largest column norm).  The masked
+    normal equations R_A' R_A z = R_A' c are solved batched; the score
+    ||c - R g||^2 is computed directly, so an error in z enters it only
+    at second order.  Raises NonConvergenceError when a row needs more
+    than max_iter (default 100 k) solves.
     """
-    if C.shape[1] == 0:
-        g = nnls_activeset(F, y)
-        return np.zeros(0), g
-    Q, R = np.linalg.qr(C)
-    y_perp = y - Q @ (Q.T @ y)
-    if F.shape[1]:
-        F_perp = F - Q @ (Q.T @ F)
-        g = nnls_activeset(F_perp, y_perp)
-    else:
-        g = np.zeros(0)
-    rhs = Q.T @ (y - F @ g) if F.shape[1] else Q.T @ y
-    c = np.linalg.solve(R, rhs)
-    return c, g
+    n = y.size
+    pairs, k = idx.shape
+    if max_iter is None:
+        max_iter = 100 * max(k, 1)
+    # rows padded with zeros to k + 1, so the QR keeps its last row
+    cols = np.zeros((pairs, k + 1, max(n, k + 1)))
+    cols[:, :k, :n] = F.T[idx]
+    cols[:, k, :n] = y
+    Ra = np.linalg.qr(cols.transpose(0, 2, 1), mode="r")
+    R, c = Ra[:, :k, :k], Ra[:, :k, k]
+    RT = R.transpose(0, 2, 1)
+    G, b = RT @ R, _matvec(RT, c)
+    tol = _DUAL_TOL * float(np.linalg.norm(y)) * np.max(
+        np.linalg.norm(F, axis=0)[idx], axis=1, initial=0.0)
+
+    eye = np.eye(k, dtype=bool)
+    g = np.zeros((pairs, k))
+    active = np.zeros((pairs, k), dtype=bool)
+    solving = np.zeros(pairs, dtype=bool)
+    iters = np.zeros(pairs, dtype=int)
+    live = np.arange(pairs)
+    while live.size:
+        # rows whose last solve was feasible take their next variable
+        o = live[~solving[live]]
+        if o.size:
+            w = _matvec(RT[o], c[o] - _matvec(R[o], g[o]))
+            w = np.where(~active[o] & (w > tol[o, None]), w, -np.inf)
+            j = np.argmax(w, axis=1)  # the first maximum: smallest index
+            enter = w[np.arange(o.size), j] > -np.inf
+            active[o[enter], j[enter]] = True
+            solving[o[enter]] = True
+            live = live[solving[live]]
+            if not live.size:
+                break
+        iters[live] += 1
+        if iters[live].max() > max_iter:
+            raise NonConvergenceError(
+                f"active-set solver exceeded {max_iter} iterations")
+        A = active[live]
+        z = np.linalg.solve(
+            np.where(A[:, :, None] & A[:, None, :], G[live], eye),
+            np.where(A, b[live], 0.0)[..., None])[..., 0]
+        feasible = np.all(z > 0, axis=1, where=A)
+        done = live[feasible]
+        g[done] = np.where(A[feasible], z[feasible], 0.0)
+        solving[done] = False
+        # step to the boundary, drop newly zeroed variables
+        bad = ~feasible
+        if bad.any():
+            stepped = live[bad]
+            gp, zb, Ab = g[stepped], z[bad], A[bad]
+            denom = gp - zb
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = np.where(denom > 0, gp / denom, 0.0)
+            alpha = np.min(ratios, axis=1, where=Ab & (zb <= 0),
+                           initial=np.inf)
+            gp = gp + alpha[:, None] * (zb - gp)
+            g[stepped] = np.where(Ab & (gp > 1e-14), gp, 0.0)
+            active[stepped] = g[stepped] > 0
+    r = c - _matvec(R, g)
+    return np.einsum("pi,pi->p", r, r) + Ra[:, k, k] ** 2
+
+
+def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M[p] @ v[p] for every p."""
+    return (M @ v[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
 # fitting
 # ---------------------------------------------------------------------------
 
-def _shape_design(n: int, d: int, kv: KnotVector, j_star: int):
-    """Free block C (polynomial) and constrained block F (sign-flipped
-    left hinges then right hinges)."""
-    i = np.arange(1, n + 1, dtype=float)
-    C = np.column_stack(
-        [(i / n) ** ell / math.factorial(ell) for ell in range(d)]
-    ) if d else np.zeros((n, 0))
-    sign = (-1.0) ** (d + 1)
-    cols = []
-    for jx in range(1, j_star + 1):
-        cols.append(sign * _left_hinge(i, kv.knots[jx], n, d))
-    for jx in range(j_star, kv.k):
-        cols.append(_right_hinge(i, kv.knots[jx], n, d))
-    F = np.column_stack(cols) if cols else np.zeros((n, 0))
-    return C, F
+class _ConeProblem:
+    """What every cone fit of one y shares, whatever its knots and pivot:
+    the free polynomial block C, its QR, y projected onto the orthogonal
+    complement of span(C), and the hinge columns built so far."""
+
+    def __init__(self, y: np.ndarray, d: int):
+        n = y.size
+        self.y, self.d, self.y_perp = y, d, y
+        self.grid = _Grid(n, d)
+        if d:
+            C = np.column_stack(
+                [self.grid.power(ell) / math.factorial(ell)
+                 for ell in range(d)])
+            self.Q, self.R = np.linalg.qr(C)
+            self.y_perp = self.project(y)
+
+    def project(self, F: np.ndarray) -> np.ndarray:
+        """F projected onto the orthogonal complement of span(C)."""
+        return F - self.Q @ (self.Q.T @ F) if self.d else F
+
+    def hinges(self) -> np.ndarray:
+        """The projected sign-flipped left hinges at knots 0..n, then the
+        projected right hinges at knots 0..n: every pair's columns."""
+        n, d = self.y.size, self.d
+        i = self.grid.i[:, None]
+        pos = np.arange(n + 1, dtype=float)
+        return self.project(np.hstack([
+            (-1.0) ** (d + 1) * _left_hinge(i, pos, n, d),
+            _right_hinge(i, pos, n, d)]))
+
+    def fit(self, kv: KnotVector, j_star: int):
+        """Canonical representation, fitted values and SSE of the cone
+        least squares fit at fixed knots and pivot.  The constrained block
+        F holds the sign-flipped left hinges, then the right hinges; the
+        free block is eliminated by projection and its coefficients are
+        recovered afterwards by back substitution."""
+        y, d = self.y, self.d
+        sign = (-1.0) ** (d + 1)
+        F = np.column_stack(
+            [sign * self.grid.left(t) for t in kv.knots[1:j_star + 1]]
+            + [self.grid.right(t) for t in kv.knots[j_star:kv.k]])
+        g = nnls_activeset(self.project(F), self.y_perp)
+        c = (np.linalg.solve(self.R, self.Q.T @ (y - F @ g)) if d
+             else np.zeros(0))
+        a = tuple(sign * v for v in g[:j_star])
+        b = tuple(g[j_star:])
+        rep = MonotoneCanonical(j_star, a, b, tuple(c), kv)
+        theta = _evaluate(rep, self.grid)
+        resid = y - theta
+        return rep, theta, float(resid @ resid)
+
+
+def _shape_result(rep: MonotoneCanonical, theta: np.ndarray,
+                  sse: float) -> ShapeFitResult:
+    return ShapeFitResult(
+        theta_hat=SignalVector(theta), knots=rep.knots,
+        coeffs=_local_coeffs_from_canonical(rep),
+        sse=sse, k_selected=rep.knots.k, canonical=rep)
 
 
 def _local_coeffs_from_canonical(rep: MonotoneCanonical) -> tuple:
@@ -293,25 +436,7 @@ def fit_shape_given_knots(y, d: int, knots, j_star: int) -> ShapeFitResult:
     if not (0 <= j_star <= kv.k):
         raise ValidationError(
             f"pivot must lie in [0;{kv.k}], got {j_star}")
-    rep, theta, sse = _cone_fit(y, d, kv, j_star)
-    return ShapeFitResult(
-        theta_hat=SignalVector(theta), knots=kv,
-        coeffs=_local_coeffs_from_canonical(rep),
-        sse=sse, k_selected=kv.k, canonical=rep)
-
-
-def _cone_fit(y: np.ndarray, d: int, kv: KnotVector, j_star: int):
-    """Canonical representation, fitted values and SSE of the cone least
-    squares fit at fixed knots and pivot."""
-    C, F = _shape_design(y.size, d, kv, j_star)
-    c, g = _solve_with_free_block(C, F, y)
-    sign = (-1.0) ** (d + 1)
-    a = tuple(sign * v for v in g[:j_star])
-    b = tuple(g[j_star:])
-    rep = MonotoneCanonical(j_star, a, b, tuple(c), kv)
-    theta = canonical_evaluate(rep)
-    resid = y - theta
-    return rep, theta, float(resid @ resid)
+    return _shape_result(*_ConeProblem(y, d).fit(kv, j_star))
 
 
 def _isotonic_blocks(y: np.ndarray):
@@ -365,11 +490,11 @@ def shape_lse(y, d: int, k: int, budget: int = 10_000_000) -> ShapeFitResult:
 
     Enumerates knot vectors and pivots; ties go to the lexicographically
     smallest knot vector, then the smallest pivot.  Every pair is scored
-    by the SSE of one NNLS solve on columns projected once per call; only
-    the pairs scored near the best are refit as fit_shape_given_knots
-    fits them, and only the winner's full result is built.  For d = 0
-    with k >= n the problem is plain isotonic regression and is solved by
-    pooling.
+    by one batched active-set NNLS screen over columns projected once per
+    call (_nnls_screen); only the pairs scored near the best are refit as
+    fit_shape_given_knots fits them, sharing the free block's QR, and
+    only the winner's full result is built.  For d = 0 with k >= n the
+    problem is plain isotonic regression and is solved by pooling.
     """
     y = np.asarray(y, dtype=float)
     n = y.size
@@ -377,54 +502,52 @@ def shape_lse(y, d: int, k: int, budget: int = 10_000_000) -> ShapeFitResult:
         raise ValidationError(f"k must be >= 1, got {k}")
     if d == 0 and k >= n:
         theta = _isotonic_blocks(y)
-        rep = _canonical_from_nondecreasing(theta, k)
         resid = y - theta
-        return ShapeFitResult(
-            theta_hat=SignalVector(theta), knots=rep.knots,
-            coeffs=_local_coeffs_from_canonical(rep),
-            sse=float(resid @ resid), k_selected=k, canonical=rep)
+        return _shape_result(_canonical_from_nondecreasing(theta, k), theta,
+                             float(resid @ resid))
 
     total = count_knot_vectors(n, k, d) * (k + 1)
     if total > budget:
         raise BudgetExceededError(
             f"{total} configuration/pivot pairs exceed the budget of "
             f"{budget}")
-    # the free block's QR, y and the sign-flipped left and right hinges at
-    # every knot position do not depend on the pair: project them once
-    C, _ = _shape_design(n, d, KnotVector((0, n), d), 0)
-    i = np.arange(1, n + 1, dtype=float)[:, None]
-    pos = np.arange(n + 1, dtype=float)
-    F = np.hstack([(-1.0) ** (d + 1) * _left_hinge(i, pos, n, d),
-                   _right_hinge(i, pos, n, d)])
-    y_perp = y
-    if d:
-        Q, _ = np.linalg.qr(C)
-        y_perp = y - Q @ (Q.T @ y)
-        F = F - Q @ (Q.T @ F)
+    # y and the hinges at every knot position do not depend on the pair:
+    # project them once
+    cone = _ConeProblem(y, d)
+    F = cone.hinges()
     vectors = list(iter_knot_vectors(n, k, d))
-    score = np.empty(len(vectors) * (k + 1))
-    for v, knots in enumerate(vectors):
-        for j_star in range(k + 1):
-            cols = F[:, list(knots[1:j_star + 1])
-                     + [n + 1 + t for t in knots[j_star:k]]]
-            r = y_perp - cols @ nnls_activeset(cols, y_perp)
-            score[v * (k + 1) + j_star] = r @ r
+    knots = np.array(vectors, dtype=np.intp)
+    step = max(1, _PAIR_CHUNK // (k + 1))
+    score = np.concatenate([
+        _nnls_screen(F, cone.y_perp, _pair_columns(knots[s:s + step], n))
+        for s in range(0, len(vectors), step)])
 
     # a pair's fit never costs less than its screened SSE minus the
     # rounding bound, so only pairs screened near the best fit can win
-    sses = {}
+    fits = {}
 
     def sse(p):
-        if p not in sses:
+        if p not in fits:
             v, j_star = divmod(p, k + 1)
-            sses[p] = _cone_fit(y, d, KnotVector(vectors[v], d), j_star)[2]
-        return sses[p]
+            fits[p] = cone.fit(KnotVector(vectors[v], d), j_star)
+        return fits[p][2]
 
     first = int(np.argmin(score))
     near = np.flatnonzero(score <= sse(first) + _SCREEN_TOL * float(y @ y))
     best = min(near.tolist() + [first], key=lambda p: (sse(p), p))
-    v, j_star = divmod(best, k + 1)
-    return fit_shape_given_knots(y, d, KnotVector(vectors[v], d), j_star)
+    return _shape_result(*fits[best])
+
+
+def _pair_columns(knots: np.ndarray, n: int) -> np.ndarray:
+    """Columns of every (knots, pivot) pair in the hinge block
+    [left hinges at 0..n | right hinges at 0..n], one row per pair,
+    knot vectors in the given order, pivots 0..k within each."""
+    v, k = knots.shape[0], knots.shape[1] - 1
+    idx = np.empty((v, k + 1, k), dtype=np.intp)
+    for j_star in range(k + 1):
+        idx[:, j_star, :j_star] = knots[:, 1:j_star + 1]
+        idx[:, j_star, j_star:] = n + 1 + knots[:, j_star:k]
+    return idx.reshape(-1, k)
 
 
 def coef_bound_statistic(theta_star, d: int, k: int, knots=None,

@@ -369,3 +369,14 @@ def test_module_entry_point(tmp_path):
          "binomial"], capture_output=True, text=True)
     assert out.returncode == 0
     assert json.loads(out.stdout)["pass"] is True
+
+
+def test_runtime_imports_leave_scipy_out():
+    # scipy is a test extra only: the package and its entry points must
+    # import without it
+    code = ("import sys, l0spline, l0spline.cli, l0spline.shape, "
+            "l0spline.experiments; print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -295,31 +295,110 @@ class TestShapeScreen:
 
     def test_refits_only_near_ties(self, monkeypatch):
         """The scan built a full result for each of the 696 pairs at
-        n=20, d=1, k=3; now every pair costs one NNLS solve and only the
-        winner's result is built."""
+        n=20, d=1, k=3.  Now the pairs are screened by one batched solve
+        and nnls_activeset runs only for the refits of the pairs screened
+        near the best, the winner among them, whose fit is reused."""
         import l0spline.shape as shape
 
-        built, solves = [], []
-        fit, nnls = shape.fit_shape_given_knots, shape.nnls_activeset
+        refits, solves = [], []
+        fit, nnls = shape._ConeProblem.fit, shape.nnls_activeset
 
-        def counting_fit(*a, **kw):
-            built.append(a)
-            return fit(*a, **kw)
+        def counting_fit(self, kv, j_star):
+            refits.append((kv.knots, j_star))
+            return fit(self, kv, j_star)
 
         def counting_nnls(*a, **kw):
             solves.append(a)
             return nnls(*a, **kw)
 
-        monkeypatch.setattr(shape, "fit_shape_given_knots", counting_fit)
+        monkeypatch.setattr(shape._ConeProblem, "fit", counting_fit)
         monkeypatch.setattr(shape, "nnls_activeset", counting_nnls)
         y = np.random.default_rng(82).normal(size=20)
-        shape_lse(y, 1, 3)
-        pairs = count_knot_vectors(20, 3, 1) * 4
-        assert pairs == 696
-        assert len(built) == 1
-        # one screening solve per pair, one per near-tie refit, one for
-        # the winner's result
-        assert pairs + 2 <= len(solves) < pairs + 20
+        result = shape_lse(y, 1, 3)
+        assert count_knot_vectors(20, 3, 1) * 4 == 696
+        assert (result.knots.knots, result.canonical.j_star) in refits
+        assert len(solves) == len(refits) < 20
+
+
+class TestNnlsScreen:
+    """The batched active set behind shape_lse scores every (knots,
+    pivot) pair; each score must be that pair's NNLS residual."""
+
+    @staticmethod
+    def _cases(count):
+        """Seeded (y, d, k): d <= 3, k <= 5, knot vectors with empty
+        pieces (duplicate and zero columns), and noise, rounded,
+        offset-1e3, exact-member and zero inputs."""
+        for case in range(count):
+            rng = np.random.default_rng([91, case])
+            d = int(rng.integers(0, 4))
+            k = int(rng.integers(1, 6))
+            n = int(rng.integers(max(k * (d + 1), k + 1),
+                                 max(k * (d + 1), k + 1) + 4))
+            kind = ("noise", "rounded", "offset", "member", "zero")[case % 5]
+            y = rng.normal(size=n)
+            if kind == "rounded":
+                y = np.round(y)
+            elif kind == "offset":
+                y = y + 1e3
+            elif kind == "member" and n >= k * (d + 1) + 2 * d + 1:
+                y, _, _ = sample_shape_member(rng, d, k, n)
+            elif kind == "zero":
+                y = np.zeros(n)
+            yield y, d, k
+
+    @staticmethod
+    def _screen(y, d, k):
+        from l0spline.shape import _ConeProblem, _pair_columns
+
+        cone = _ConeProblem(y, d)
+        knots = np.array(list(iter_knot_vectors(y.size, k, d)))
+        return cone.hinges(), cone.y_perp, _pair_columns(knots, y.size)
+
+    def test_scores_match_scipy_nnls(self):
+        from scipy.optimize import nnls as scipy_nnls
+
+        from l0spline.shape import _nnls_screen
+
+        checked = 0
+        for y, d, k in self._cases(60):
+            F, y_perp, idx = self._screen(y, d, k)
+            score = _nnls_screen(F, y_perp, idx)
+            assert score.shape == (idx.shape[0],)
+            for p, cols in enumerate(idx):
+                # scipy's nnls misreports rank-deficient problems, so it
+                # gets the pair's distinct nonzero columns, which span the
+                # same cone, and its residual is recomputed
+                A = F[:, np.unique(cols)]
+                A = A[:, np.any(A != 0, axis=0)]
+                r = y_perp - A @ scipy_nnls(A, y_perp)[0]
+                assert abs(score[p] - r @ r) <= 1e-12 * float(y @ y)
+            checked += idx.shape[0]
+        assert checked > 10_000
+
+    def test_iteration_cap_raises(self):
+        from l0spline.shape import _nnls_screen
+
+        F, y_perp, idx = self._screen(
+            np.random.default_rng(4).normal(size=9), 1, 2)
+        with pytest.raises(NonConvergenceError):
+            _nnls_screen(F, y_perp, idx, max_iter=0)
+        _nnls_screen(F, y_perp, idx, max_iter=2)
+
+
+class TestShapeScaleInvariance:
+    """Rescaling y rescales the fit and nothing else: the NNLS dual
+    tolerance is relative, so small-scale data are not stopped early."""
+
+    @pytest.mark.parametrize("factor", [1e-8, 1e6])
+    def test_same_knots_and_pivot(self, factor):
+        for seed in range(30):
+            y = np.random.default_rng(seed).normal(size=20)
+            fit = shape_lse(y, 1, 2)
+            scaled = shape_lse(factor * y, 1, 2)
+            assert scaled.knots == fit.knots
+            assert scaled.canonical.j_star == fit.canonical.j_star
+            assert abs(scaled.sse / factor ** 2 - fit.sse) <= 1e-9 * fit.sse
 
 
 class TestCoefBoundStatistic:
