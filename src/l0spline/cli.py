@@ -416,6 +416,8 @@ def _cmd_checks(args) -> int:
                 f"suite {args.suite!r} samples random instances; --seed "
                 f"is required")
         instances = args.reps if args.reps is not None else default_n
+        if instances < 1:
+            raise ValidationError(f"--reps must be >= 1, got {instances}")
         min_ratio, max_residual, passed = fn(args.seed, instances)
     else:
         instances, min_ratio, max_residual, passed = fn(None, None)

@@ -24,6 +24,8 @@ from .model import (
     ModelParams,
     SignalVector,
     _KnotScreen,
+    _check_budget,
+    _rescore,
     count_knot_vectors,
     raw_basis,
 )
@@ -59,6 +61,11 @@ def _loglog(x: float) -> float:
     return math.log(math.log(x))
 
 
+def _check_reps(reps: int) -> None:
+    if reps < 1:
+        raise ValidationError(f"reps must be >= 1, got {reps}")
+
+
 def _philox(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, stream]))
 
@@ -92,8 +99,7 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValidationError("n_grid must be strictly increasing")
         object.__setattr__(self, "n_grid", grid)
-        if self.reps < 1:
-            raise ValidationError(f"reps must be >= 1, got {self.reps}")
+        _check_reps(self.reps)
         if self.master_seed < 0:
             raise ValidationError("master_seed must be nonnegative")
         if self.signal_kind not in SIGNAL_KINDS:
@@ -193,6 +199,7 @@ def lil_curve(d: int, n_grid, reps: int, master_seed: int):
 
     Returns rows (n, mean_Z2, std_error, loglog16n).
     """
+    _check_reps(reps)
     grid = tuple(int(v) for v in n_grid)
     rows = []
     for idx, n in enumerate(grid):
@@ -252,10 +259,7 @@ def complexity_width(eps, params: ModelParams,
     n, d, d0, k = params.n, params.d, params.d0, params.k
     if d == 0 and d0 == -1 and k in (2, 3):
         return _width_const_k2(eps) if k == 2 else _width_const_k3(eps)
-    total = count_knot_vectors(n, k, d)
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} knot configurations exceed budget {budget}")
+    _check_budget(count_knot_vectors(n, k, d), budget)
 
     def proj_sq(knots):
         X = raw_basis(n, d, d0, KnotVector(knots, d).distinct())
@@ -263,15 +267,12 @@ def complexity_width(eps, params: ModelParams,
         proj = X @ coef
         return float(proj @ proj)
 
-    # the largest projection leaves the least SSE, so the screen's best set
-    # bounds it from below and only sets screened near it can beat it
+    # the largest projection leaves the least SSE: rank the sets by minus
+    # the projection, which the screened SSE minus ||eps||^2 estimates
     screen = _KnotScreen(eps, d, d0, k)
-    first = screen.knots(int(np.argmin(screen.score)))
-    best = max(0.0, proj_sq(first))
-    for knots in screen.within(float(eps @ eps) - best + screen.tol):
-        if knots != first:
-            best = max(best, proj_sq(knots))
-    return best
+    least, _ = _rescore(screen.score - float(eps @ eps), screen.tol,
+                        lambda j: -proj_sq(screen.knots(j)), screen.knots)
+    return -least
 
 
 def width_curve(d: int, d0: int, k: int, n_grid, reps: int,
@@ -280,6 +281,7 @@ def width_curve(d: int, d0: int, k: int, n_grid, reps: int,
 
     Returns rows (n, mean_width, std_error, rate_loglog, rate_log).
     """
+    _check_reps(reps)
     grid = tuple(int(v) for v in n_grid)
     rows = []
     for idx, n in enumerate(grid):

@@ -20,6 +20,8 @@ from .model import (
     ModelParams,
     PiecewiseSpline,
     evaluate_spline,
+    local_coefficients_from_truncated_power,
+    raw_basis,
     transition_boundary,
 )
 
@@ -526,8 +528,6 @@ def sample_end_long_knots(rng, d: int, d0: int, n: int) -> KnotVector:
 def sample_unit_spline(rng, params: ModelParams, knots: KnotVector,
                        scale: float = 1.0) -> PiecewiseSpline:
     """Random unit-norm class member on the given knots."""
-    from .model import local_coefficients_from_truncated_power, raw_basis
-
     X = raw_basis(params.n, params.d, params.d0, knots.knots)
     coef = rng.normal(scale=scale, size=X.shape[1])
     vals = X @ coef

@@ -434,10 +434,7 @@ def check_membership(theta, params: ModelParams, tol: float = 1e-8,
         raise ValidationError(
             f"theta has length {theta.size}, expected n={params.n}")
     n, d, d0, k = params.n, params.d, params.d0, params.k
-    total = count_knot_vectors(n, k, d)
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} knot configurations exceed budget {budget}")
+    _check_budget(count_knot_vectors(n, k, d), budget)
     # a sup-norm hit has SSE <= n tol^2, so only sets screened below that
     # can reproduce theta; they are tried in the order of the knot scan
     screen = _KnotScreen(theta, d, d0, k)
@@ -453,11 +450,37 @@ def check_membership(theta, params: ModelParams, tol: float = 1e-8,
     return False, None
 
 
-# Sets screened within this fraction of ||y||^2 above the best rescored
-# cost are rescored.  The screen and the per-set lstsq differ by rounding,
-# of order eps * cond(design) * ||y||^2, far below it; an rcond cut can
-# only raise the per-set cost.
+def _check_budget(total: int, budget: int,
+                  what: str = "knot configurations") -> None:
+    """Refuse an enumeration of total items that exceeds the budget."""
+    if total > budget:
+        raise BudgetExceededError(
+            f"{total} {what} exceed the budget of {budget}")
+
+
+# Candidates screened within this fraction of ||y||^2 above the best
+# rescored cost are rescored.  A screen and the caller's exact cost differ
+# by rounding, of order eps * cond(design) * ||y||^2, far below it; an
+# rcond cut can only raise the exact cost.
 _SCREEN_TOL = 1e-9
+
+
+def _rescore(score: np.ndarray, tol: float, cost, key) -> tuple:
+    """(cost, index) of the candidate j minimizing (cost(j), key(j)).
+
+    score[j] is a screened value of candidate j's exact cost(j), which
+    never falls below it by more than tol.  So once the best-scored
+    candidate is costed, only the candidates scored within tol of that
+    cost can attain the minimum; each of them is costed exactly once.
+    """
+    first = int(np.argmin(score))
+    best = (cost(first), key(first), first)
+    for j in np.flatnonzero(score <= best[0] + tol).tolist():
+        if j != first:
+            best = min(best, (cost(j), key(j), j))
+    return best[0], best[2]
+
+
 # candidate last knots whose columns are built and projected at once, so
 # no n x n block is ever allocated
 _CHUNK = 64
@@ -484,9 +507,9 @@ class _KnotScreen:
     scored in one vectorized pass, ||r||^2 - (b'r)^2 / ||b||^2 for a
     one-column block and through a batched QR otherwise.  The scores match
     the per-set least squares costs up to rounding only, so callers rescore
-    the sets near the best with their own arithmetic.  Set j is the
-    prefix _prefixes[_owner[j]] followed by _last[j]; a _last of 0 (never
-    an inner knot) stands for the prefix alone.
+    the sets near the best with their own arithmetic (_rescore).  Set j is
+    the prefix _prefixes[_owner[j]] followed by _last[j]; a _last of 0
+    (never an inner knot) stands for the prefix alone.
     """
 
     def __init__(self, y: np.ndarray, d: int, d0: int, k: int):
@@ -547,19 +570,6 @@ class _KnotScreen:
         lexicographic order."""
         return sorted(self.knots(j)
                       for j in np.flatnonzero(self.score <= bound))
-
-    def best(self, cost):
-        """(cost, knots) minimizing cost(knots) over every set, ties to the
-        lexicographically smallest knot vector.  cost is the caller's own
-        least squares cost; it never falls below the screened score by
-        more than tol, so every set that can attain the minimum is within
-        tol of the screen's best set once that one is rescored."""
-        first = self.knots(int(np.argmin(self.score)))
-        best = (cost(first), first)
-        for knots in self.within(best[0] + self.tol):
-            if knots != first:
-                best = min(best, (cost(knots), knots))
-        return best
 
 
 def _pad_knots(distinct, k):

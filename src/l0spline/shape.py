@@ -16,13 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BudgetExceededError,
-    NonConvergenceError,
-    ValidationError,
-)
+from .errors import NonConvergenceError, ValidationError
 from .model import (
     _SCREEN_TOL,
+    _check_budget,
+    _rescore,
     KnotVector,
     ModelParams,
     SignalVector,
@@ -170,6 +168,11 @@ def _evaluate(rep: MonotoneCanonical, grid: _Grid) -> np.ndarray:
     return out
 
 
+def _check_degree(d: int) -> None:
+    if d < 0:
+        raise ValidationError(f"degree d must be >= 0, got {d}")
+
+
 def is_d_monotone(theta, d: int, tol: float = 1e-10) -> bool:
     """True when the d-th finite difference profile is non-decreasing."""
     prof = np.asarray(theta, dtype=float)
@@ -183,19 +186,18 @@ def is_d_monotone(theta, d: int, tol: float = 1e-10) -> bool:
 # ---------------------------------------------------------------------------
 
 def nnls_activeset(A: np.ndarray, y: np.ndarray,
-                   dual_tol: float = _DUAL_TOL,
                    max_iter: int | None = None) -> np.ndarray:
     """min ||y - A g||^2 subject to g >= 0.
 
     Classic active-set iteration.  Terminates when every inactive dual
-    coordinate is <= dual_tol * ||y|| * max_j ||A_j||, a bound that scales
+    coordinate is <= _DUAL_TOL * ||y|| * max_j ||A_j||, a bound that scales
     with the data, so rescaling y rescales g and nothing else; raises
     NonConvergenceError after 100 * n_variables iterations.
     """
     n, m = A.shape
     if max_iter is None:
         max_iter = 100 * max(m, 1)
-    dual_tol *= math.sqrt(float(y @ y) * float(
+    dual_tol = _DUAL_TOL * math.sqrt(float(y @ y) * float(
         np.einsum("ij,ij->j", A, A).max(initial=0.0)))
     g = np.zeros(m)
     active: list = []
@@ -428,6 +430,7 @@ def fit_shape_given_knots(y, d: int, knots, j_star: int) -> ShapeFitResult:
     """Least squares over the canonical cone at fixed knots and pivot."""
     y = np.asarray(y, dtype=float)
     n = y.size
+    _check_degree(d)
     kv = (knots if isinstance(knots, KnotVector)
           else validate_knots(knots, d, n))
     if kv.n != n:
@@ -498,19 +501,20 @@ def shape_lse(y, d: int, k: int, budget: int = 10_000_000) -> ShapeFitResult:
     """
     y = np.asarray(y, dtype=float)
     n = y.size
+    _check_degree(d)
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
+    if n < d + 1:
+        raise ValidationError(
+            f"need n >= d+1 = {d + 1} points for a degree-{d} fit, got {n}")
     if d == 0 and k >= n:
         theta = _isotonic_blocks(y)
         resid = y - theta
         return _shape_result(_canonical_from_nondecreasing(theta, k), theta,
                              float(resid @ resid))
 
-    total = count_knot_vectors(n, k, d) * (k + 1)
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} configuration/pivot pairs exceed the budget of "
-            f"{budget}")
+    _check_budget(count_knot_vectors(n, k, d) * (k + 1), budget,
+                  "configuration/pivot pairs")
     # y and the hinges at every knot position do not depend on the pair:
     # project them once
     cone = _ConeProblem(y, d)
@@ -522,19 +526,15 @@ def shape_lse(y, d: int, k: int, budget: int = 10_000_000) -> ShapeFitResult:
         _nnls_screen(F, cone.y_perp, _pair_columns(knots[s:s + step], n))
         for s in range(0, len(vectors), step)])
 
-    # a pair's fit never costs less than its screened SSE minus the
-    # rounding bound, so only pairs screened near the best fit can win
     fits = {}
 
     def sse(p):
-        if p not in fits:
-            v, j_star = divmod(p, k + 1)
-            fits[p] = cone.fit(KnotVector(vectors[v], d), j_star)
+        v, j_star = divmod(p, k + 1)
+        fits[p] = cone.fit(KnotVector(vectors[v], d), j_star)
         return fits[p][2]
 
-    first = int(np.argmin(score))
-    near = np.flatnonzero(score <= sse(first) + _SCREEN_TOL * float(y @ y))
-    best = min(near.tolist() + [first], key=lambda p: (sse(p), p))
+    _, best = _rescore(score, _SCREEN_TOL * float(y @ y), sse,
+                       lambda p: p)
     return _shape_result(*fits[best])
 
 
@@ -567,22 +567,12 @@ def coef_bound_statistic(theta_star, d: int, k: int, knots=None,
     if nrm == 0:
         return 0.0
     unit = theta / nrm
-    if knots is None:
-        fit = shape_lse(unit, d, k)
-        reproduced = np.max(np.abs(fit.theta_hat.values - unit)) <= tol
-    else:
-        fit = None
-        reproduced = False
-        for j_star in range(0, k + 1):
-            cand = fit_shape_given_knots(unit, d, knots, j_star)
-            if np.max(np.abs(cand.theta_hat.values - unit)) <= tol:
-                fit = cand
-                reproduced = True
-                break
-        if fit is None:
-            raise ValidationError(
-                "input is not a class member: refit cannot reproduce it")
-    if not reproduced:
+    fits = ([shape_lse(unit, d, k)] if knots is None
+            else (fit_shape_given_knots(unit, d, knots, j_star)
+                  for j_star in range(0, k + 1)))
+    fit = next((f for f in fits
+                if np.max(np.abs(f.theta_hat.values - unit)) <= tol), None)
+    if fit is None:
         raise ValidationError(
             "input is not a class member: refit cannot reproduce it")
     if d == 0:

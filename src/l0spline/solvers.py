@@ -14,21 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BudgetExceededError,
-    DegenerateSystemError,
-    ValidationError,
-)
+from .errors import DegenerateSystemError, ValidationError
 from .model import (
     KnotVector,
     ModelParams,
     PiecewiseSpline,
     SignalVector,
     _KnotScreen,
+    _check_budget,
     _reexpand_coefs,
+    _rescore,
     count_knot_vectors,
     evaluate_spline,
-    iter_knot_vectors,
     local_coefficients_from_truncated_power,
     raw_basis,
     transition_boundary,
@@ -299,50 +296,35 @@ def exhaustive_fit(y, params: ModelParams,
 
     Refuses with the exact configuration count when it exceeds the budget.
     The first strictly best configuration in lexicographic order wins, so
-    ties go to the lexicographically smallest knot vector.  For d0 >= 0
-    every distinct knot set is screened once and only the sets near the
-    best are refit one by one; d0 = -1 sums cached segment costs.
+    ties go to the lexicographically smallest knot vector.  Every distinct
+    knot set is screened once and only the sets near the best are costed
+    one by one: by a truncated power lstsq for d0 >= 0, and for d0 = -1 by
+    summing segment_cost over the nonempty pieces, so its ranking shares
+    no code with the dynamic program it checks.
     """
     y = _series(y, params)
     n, d, d0, k = params.n, params.d, params.d0, params.k
-    total = count_knot_vectors(n, k, d)
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} knot configurations exceed the budget of {budget}")
+    _check_budget(count_knot_vectors(n, k, d), budget)
 
-    if d0 >= 0:
+    if d0 == -1:
+        def cost(knots):
+            # a plain running sum: sum() compensates from Python 3.12 on
+            sse = 0.0
+            for lo, hi in zip(knots, knots[1:]):
+                if lo < hi:
+                    sse += segment_cost(y[lo:hi], d)[0]
+            return sse
+    else:
         def cost(knots):
             X = raw_basis(n, d, d0, KnotVector(knots, d).distinct())
             coef, _, _, _ = np.linalg.lstsq(X, y, rcond=_RCOND)
             r = y - X @ coef
             return float(r @ r)
 
-        _, best_knots = _KnotScreen(y, d, d0, k).best(cost)
-        return _fit_at(y, d, d0, best_knots)
-
-    seg_cache = {}
-
-    def cost_decoupled(knots):
-        sse = 0.0
-        for lo, hi in zip(knots, knots[1:]):
-            if lo == hi:
-                continue
-            c = seg_cache.get((lo, hi))
-            if c is None:
-                c, _ = segment_cost(y[lo:hi], d)
-                seg_cache[(lo, hi)] = c
-            sse += c
-        return sse
-
-    best_sse = np.inf
-    best_knots = None
-    for knots in iter_knot_vectors(n, k, d):
-        sse = cost_decoupled(knots)
-        if sse < best_sse:
-            best_sse = sse
-            best_knots = knots
-
-    return _fit_at(y, d, d0, best_knots)
+    screen = _KnotScreen(y, d, d0, k)
+    _, best = _rescore(screen.score, screen.tol,
+                       lambda j: cost(screen.knots(j)), screen.knots)
+    return _fit_at(y, d, d0, screen.knots(best))
 
 
 def default_k_max(params: ModelParams) -> int:

@@ -208,6 +208,16 @@ class TestShapefitCommand:
         theta = eval_report(report)
         np.testing.assert_allclose(theta, report["theta_hat"], atol=1e-9)
 
+    @pytest.mark.parametrize("d, k", [("-1", "2"), ("7", "1")])
+    def test_unfittable_input_is_an_error(self, d, k, tmp_path, capsys):
+        p = tmp_path / "y6.csv"
+        p.write_text("\n".join(str(v) for v in range(6)) + "\n")
+        code, out, err = run_cli(["shapefit", "--input", str(p), "--d", d,
+                                  "--k", k], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestSparseCommand:
     def test_hat_function(self, capsys):
@@ -303,6 +313,15 @@ class TestGridCommands:
         assert code == 0
         assert float(out.strip().split("\n")[1].split(",")[5]) < 1e-20
 
+    @pytest.mark.parametrize("command", [
+        ["lil", "--d", "0"], ["width", "--d", "0", "--d0", "-1", "--k", "2"]])
+    def test_zero_reps_rejected(self, command, capsys):
+        code, out, err = run_cli(command + ["--n-grid", "16", "--reps", "0",
+                                            "--seed", "1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "reps" in err
+
     def test_bad_grid_rejected(self, capsys):
         code, _, err = run_cli(["lil", "--d", "0", "--n-grid", "16;32",
                                 "--reps", "2", "--seed", "1"], capsys)
@@ -328,6 +347,15 @@ class TestChecksCommand:
                                 "--reps", "20"], capsys)
         assert code == 0
         assert json.loads(out)["pass"] is True
+
+    @pytest.mark.parametrize("suite", ["beta_ratio", "quad_form",
+                                       "shape_coef"])
+    def test_sampling_suites_refuse_zero_reps(self, suite, capsys):
+        code, out, err = run_cli(["checks", "--suite", suite, "--seed", "7",
+                                  "--reps", "0"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "--reps" in err
 
     def test_sampling_suite_needs_seed(self, capsys):
         code, _, err = run_cli(["checks", "--suite", "quad_form"], capsys)

@@ -110,6 +110,10 @@ class TestLilCurve:
         rows = lil_curve(1, (16,), reps=1, master_seed=3)
         assert rows[0][2] == 0.0
 
+    def test_reps_positive(self):
+        with pytest.raises(ValidationError, match="reps"):
+            lil_curve(1, (16,), reps=0, master_seed=3)
+
 
 class TestComplexityWidth:
     def test_zero_noise(self):
@@ -203,6 +207,10 @@ class TestWidthCurve:
         a = width_curve(0, -1, 2, (64,), reps=10, master_seed=1)
         b = width_curve(0, -1, 2, (64,), reps=10, master_seed=1)
         assert a == b
+
+    def test_reps_positive(self):
+        with pytest.raises(ValidationError, match="reps"):
+            width_curve(0, -1, 2, (64,), reps=0, master_seed=1)
 
 
 class TestLeastFavorableSignal:

@@ -177,6 +177,10 @@ class TestFitShapeGivenKnots:
         with pytest.raises(ValidationError):
             fit_shape_given_knots(np.ones(6), 0, (0, 3, 6), j_star=3)
 
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValidationError, match="degree"):
+            fit_shape_given_knots(np.ones(6), -1, (0, 3, 6), 1)
+
     def test_knot_validation_applies(self):
         with pytest.raises(ValidationError):
             fit_shape_given_knots(np.ones(6), 1, (0, 5, 6), j_star=0)
@@ -239,6 +243,12 @@ class TestShapeLse:
         fit = shape_lse(np.full(6, 2.0), d=0, k=2)
         assert tuple(fit.knots.knots) == (0, 0, 6)
         assert fit.canonical.j_star == 0
+
+    @pytest.mark.parametrize("d, k", [(-1, 2), (7, 1)])
+    def test_unfittable_input_rejected(self, d, k):
+        # no degree-d cone for d < 0; no knot vector when n < d + 1
+        with pytest.raises(ValidationError):
+            shape_lse(np.ones(6), d=d, k=k)
 
     def test_budget_guard(self):
         from l0spline.errors import BudgetExceededError
@@ -428,3 +438,8 @@ class TestCoefBoundStatistic:
     def test_non_member_rejected(self):
         with pytest.raises(ValidationError):
             coef_bound_statistic(np.array([3.0, 1.0, 2.0, 0.0]), d=1, k=2)
+
+    def test_non_member_rejected_at_given_knots(self):
+        with pytest.raises(ValidationError, match="not a class member"):
+            coef_bound_statistic(np.array([3.0, 1.0, 2.0, 0.0]), d=1, k=2,
+                                 knots=(0, 2, 4))

@@ -287,7 +287,7 @@ def _screen_cases(count, smooth_only):
 
 
 class TestKnotScreen:
-    """exhaustive_fit (d0 >= 0), the enumeration path of complexity_width
+    """exhaustive_fit (every d0), the enumeration path of complexity_width
     and check_membership screen each distinct knot set once and rescore
     only the sets near the best.  Each must return bit for bit what the
     per-configuration scan it replaced returns; the scans are copied here
@@ -348,6 +348,82 @@ class TestKnotScreen:
             if ok:
                 assert wit.knots == ref[1].knots
                 assert wit.coeffs == ref[1].coeffs
+
+    @staticmethod
+    def _vector_loop_fit(y, p):
+        """The d0 = -1 scan exhaustive_fit ran before it was screened:
+        every knot vector in lexicographic order, cached segment costs,
+        the first strictly best vector wins."""
+        seg_cache = {}
+
+        def cost(knots):
+            sse = 0.0
+            for lo, hi in zip(knots, knots[1:]):
+                if lo == hi:
+                    continue
+                c = seg_cache.get((lo, hi))
+                if c is None:
+                    c, _ = segment_cost(y[lo:hi], p.d)
+                    seg_cache[(lo, hi)] = c
+                sse += c
+            return sse
+
+        best_sse, best_knots = np.inf, None
+        for knots in iter_knot_vectors(p.n, p.k, p.d):
+            sse = cost(knots)
+            if sse < best_sse:
+                best_sse, best_knots = sse, knots
+        return fit_given_knots(y, p, best_knots)
+
+    def test_exhaustive_fit_d0_minus_one_matches_vector_loop(self):
+        kinds = ("noise", "zero", "rounded", "offset 1e3", "offset 1e4")
+        for case in range(300):
+            rng = np.random.default_rng([73, case])
+            d = case % 7
+            k = int(rng.integers(1, 4))
+            n = int(rng.integers(d + 1, (d + 1) * k + 9))
+            kind = kinds[case // 7 % 5]
+            y = rng.standard_normal(n)
+            if kind == "zero":
+                y = np.zeros(n)
+            elif kind == "rounded":
+                y = np.round(y)
+            elif kind.startswith("offset"):
+                y = y + float(kind.split()[1])
+            p = ModelParams(d=d, d0=-1, k=k, n=n)
+            ref = self._vector_loop_fit(y, p)
+            fr = exhaustive_fit(y, p)
+            assert fr.knots == ref.knots, (case, kind)
+            assert fr.sse == ref.sse
+            assert fr.coeffs == ref.coeffs
+            assert np.array_equal(fr.theta_hat.values, ref.theta_hat.values)
+
+    def test_d0_minus_one_costs_only_rescored_sets(self, monkeypatch):
+        """At n=60, d=1, d0=-1, k=3 the vector loop walked every knot
+        vector and ran segment_cost 1658 times.  The screen walks none;
+        segment_cost runs only for the rescored sets and the refit."""
+        import l0spline.model as model
+        import l0spline.solvers as solvers
+
+        walked, costed = [], []
+        cost = solvers.segment_cost
+
+        def counting_iter(*a, **kw):
+            walked.append(a)
+            return iter_knot_vectors(*a, **kw)
+
+        def counting_cost(*a, **kw):
+            costed.append(a)
+            return cost(*a, **kw)
+
+        monkeypatch.setattr(model, "iter_knot_vectors", counting_iter)
+        monkeypatch.setattr(solvers, "iter_knot_vectors", counting_iter,
+                            raising=False)
+        monkeypatch.setattr(solvers, "segment_cost", counting_cost)
+        y = np.random.default_rng(83).standard_normal(60)
+        exhaustive_fit(y, ModelParams(d=1, d0=-1, k=3, n=60))
+        assert walked == []
+        assert 1 <= len(costed) < 20
 
     def test_one_design_per_rescored_set(self, monkeypatch):
         """At n=60, d=1, d0=0, k=3 the scan built 1714 designs and ran as
