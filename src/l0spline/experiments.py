@@ -66,6 +66,13 @@ def _check_reps(reps: int) -> None:
         raise ValidationError(f"reps must be >= 1, got {reps}")
 
 
+def _finite_noise(eps) -> np.ndarray:
+    eps = np.asarray(eps, dtype=float)
+    if not np.all(np.isfinite(eps)):
+        raise ValidationError("eps must be finite (no NaN or inf)")
+    return eps
+
+
 def _philox(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, stream]))
 
@@ -163,6 +170,57 @@ def simulate(theta0, sigma: float, seed: int,
 
 
 # ---------------------------------------------------------------------------
+# pruned row maxima (branch and bound over rows, Land & Doig 1960)
+# ---------------------------------------------------------------------------
+
+_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
+# bands per octave of the right-endpoint lag in the row bounds
+_SUB_BANDS = 8
+
+
+def _lag_bands(n: int, arrays):
+    """Maxima of arrays indexed 0..n over bands of the lag e - r.
+
+    Yields (lag, width, maxima) for consecutive lag bands
+    [lag, lag + width) that cover 1..n: maxima[j][r] is the max of
+    arrays[j] over e in [r + lag, min(r + lag + width - 1, n)], for
+    every row r in [0, n - lag].  The width is 1 below lag
+    2 * _SUB_BANDS and doubles each time the lag reaches 2 * _SUB_BANDS
+    widths, so each octave of lags has _SUB_BANDS bands.  Only the
+    sliding maxima over windows of the current width are kept; bands
+    clipped by n use suffix maxima.
+    """
+    win = list(arrays)
+    suf = [np.maximum.accumulate(a[::-1])[::-1] for a in win]
+    lag = width = 1
+    while lag <= n:
+        full = max(0, n + 2 - lag - width)   # rows whose band ends by n
+        yield lag, width, [np.concatenate([w[lag:lag + full],
+                                           sx[lag + full:]])
+                           for w, sx in zip(win, suf)]
+        lag += width
+        if lag == 2 * _SUB_BANDS * width:
+            win = [np.maximum(w[:-width], w[width:]) for w in win]
+            width *= 2
+
+
+def _pruned_max(best: float, rows, bound, row) -> float:
+    """max(best, row(r) for r in rows), given bound[i] >= row(rows[i]).
+
+    Rows are visited in decreasing order of their bound, and the scan
+    stops at the first bound at or below the best value so far: no row
+    left can raise the maximum, so the result is the float the full scan
+    returns.  A NaN bound counts as unbounded.
+    """
+    bound = np.where(np.isnan(bound), math.inf, bound)
+    for i in np.argsort(-bound, kind="stable"):
+        if bound[i] <= best:
+            break
+        best = max(best, row(int(rows[i])))
+    return float(best)
+
+
+# ---------------------------------------------------------------------------
 # weighted partial-sum maximum
 # ---------------------------------------------------------------------------
 
@@ -170,12 +228,20 @@ def lil_statistic(eps, d: int) -> float:
     """Max over 1 <= n1 < n2 <= n of the normalized weighted partial sum
     |sum_{i in (n1;n2]} (i-n1)^d eps_i| / ((n2-n1)^d (n2 ^ (n-n1))^{1/2}).
 
-    For each left endpoint the weights (i-n1)^d are a fixed slice of one
-    precomputed power table, so a single cumulative sum covers every
-    right endpoint: O(n^2) total work with no cancellation between
-    shifted prefix sums.
+    For each left endpoint n1 (a row) the weights (i-n1)^d are a fixed
+    slice of one precomputed power table, so a single cumulative sum
+    covers every right endpoint, with no cancellation between shifted
+    prefix sums.  The scan is pruned but exact: rows are visited in
+    decreasing order of an upper bound (`_lil_bound`) and the scan stops
+    once no bound exceeds the best value found, so the result is
+    bit-identical to the full O(n^2) scan.  The bound carries a rounding
+    slack of 4 (n+1)(d+2) u sum|eps| on the numerator (u the unit
+    roundoff) and 16 u relative.  On noise at n = 4096 it evaluates
+    under 0.1 % of the rows at d = 0 and about 7 % at d = 1 to 3, from
+    one row up to a third of them per call.  Refuses NaN and inf
+    entries.
     """
-    eps = np.asarray(eps, dtype=float)
+    eps = _finite_noise(eps)
     n = eps.size
     if n < 2:
         raise ValidationError(f"need at least 2 observations, got {n}")
@@ -184,14 +250,70 @@ def lil_statistic(eps, d: int) -> float:
     sqrt_table = np.sqrt(np.arange(n + 1, dtype=float))
     pow_table = np.arange(n + 1, dtype=float) ** d
 
-    best = 0.0
-    for n1 in range(1, n):
+    def row(n1):
         length = n - n1
         num = np.cumsum(pow_table[1:length + 1] * eps[n1:])
         lens = np.arange(1, length + 1)
         den = pow_table[lens] * sqrt_table[np.minimum(n1 + lens, length)]
-        best = max(best, float(np.max(np.abs(num) / den)))
-    return best
+        return float(np.max(np.abs(num) / den))
+
+    return _pruned_max(0.0, np.arange(1, n), _lil_bound(eps, d, pow_table),
+                       row)
+
+
+def _lil_bound(eps: np.ndarray, d: int, pow_table: np.ndarray) -> np.ndarray:
+    """Upper bound on every lil_statistic row, indexed by n1 in [1, n).
+
+    With S the prefix sums of eps and w_j = j^d, Abel summation gives
+    num / w_L = S(n1+L) - Sbar_L, where Sbar_L, a weighted mean of S over
+    [n1, n1+L) with weights (w_{j+1} - w_j) / w_L, is S(n1) at d = 0.  For
+    L in a band [lag, lag + width), Sbar_L = lam Sbar_lag + (1 - lam) mu
+    with lam = w_lag / w_L and mu a mean of S over the band, so |num| /
+    w_L is at most lam A + (1 - lam) R, where A is the largest distance
+    of the band's S values from Sbar_lag and R their range.  Sbar_lag
+    comes from the band start's weighted window sums, built by adding
+    window moments sum_i i^q eps_{r+i} with binomial weights.  The
+    numerator is widened by 4 (n+1)(d+2) u sum|eps|, u the unit
+    roundoff, which covers the rounding of the row's own cumulative sum
+    against S and of the window sums, and the bound by 16 u relative for
+    the divisions and square roots.
+    """
+    n = eps.size
+    s = np.concatenate([[0.0], np.cumsum(eps)])
+    total = float(np.sum(np.abs(eps)))
+    # the bound needs the row arithmetic free of overflow; past that,
+    # every row is evaluated
+    slack = 4.0 * (n + 1) * (d + 2) * _UNIT_ROUNDOFF * total \
+        if math.isfinite(2.0 * total * pow_table[n]) else math.inf
+    binom = [[math.comb(p, q) for q in range(p + 1)] for p in range(d + 1)]
+    # moments[q][r] = sum_{i=1}^{width} i^q eps_{r+i};
+    # acc[r] = sum_{j=1}^{lag} j^d eps_{r+j}
+    moments = [eps] * (d + 1)
+    acc = eps
+    width = 1
+    bound = np.zeros(n + 1)
+    for lag, band_w, (s_hi, s_lo) in _lag_bands(n, (s, -s)):
+        m = n - lag + 1
+        if d == 0:
+            dev = np.maximum(s_hi - s[:m], s[:m] + s_lo)
+        else:
+            if band_w != width:
+                moments = [moments[p][:-width] + sum(
+                    binom[p][q] * float(width) ** (p - q) * moments[q][width:]
+                    for q in range(p + 1)) for p in range(d + 1)]
+                width = band_w
+            sbar = s[lag:] - acc / pow_table[lag]
+            dev = np.maximum(s_hi - sbar, sbar + s_lo)
+            lam = pow_table[lag] / pow_table[min(lag + width - 1, n)]
+            dev = np.maximum(dev, lam * dev + (1.0 - lam) * (s_hi + s_lo))
+            if lag + width <= n:
+                acc = acc[:-width] + sum(
+                    binom[d][q] * float(lag) ** (d - q) * moments[q][lag:]
+                    for q in range(d + 1))
+        rows = np.arange(m)
+        den = np.sqrt(np.minimum(rows + lag, n - rows).astype(float))
+        np.maximum(bound[:m], (dev + slack) / den, out=bound[:m])
+    return bound[1:n] * (1.0 + 16.0 * _UNIT_ROUNDOFF)
 
 
 def lil_curve(d: int, n_grid, reps: int, master_seed: int):
@@ -230,17 +352,39 @@ def _width_const_k2(eps: np.ndarray) -> float:
 def _width_const_k3(eps: np.ndarray) -> float:
     n = eps.size
     s = np.concatenate([[0.0], np.cumsum(eps)])
-    best = _width_const_k2(eps)
     # tail term (S_n - S_m2)^2 / (n - m2), zero at m2 = n
     tail = np.zeros(n + 1)
     m2 = np.arange(1, n)
     tail[1:n] = (s[n] - s[1:n]) ** 2 / (n - m2)
-    for m1 in range(0, n - 1):
+
+    def row(m1):
         head = s[m1] ** 2 / m1 if m1 else 0.0
         lens = np.arange(1, n - m1 + 1)
         mid = (s[m1 + 1:] - s[m1]) ** 2 / lens
-        best = max(best, head + float(np.max(mid + tail[m1 + 1:])))
-    return float(best)
+        return head + float(np.max(mid + tail[m1 + 1:]))
+
+    return _pruned_max(_width_const_k2(eps), np.arange(n - 1),
+                       _width_k3_bound(s, tail), row)
+
+
+def _width_k3_bound(s: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Upper bound on every _width_const_k3 row, indexed by m1 in [0, n-1).
+
+    Over a band of m2 - m1 in [lag, lag + width) the middle term is at
+    most the band's largest |S(m2) - S(m1)| squared over lag, and every
+    step is the row's own arithmetic on larger operands, so rounding
+    keeps the order and no slack is needed; only the head gets one ulp,
+    as the row squares a scalar, which rounds through pow.
+    """
+    n = s.size - 1
+    best_mid = np.zeros(n + 1)
+    for lag, _, (s_hi, s_lo, t_hi) in _lag_bands(n, (s, -s, tail)):
+        m = n - lag + 1
+        dev = np.maximum(s_hi - s[:m], s[:m] + s_lo)
+        np.maximum(best_mid[:m], dev ** 2 / lag + t_hi, out=best_mid[:m])
+    head = np.zeros(n - 1)
+    head[1:] = np.nextafter(s[1:n - 1] ** 2, math.inf) / np.arange(1, n - 1)
+    return head + best_mid[:n - 1]
 
 
 def complexity_width(eps, params: ModelParams,
@@ -249,10 +393,15 @@ def complexity_width(eps, params: ModelParams,
 
     This equals the supremum of (eps . theta)^2 over unit-norm members.
     Piecewise-constant fits with at most three pieces use prefix-sum
-    scans; every other case enumerates knot vectors and refuses when the
-    configuration count exceeds the budget.
+    scans; the k = 3 scan over the first knot is pruned but exact, like
+    `lil_statistic`: rows are visited in decreasing order of an upper
+    bound (`_width_k3_bound`, whose only slack is one ulp on the head
+    term) and the result is bit-identical to the full O(n^2) scan.
+    Every other case enumerates knot vectors and refuses when the
+    configuration count exceeds the budget.  Refuses NaN and inf
+    entries.
     """
-    eps = np.asarray(eps, dtype=float)
+    eps = _finite_noise(eps)
     if eps.size != params.n:
         raise ValidationError(
             f"eps has length {eps.size}, expected n={params.n}")
@@ -448,10 +597,16 @@ def mc_risk(config: ExperimentConfig, estimator: str,
     Each cell averages ||theta_hat - theta0||^2 over the replicates.
     Cells whose signal construction or solve fails are marked failed
     and carry the error message; the rest of the grid still runs.
+    `shape_lse` fits the d-monotone cone, whose smoothness is d0 = d - 1,
+    so it refuses any other d0 up front.
     """
     if estimator not in ESTIMATORS:
         raise ValidationError(
             f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
+    if estimator == "shape_lse" and config.d0 != config.d - 1:
+        raise ValidationError(
+            f"shape_lse fits the d-monotone cone, whose smoothness is "
+            f"d0 = d - 1 = {config.d - 1}; got d0 = {config.d0}")
     rows = []
     for idx, n in enumerate(config.n_grid):
         rate_ll = config.k * _loglog(16 * n / config.k)

@@ -587,6 +587,7 @@ def sample_shape_member(rng, d: int, k: int, n: int):
     knots are genuine breakpoints of the sampled sequence.  Returns
     (values, knots, j_star); values are not normalized.
     """
+    _check_degree(d)
     if k < 1:
         raise ValidationError(f"need at least one piece, got k = {k}")
     if n < k * (d + 1):

@@ -129,6 +129,25 @@ def lil_naive(eps, d):
     return best
 
 
+def lil_scan(eps, d):
+    """The full O(n^2) row scan that ``lil_statistic`` prunes, kept
+    verbatim: one cumulative sum per left endpoint over a shared power
+    table.  The pruned statistic must return this float bit for bit."""
+    eps = np.asarray(eps, dtype=float)
+    n = eps.size
+    sqrt_table = np.sqrt(np.arange(n + 1, dtype=float))
+    pow_table = np.arange(n + 1, dtype=float) ** d
+
+    best = 0.0
+    for n1 in range(1, n):
+        length = n - n1
+        num = np.cumsum(pow_table[1:length + 1] * eps[n1:])
+        lens = np.arange(1, length + 1)
+        den = pow_table[lens] * sqrt_table[np.minimum(n1 + lens, length)]
+        best = max(best, float(np.max(np.abs(num) / den)))
+    return best
+
+
 # ---------------------------------------------------------------------------
 # shape-constrained fitting via scipy's bounded least squares
 # ---------------------------------------------------------------------------
@@ -320,6 +339,71 @@ def width_brute(eps, d, d0, k):
         proj = X @ coef
         best = max(best, float(proj @ proj))
     return best
+
+
+def lil_rows(eps, d):
+    """Each row's maximum in ``lil_scan``, by the same arithmetic."""
+    eps = np.asarray(eps, dtype=float)
+    n = eps.size
+    sqrt_table = np.sqrt(np.arange(n + 1, dtype=float))
+    pow_table = np.arange(n + 1, dtype=float) ** d
+    rows = []
+    for n1 in range(1, n):
+        length = n - n1
+        num = np.cumsum(pow_table[1:length + 1] * eps[n1:])
+        lens = np.arange(1, length + 1)
+        den = pow_table[lens] * sqrt_table[np.minimum(n1 + lens, length)]
+        rows.append(float(np.max(np.abs(num) / den)))
+    return np.array(rows)
+
+
+def width_k3_rows(eps):
+    """Each row's value in ``width_const_k3_scan``, by the same
+    arithmetic."""
+    n = eps.size
+    s = np.concatenate([[0.0], np.cumsum(eps)])
+    tail = np.zeros(n + 1)
+    m2 = np.arange(1, n)
+    tail[1:n] = (s[n] - s[1:n]) ** 2 / (n - m2)
+    rows = []
+    for m1 in range(0, n - 1):
+        head = s[m1] ** 2 / m1 if m1 else 0.0
+        lens = np.arange(1, n - m1 + 1)
+        mid = (s[m1 + 1:] - s[m1]) ** 2 / lens
+        rows.append(head + float(np.max(mid + tail[m1 + 1:])))
+    return np.array(rows)
+
+
+def width_const_k2_scan(eps):
+    """Prefix-sum width of the d=0, d0=-1, k=2 class, as in the package."""
+    n = eps.size
+    s = np.concatenate([[0.0], np.cumsum(eps)])
+    best = s[n] ** 2 / n
+    if n > 1:
+        m = np.arange(1, n)
+        vals = s[1:n] ** 2 / m + (s[n] - s[1:n]) ** 2 / (n - m)
+        best = max(best, float(np.max(vals)))
+    return float(best)
+
+
+def width_const_k3_scan(eps):
+    """The full O(n^2) row scan of the d=0, d0=-1, k=3 width that
+    ``complexity_width`` prunes, kept verbatim; the pruned width must
+    return this float bit for bit."""
+    n = eps.size
+    s = np.concatenate([[0.0], np.cumsum(eps)])
+    best = width_const_k2_scan(eps)
+    # tail term (S_n - S_m2)^2 / (n - m2), zero at m2 = n
+    tail = np.zeros(n + 1)
+    m2 = np.arange(1, n)
+    tail[1:n] = (s[n] - s[1:n]) ** 2 / (n - m2)
+    for m1 in range(0, n - 1):
+        head = s[m1] ** 2 / m1 if m1 else 0.0
+        lens = np.arange(1, n - m1 + 1)
+        mid = (s[m1 + 1:] - s[m1]) ** 2 / lens
+        best = max(best, head + float(np.max(mid + tail[m1 + 1:])))
+    return float(best)
+
 
 def shape_fit_projgrad(y, d, knots, j_star, tol=1e-12, max_iter=500_000):
     """Accelerated projected gradient on the canonical cone.

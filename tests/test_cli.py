@@ -294,6 +294,15 @@ class TestGridCommands:
         assert code == 1
         assert "--seed" in err
 
+    def test_shape_risk_refuses_other_d0(self, capsys):
+        code, out, err = run_cli(["mc-risk", "--d", "1", "--d0", "-1",
+                                  "--k", "2", "--n-grid", "16", "--reps",
+                                  "2", "--seed", "1", "--signal", "zero",
+                                  "--estimator", "shape_lse"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "d0 = d - 1" in err
+
     def test_custom_signal_requires_input(self, capsys):
         code, _, err = run_cli(["mc-risk", "--d", "0", "--d0", "-1", "--k",
                                 "2", "--n-grid", "16", "--reps", "2",

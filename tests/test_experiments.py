@@ -412,6 +412,14 @@ class TestMcRisk:
         assert curve.rows[1].failed
         assert "budget" in curve.rows[1].error
 
+    @pytest.mark.parametrize("d, d0", [(1, -1), (2, 0)])
+    def test_shape_lse_needs_cone_smoothness(self, d, d0):
+        # the cone has d0 = d - 1; any other d0 would label its rows wrong
+        config = ExperimentConfig(n_grid=(16,), d=d, d0=d0, k=2, reps=1,
+                                  master_seed=1, signal_kind="zero")
+        with pytest.raises(ValidationError, match="d0 = d - 1"):
+            mc_risk(config, "shape_lse")
+
     def test_adaptive_estimator_runs(self):
         config = ExperimentConfig(n_grid=(48,), d=0, d0=-1, k=3, reps=3,
                                   master_seed=31,

@@ -443,3 +443,9 @@ class TestCoefBoundStatistic:
         with pytest.raises(ValidationError, match="not a class member"):
             coef_bound_statistic(np.array([3.0, 1.0, 2.0, 0.0]), d=1, k=2,
                                  knots=(0, 2, 4))
+
+
+class TestSampleShapeMember:
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValidationError, match="degree"):
+            sample_shape_member(np.random.default_rng(0), -1, 2, 6)
