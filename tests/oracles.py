@@ -452,3 +452,78 @@ def shape_fit_projgrad(y, d, knots, j_star, tol=1e-12, max_iter=500_000):
             break
     fitted = X @ x
     return fitted, float(np.sum((y - fitted) ** 2))
+
+
+# ---------------------------------------------------------------------------
+# the DP forward pass, one start at a time
+# ---------------------------------------------------------------------------
+
+class _ScanSweeper:
+    """All-segments cost engine: costs of fitting y on (t; s] for every s,
+    one start t at a time, via cached per-length Gram inverses."""
+
+    def __init__(self, y, d: int):
+        self.y = np.asarray(y, dtype=float)
+        self.d = d
+        self.n = self.y.size
+        n, dd = self.n, d
+        lengths = np.arange(dd + 1, n + 1, dtype=float)
+        # power sums S_m(L) = sum_{j<=L} j^m for the Gram entries
+        j = np.arange(1, n + 1, dtype=float)
+        psum = np.stack([np.cumsum(j ** m) for m in range(2 * dd + 1)])
+        G = np.empty((lengths.size, dd + 1, dd + 1))
+        for p in range(dd + 1):
+            for q in range(dd + 1):
+                G[:, p, q] = psum[p + q, dd:] / lengths ** (p + q)
+        self._ginv = np.linalg.inv(G)
+
+    def sweep(self, t: int):
+        """Vector of costs for segments (t; s], s = t+d+1 .. n."""
+        d, n = self.d, self.n
+        ys = self.y[t:]
+        m = ys.size
+        if m < d + 1:
+            return np.empty(0)
+        j = np.arange(1, m + 1, dtype=float)
+        R = np.stack([np.cumsum((j ** p) * ys) for p in range(d + 1)])
+        ss = np.cumsum(ys * ys)
+        L = j[d:]
+        b = (R[:, d:] / L ** np.arange(d + 1, dtype=float)[:, None]).T
+        ginv = self._ginv[: L.size]
+        quad = np.einsum("lp,lpq,lq->l", b, ginv, b)
+        return ss[d:] - quad
+
+
+def dp_table_scan(y, d, k_max):
+    """The segment-neighbourhood table (C, nxt) costed one start at a time:
+    the reference the blocked forward pass must match bit for bit.  y is
+    detrended by the same global degree-d fit first."""
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    i = np.arange(1, n + 1, dtype=float)
+    X = np.column_stack([(i / n) ** ell for ell in range(d + 1)])
+    Q, _ = np.linalg.qr(X)
+    sweeper = _ScanSweeper(y - Q @ (Q.T @ y), d)
+    C = np.full((k_max + 1, n + 1), np.inf)
+    C[:, n] = 0.0
+    nxt = np.full((k_max + 1, n + 1), n)
+    rows = np.arange(k_max)
+    for t in range(n - d - 1, -1, -1):
+        starts = t + d + 1
+        cand = C[:k_max, starts:] + sweeper.sweep(t)
+        hit = cand.argmin(axis=1)
+        C[1:, t] = np.minimum.accumulate(cand[rows, hit])
+        nxt[1:, t] = hit + starts
+    return C, nxt
+
+
+def dp_backtrack(table, k):
+    """Lexicographically smallest optimal knot vector read off (C, nxt)."""
+    C, nxt = table
+    knots = [0]
+    t = 0
+    for r in range(k, 0, -1):
+        if C[r - 1, t] != C[r, t]:
+            t = int(nxt[r, t])
+        knots.append(t)
+    return tuple(knots)

@@ -150,6 +150,15 @@ class TestFitCommand:
         assert code == 1
         assert "dp" in err
 
+    def test_dp_refuses_degree_above_6(self, step_file, capsys):
+        path, _ = step_file
+        code, out, err = run_cli(["fit", "--input", path, "--d", "7",
+                                  "--d0", "-1", "--k", "1", "--solver",
+                                  "dp"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "d <= 6" in err
+
     def test_out_flag_writes_file(self, step_file, tmp_path, capsys):
         path, _ = step_file
         dest = tmp_path / "report.json"

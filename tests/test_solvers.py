@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -572,32 +573,118 @@ class TestSingleTable:
             assert _backtrack(table, k) == (0,) * k + (n,)
 
     def test_one_sweeper_and_no_backtrack_sweeps(self, monkeypatch):
+        """One cost engine per table, and every start costed once across
+        all k_max rows and the backtracks, also when the pass takes the
+        starts in several blocks."""
         import l0spline.solvers as solvers
 
-        made, swept = [], []
+        made, costed = [], []
 
         class Counting(solvers._SegmentSweeper):
             def __init__(self, y, d):
                 made.append(d)
                 super().__init__(y, d)
 
-            def sweep(self, t):
-                swept.append(t)
-                return super().sweep(t)
+            def block(self, lo, hi):
+                costed.extend(range(lo, hi))
+                return super().block(lo, hi)
 
         monkeypatch.setattr(solvers, "_SegmentSweeper", Counting)
+        monkeypatch.setattr(solvers, "_DP_BLOCK", 200)
         n = 40
         y = np.random.default_rng(50).standard_normal(n)
         spec = PenaltySpec(tau=2.5, sigma=1.0, d=1, d0=-1, n=n)
         adaptive_fit(y, ModelParams(d=1, d0=-1, k=1, n=n), spec, k_max=6)
         assert len(made) == 1
-        assert len(swept) == len(set(swept)) <= n
+        assert len(costed) == len(set(costed)) <= n
+        assert sorted(costed) == list(range(n - 1))
 
     def test_rejects_wrong_length(self):
         p = ModelParams(d=0, d0=-1, k=1, n=8)
         spec = PenaltySpec(tau=1.0, sigma=1.0, d=0, d0=-1, n=8)
         with pytest.raises(ValidationError):
             adaptive_fit(np.zeros(7), p, spec)
+
+
+class TestNonFiniteInput:
+    """Every fitting entry point refuses NaN or inf in y before any work,
+    without numpy warnings on the way."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @staticmethod
+    def _bad(n, value):
+        y = np.random.default_rng(60).standard_normal(n)
+        y[n // 3] = value
+        return y
+
+    @pytest.mark.parametrize("d, value", [(0, np.nan), (1, np.inf),
+                                          (2, -np.inf)])
+    def test_dp_fit(self, d, value):
+        with pytest.raises(ValidationError, match="finite"):
+            dp_fit(self._bad(30, value), ModelParams(d=d, d0=-1, k=2, n=30))
+
+    @pytest.mark.parametrize("d0", [-1, 0])
+    def test_exhaustive_fit(self, d0):
+        with pytest.raises(ValidationError, match="finite"):
+            exhaustive_fit(self._bad(20, np.nan),
+                           ModelParams(d=1, d0=d0, k=2, n=20))
+
+    def test_fit_given_knots(self):
+        with pytest.raises(ValidationError, match="finite"):
+            fit_given_knots(self._bad(20, np.inf),
+                            ModelParams(d=1, d0=0, k=2, n=20), (0, 10, 20))
+
+    @pytest.mark.parametrize("d0, solver", [(-1, "dp"), (-1, "exhaustive"),
+                                            (0, None)])
+    def test_adaptive_fit(self, d0, solver):
+        spec = PenaltySpec(tau=1.0, sigma=1.0, d=1, d0=d0, n=20)
+        with pytest.raises(ValidationError, match="finite"):
+            adaptive_fit(self._bad(20, np.nan),
+                         ModelParams(d=1, d0=d0, k=1, n=20), spec, k_max=3,
+                         solver=solver)
+
+
+class TestDpDegreeEnvelope:
+    """The dynamic program is tested up to d = 6 and refuses above it."""
+
+    @staticmethod
+    def _series(n):
+        x = np.arange(1, n + 1) / n
+        rng = np.random.default_rng(61)
+        return 1e4 + (x > 0.4) + np.sin(3 * x) + 0.3 * rng.standard_normal(n)
+
+    def test_degree_6_fits(self):
+        y = self._series(50)
+        p = ModelParams(d=6, d0=-1, k=2, n=50)
+        fr = dp_fit(y, p)
+        ex = exhaustive_fit(y, p)
+        assert fr.knots.knots == ex.knots.knots
+        assert fr.sse == pytest.approx(ex.sse, rel=1e-9)
+        spec = PenaltySpec(tau=1.0, sigma=1.0, d=6, d0=-1, n=50)
+        _, trace = adaptive_fit(y, ModelParams(d=6, d0=-1, k=1, n=50), spec,
+                                k_max=2, solver="dp", with_trace=True)
+        assert trace[1][1] == fr.sse
+
+    @pytest.mark.parametrize("d", [7, 8, 11])
+    def test_above_6_refuses(self, d):
+        y = self._series(50)
+        with pytest.raises(ValidationError, match="d <= 6"):
+            dp_fit(y, ModelParams(d=d, d0=-1, k=2, n=50))
+        spec = PenaltySpec(tau=1.0, sigma=1.0, d=d, d0=-1, n=50)
+        p = ModelParams(d=d, d0=-1, k=1, n=50)
+        for solver in ("dp", None):
+            with pytest.raises(ValidationError, match="d <= 6"):
+                adaptive_fit(y, p, spec, k_max=2, solver=solver)
+
+    def test_exhaustive_still_serves_degree_7(self):
+        y = self._series(20)
+        fr = exhaustive_fit(y, ModelParams(d=7, d0=-1, k=2, n=20))
+        assert fr.knots.k == 2
 
 
 class TestFitResultInvariants:
