@@ -46,6 +46,7 @@ from .solvers import (
     dp_fit,
     estimate_sigma,
     exhaustive_fit,
+    fit_fixed_k,
     fit_given_knots,
     penalty,
     segment_cost,

@@ -14,6 +14,7 @@ import pathlib
 
 import numpy as np
 
+from .experiments import _philox
 from .kernels import (
     beta_ratio_check,
     beta_table,
@@ -40,10 +41,6 @@ NORM_SEED = 61004
 TAU_SEED = 61005
 
 
-def _rng(seed: int, instance: int):
-    return np.random.Generator(np.random.Philox(key=[seed, instance]))
-
-
 def calibrate_beta_ratio(seed: int = BETA_SEED, instances: int = 400,
                          margin: float = 0.5) -> dict:
     """Scan the weight-ratio inequality over random end-dominant knot
@@ -52,7 +49,7 @@ def calibrate_beta_ratio(seed: int = BETA_SEED, instances: int = 400,
     worst = np.inf
     count = 0
     for t in range(instances):
-        rng = _rng(seed, t)
+        rng = _philox(seed, t)
         d, d0 = pairs[int(rng.integers(0, len(pairs)))]
         k0 = transition_boundary(d, d0)
         n = int(rng.integers(20, 61)) * k0
@@ -86,7 +83,7 @@ def calibrate_quad_form(seed: int = QUAD_SEED, instances: int = 500,
     worst = 0.0
     count = 0
     for t in range(instances):
-        rng = _rng(seed, t)
+        rng = _philox(seed, t)
         d = int(rng.integers(0, 4))
         d0 = d - 1
         k0 = transition_boundary(d, d0)
@@ -119,7 +116,7 @@ def calibrate_shape_coef(seed: int = SHAPE_SEED, members: int = 2000,
         for n in (64, 256):
             worst = 0.0
             for t in range(members):
-                rng = _rng(seed, d * 1_000_000 + n * 1_000 + t)
+                rng = _philox(seed, d * 1_000_000 + n * 1_000 + t)
                 vals, knots, _ = sample_shape_member(rng, d, 3, n)
                 worst = max(worst,
                             coef_bound_statistic(vals, d, 3, knots=knots))
@@ -142,7 +139,7 @@ def calibrate_discrete_integral(seed: int = NORM_SEED,
     squared integral norm over random splines."""
     lo, hi = np.inf, 0.0
     for t in range(instances):
-        rng = _rng(seed, t)
+        rng = _philox(seed, t)
         d = int(rng.integers(0, 4))
         d0 = int(rng.integers(-1, d))
         k = int(rng.integers(1, 4))
@@ -191,7 +188,7 @@ def calibrate_adaptive(seed: int = TAU_SEED, reps: int = 200,
     spec = PenaltySpec(tau=tau, sigma=sigma, d=0, d0=-1, n=n)
     hits = 0
     for rep in range(reps):
-        rng = _rng(seed, rep)
+        rng = _philox(seed, rep)
         y = theta + sigma * rng.standard_normal(n)
         fit = adaptive_fit(y, params, spec)
         hits += int(fit.k_selected == 3)

@@ -18,6 +18,7 @@ byte-identical output.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -32,8 +33,7 @@ from ._calibrate import (
 from .calibration import load_calibration
 from .errors import (
     BudgetExceededError,
-    DegenerateSystemError,
-    NonConvergenceError,
+    L0SplineError,
     SeriesFormatError,
     ValidationError,
 )
@@ -51,19 +51,22 @@ from .kernels import (
     moment_matrix_lambda_min,
     sparse_construct,
 )
-from .model import ModelParams, SignalVector, transition_boundary
+from .model import (
+    DEFAULT_BUDGET,
+    DEFAULT_WIDTH_BUDGET,
+    ModelParams,
+    SignalVector,
+    transition_boundary,
+)
 from .shape import shape_lse
 from .solvers import (
     PenaltySpec,
     adaptive_fit,
-    dp_fit,
     estimate_sigma,
-    exhaustive_fit,
+    fit_fixed_k,
     fit_given_knots,
     penalty,
 )
-
-DEFAULT_BUDGET = 10_000_000
 
 # hand-checked minimal piece counts for the sparse suite
 _DOF_TABLE = {(0, -1): 3, (1, -1): 3, (1, 0): 4,
@@ -77,9 +80,10 @@ _DOF_TABLE = {(0, -1): 3, (1, -1): 3, (1, 0): 4,
 def parse_series(path: str) -> SignalVector:
     """Read a one-column value file or a two-column index,value file.
 
-    A non-numeric first line is treated as a header.  Two-column rows
-    must carry integer indices forming exactly 1..n; values are
-    returned in index order.
+    A first line none of whose fields is numeric is a header.  Two-column
+    rows must carry integer indices forming exactly 1..n; values are
+    returned in index order.  A malformed row is reported before a row of
+    the other format on an earlier line.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -87,64 +91,66 @@ def parse_series(path: str) -> SignalVector:
     except OSError as exc:
         raise SeriesFormatError(f"cannot read {path}: {exc}") from exc
 
-    lines = [(i + 1, s.strip()) for i, s in enumerate(raw.splitlines())]
-    lines = [(ln, s) for ln, s in lines if s]
-    if not lines:
-        raise SeriesFormatError(f"{path}: empty series file")
-
-    def parse_row(ln, s):
-        parts = [p.strip() for p in s.split(",")]
-        if len(parts) == 1:
-            try:
-                return None, float(parts[0])
-            except ValueError:
-                raise SeriesFormatError(
-                    f"{path}: line {ln}: could not parse value {s!r}")
-        if len(parts) != 2:
+    values, index = [], []
+    header = None   # whether the first nonblank line is a header
+    width = None    # the first row's column count
+    mixed = None    # the first line with the other count
+    for ln, line in enumerate(raw.splitlines(), 1):
+        s = line.strip()
+        if not s:
+            continue
+        parts = s.split(",")
+        if header is None:
+            header = not any(_is_float(p.strip()) for p in parts)
+            if header:
+                continue
+        if len(parts) > 2:
             raise SeriesFormatError(
                 f"{path}: line {ln}: expected 1 or 2 columns, got "
                 f"{len(parts)}")
-        try:
-            idx = int(parts[0])
-        except ValueError:
-            raise SeriesFormatError(
-                f"{path}: line {ln}: index {parts[0]!r} is not an integer")
-        try:
-            val = float(parts[1])
-        except ValueError:
-            raise SeriesFormatError(
-                f"{path}: line {ln}: could not parse value {parts[1]!r}")
-        return idx, val
-
-    def looks_like_header(s):
-        for part in s.split(","):
+        field = s
+        if len(parts) == 2:
+            field = parts[0].strip()
             try:
-                float(part.strip())
-                return False
+                index.append(int(field))
             except ValueError:
-                continue
-        return True
-
-    if looks_like_header(lines[0][1]):
-        lines = lines[1:]
-        if not lines:
-            raise SeriesFormatError(f"{path}: no data rows after header")
-
-    rows = [parse_row(ln, s) for ln, s in lines]
-    first_is_indexed = rows[0][0] is not None
-    for (ln, _), r in zip(lines, rows):
-        if (r[0] is not None) != first_is_indexed:
+                raise SeriesFormatError(f"{path}: line {ln}: index "
+                                        f"{field!r} is not an integer")
+            field = parts[1].strip()
+        try:
+            values.append(float(field))
+        except ValueError:
             raise SeriesFormatError(
-                f"{path}: line {ln}: mixed one-column and two-column rows")
-    if not first_is_indexed:
-        return SignalVector(np.array([v for _, v in rows]))
+                f"{path}: line {ln}: could not parse value {field!r}")
+        if width is None:
+            width = len(parts)
+        elif len(parts) != width and mixed is None:
+            mixed = ln
 
-    n = len(rows)
-    if sorted(i for i, _ in rows) != list(range(1, n + 1)):
+    if header is None:
+        raise SeriesFormatError(f"{path}: empty series file")
+    if width is None:
+        raise SeriesFormatError(f"{path}: no data rows after header")
+    if mixed is not None:
+        raise SeriesFormatError(
+            f"{path}: line {mixed}: mixed one-column and two-column rows")
+    if width == 1:
+        return SignalVector(values)
+    n = len(values)
+    if sorted(index) != list(range(1, n + 1)):
         raise SeriesFormatError(
             f"{path}: indices must be 1..{n} contiguous without repeats")
-    ordered = [v for _, v in sorted(rows)]
-    return SignalVector(np.array(ordered))
+    ordered = np.empty(n)
+    ordered[np.array(index) - 1] = values
+    return SignalVector(ordered)
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -176,25 +182,19 @@ def _emit_csv(header, rows, out: str | None) -> None:
 
 
 def _fit_report(fit, d: int, d0: int, penalty_used) -> dict:
+    # json writes the spline's int and float tuples as it writes lists
     spline = fit.spline
-    knots = [int(t) for t in spline.knots.knots]
-    pieces = []
-    for p in range(len(knots) - 1):
-        c = spline.coeffs[p]
-        pieces.append({
-            "start": knots[p],
-            "end": knots[p + 1],
-            "coeffs": None if c is None else [float(a) for a in c],
-        })
+    knots = spline.knots.knots
     return {
         "d": d,
         "d0": d0,
         "k_selected": int(fit.k_selected),
         "knots": knots,
-        "pieces": pieces,
+        "pieces": [{"start": lo, "end": hi, "coeffs": c} for lo, hi, c
+                   in zip(knots, knots[1:], spline.coeffs)],
         "sse": float(fit.sse),
         "penalty_used": penalty_used,
-        "theta_hat": [float(v) for v in fit.theta_hat.values],
+        "theta_hat": fit.theta_hat.values.tolist(),
     }
 
 
@@ -205,13 +205,7 @@ def _fit_report(fit, d: int, d0: int, penalty_used) -> dict:
 def _cmd_fit(args) -> int:
     y = parse_series(args.input)
     params = ModelParams(d=args.d, d0=args.d0, k=args.k, n=y.n)
-    solver = args.solver or ("dp" if args.d0 == -1 else "exhaustive")
-    if solver == "dp":
-        if args.d0 != -1:
-            raise ValidationError("the dp solver supports only d0 = -1")
-        fit = dp_fit(y.values, params)
-    else:
-        fit = exhaustive_fit(y.values, params, budget=args.budget)
+    fit = fit_fixed_k(y.values, params, args.solver, args.budget)
     _emit_json(_fit_report(fit, args.d, args.d0, None), args.out)
     return 0
 
@@ -227,7 +221,7 @@ def _cmd_adapt(args) -> int:
                               budget=args.budget)
     report = _fit_report(fit, args.d, args.d0,
                          float(penalty(fit.k_selected, spec)))
-    report["trace"] = [{"k": k, "sse": float(s), "penalty": float(p)}
+    report["trace"] = [{"k": k, "sse": s, "penalty": p}
                        for (k, s, p, _) in trace]
     _emit_json(report, args.out)
     return 0
@@ -256,7 +250,7 @@ def _cmd_mc_risk(args) -> int:
     if args.signal == "custom_file":
         if args.input is None:
             raise ValidationError("--signal custom_file requires --input")
-        custom = tuple(float(v) for v in parse_series(args.input).values)
+        custom = parse_series(args.input).values
     config = ExperimentConfig(n_grid=_parse_grid(args.n_grid), d=args.d,
                               d0=args.d0, k=args.k, reps=args.reps,
                               master_seed=args.seed,
@@ -267,34 +261,29 @@ def _cmd_mc_risk(args) -> int:
     for r in curve.rows:
         if r.failed:
             sys.stderr.write(f"warning: n={r.n} failed: {r.error}\n")
-        rows.append((r.n, r.k, args.d, args.d0, args.estimator,
-                     float(r.mean_risk), float(r.std_error),
-                     float(r.rate_loglog), float(r.rate_log),
-                     args.reps, args.seed))
+        rows.append((r.n, r.k, args.d, args.d0, args.estimator, r.mean_risk,
+                     r.std_error, r.rate_loglog, r.rate_log, args.reps,
+                     args.seed))
     _emit_csv(("n", "k", "d", "d0", "estimator", "mean_risk", "std_error",
                "rate_loglog", "rate_log", "reps", "seed"), rows, args.out)
     return 0
 
 
 def _cmd_lil(args) -> int:
-    rows_out = []
-    for n, mean_z2, se, ll in lil_curve(args.d, _parse_grid(args.n_grid),
-                                        args.reps, args.seed):
-        rows_out.append((n, args.d, float(mean_z2), float(se), float(ll),
-                         args.reps, args.seed))
+    rows_out = [(n, args.d, mean_z2, se, ll, args.reps, args.seed)
+                for n, mean_z2, se, ll in lil_curve(
+                    args.d, _parse_grid(args.n_grid), args.reps, args.seed)]
     _emit_csv(("n", "d", "mean_Z2", "std_error", "loglog16n", "reps",
                "seed"), rows_out, args.out)
     return 0
 
 
 def _cmd_width(args) -> int:
-    rows_out = []
-    for n, mean_w, se, r_ll, r_lg in width_curve(
-            args.d, args.d0, args.k, _parse_grid(args.n_grid), args.reps,
-            args.seed, budget=args.budget):
-        rows_out.append((n, args.d, args.d0, args.k, float(mean_w),
-                         float(se), float(r_ll), float(r_lg), args.reps,
-                         args.seed))
+    rows_out = [(n, args.d, args.d0, args.k, mean_w, se, r_ll, r_lg,
+                 args.reps, args.seed)
+                for n, mean_w, se, r_ll, r_lg in width_curve(
+                    args.d, args.d0, args.k, _parse_grid(args.n_grid),
+                    args.reps, args.seed, budget=args.budget)]
     _emit_csv(("n", "d", "d0", "k", "mean_width", "std_error",
                "rate_loglog", "rate_log", "reps", "seed"), rows_out,
               args.out)
@@ -314,7 +303,7 @@ def _cmd_sparse(args) -> int:
                            else [str(x) for x in system.witness_coeffs]),
         "signal_n": system.signal_n,
         "signal": (None if system.signal is None
-                   else [float(v) for v in system.signal]),
+                   else system.signal.tolist()),
     }
     _emit_json(report, args.out)
     return 0
@@ -328,14 +317,14 @@ def _suite_beta_ratio(seed, instances):
     stored = load_calibration()["beta_ratio"]
     res = calibrate_beta_ratio(seed=seed, instances=instances)
     lo = float(res["min_observed"])
-    return lo, None, lo >= stored["c_emp"]
+    return instances, lo, None, lo >= stored["c_emp"]
 
 
 def _suite_quad_form(seed, instances):
     stored = load_calibration()["quad_form"]
     res = calibrate_quad_form(seed=seed, instances=instances)
     hi = float(res["max_observed"])
-    return None, hi, hi <= stored["inv_c_emp"]
+    return instances, None, hi, hi <= stored["inv_c_emp"]
 
 
 def _suite_shape_coef(seed, instances):
@@ -343,7 +332,7 @@ def _suite_shape_coef(seed, instances):
     res = calibrate_shape_coef(seed=seed, members=instances)
     worst = max(cell["max_observed"] / stored[name]["bound"]
                 for name, cell in res["cells"].items())
-    return None, float(worst), worst <= 1.0
+    return instances, None, float(worst), worst <= 1.0
 
 
 def _suite_moment(seed, instances):
@@ -410,17 +399,16 @@ def _cmd_checks(args) -> int:
             f"unknown suite {args.suite!r}; choose from "
             f"{', '.join(sorted(_SUITES))}")
     fn, needs_seed, default_n = _SUITES[args.suite]
+    # the deterministic suites ignore seed and instances
+    instances = args.reps if args.reps is not None else default_n
     if needs_seed:
         if args.seed is None:
             raise ValidationError(
                 f"suite {args.suite!r} samples random instances; --seed "
                 f"is required")
-        instances = args.reps if args.reps is not None else default_n
         if instances < 1:
             raise ValidationError(f"--reps must be >= 1, got {instances}")
-        min_ratio, max_residual, passed = fn(args.seed, instances)
-    else:
-        instances, min_ratio, max_residual, passed = fn(None, None)
+    instances, min_ratio, max_residual, passed = fn(args.seed, instances)
     report = {
         "suite": args.suite,
         "instances": int(instances),
@@ -445,49 +433,44 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command line parser, built on the first call and kept."""
     parser = _Parser(prog="l0spline",
                      description="Exact best-subset spline regression "
                                  "and its experiment harness.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
+    def add(name, fn, help_text, *required):
+        # --out, then the required flags in order: --input, --n-grid and
+        # --suite take text, the others integers
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
         p.add_argument("--out", help="output path (default: stdout)")
+        for flag in required:
+            p.add_argument(flag, required=True, type=None if flag in
+                           ("--input", "--n-grid", "--suite") else int)
         return p
 
-    p = add("fit", _cmd_fit, "projection at a fixed piece count")
-    p.add_argument("--input", required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--d0", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = add("fit", _cmd_fit, "projection at a fixed piece count",
+            "--input", "--d", "--d0", "--k")
     p.add_argument("--solver", choices=("dp", "exhaustive"))
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
-    p = add("adapt", _cmd_adapt, "penalized piece-count selection")
-    p.add_argument("--input", required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--d0", type=int, required=True)
+    p = add("adapt", _cmd_adapt, "penalized piece-count selection",
+            "--input", "--d", "--d0")
     p.add_argument("--k-max", type=int, dest="k_max")
     p.add_argument("--sigma", type=float)
     p.add_argument("--tau", type=float, default=2.5)
     p.add_argument("--solver", choices=("dp", "exhaustive"))
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
-    p = add("shapefit", _cmd_shapefit, "monotone-derivative cone fit")
-    p.add_argument("--input", required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = add("shapefit", _cmd_shapefit, "monotone-derivative cone fit",
+            "--input", "--d", "--k")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
-    p = add("mc-risk", _cmd_mc_risk, "Monte Carlo risk curve")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--d0", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n-grid", dest="n_grid", required=True)
-    p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p = add("mc-risk", _cmd_mc_risk, "Monte Carlo risk curve",
+            "--d", "--d0", "--k", "--n-grid", "--reps", "--seed")
     p.add_argument("--signal", choices=SIGNAL_KINDS, required=True)
     p.add_argument("--estimator", choices=ESTIMATORS, default="l0_fit")
     p.add_argument("--sigma", type=float, default=1.0)
@@ -495,28 +478,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", help="series file for --signal custom_file")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
-    p = add("lil", _cmd_lil, "partial-sum maxima curve")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n-grid", dest="n_grid", required=True)
-    p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    add("lil", _cmd_lil, "partial-sum maxima curve",
+        "--d", "--n-grid", "--reps", "--seed")
 
-    p = add("width", _cmd_width, "complexity-width curve")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--d0", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n-grid", dest="n_grid", required=True)
-    p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--budget", type=int, default=200_000)
+    p = add("width", _cmd_width, "complexity-width curve",
+            "--d", "--d0", "--k", "--n-grid", "--reps", "--seed")
+    p.add_argument("--budget", type=int, default=DEFAULT_WIDTH_BUDGET)
 
-    p = add("sparse", _cmd_sparse, "middle-vanishing construction")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--d0", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    add("sparse", _cmd_sparse, "middle-vanishing construction",
+        "--d", "--d0", "--k")
 
-    p = add("checks", _cmd_checks, "numeric verification suites")
-    p.add_argument("--suite", required=True)
+    p = add("checks", _cmd_checks, "numeric verification suites", "--suite")
     p.add_argument("--seed", type=int)
     p.add_argument("--reps", type=int,
                    help="instances per sampling suite")
@@ -525,21 +497,13 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
-    except _UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except BudgetExceededError as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return 2
-    except (ValidationError, DegenerateSystemError,
-            NonConvergenceError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (_UsageError, L0SplineError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -13,13 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BudgetExceededError,
-    DegenerateSystemError,
-    NonConvergenceError,
-    ValidationError,
-)
+from .errors import DegenerateSystemError, L0SplineError, ValidationError
 from .model import (
+    DEFAULT_BUDGET,
+    DEFAULT_WIDTH_BUDGET,
     KnotVector,
     ModelParams,
     SignalVector,
@@ -29,7 +26,7 @@ from .model import (
     count_knot_vectors,
     raw_basis,
 )
-from .solvers import PenaltySpec, adaptive_fit, dp_fit, exhaustive_fit
+from .solvers import PenaltySpec, adaptive_fit, fit_fixed_k
 from .shape import shape_lse
 
 __all__ = [
@@ -53,9 +50,6 @@ SIGNAL_KINDS = ("zero", "lf_spline", "sparse_boxcar", "shaped_lf",
                 "custom_file")
 ESTIMATORS = ("l0_fit", "adaptive", "shape_lse")
 
-_SOLVER_ERRORS = (ValidationError, BudgetExceededError,
-                  DegenerateSystemError, NonConvergenceError)
-
 
 def _loglog(x: float) -> float:
     return math.log(math.log(x))
@@ -73,15 +67,30 @@ def _finite_noise(eps) -> np.ndarray:
     return eps
 
 
+def _check_key(what: str, *words: int) -> None:
+    if min(words) < 0:
+        raise ValidationError(f"{what} must be nonnegative")
+    if max(words) >= 2 ** 64:
+        raise ValidationError(f"{what} must be below 2^64")
+
+
 def _philox(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, stream]))
+    """The Philox generator keyed by (seed, stream), each in [0, 2^64).
+    A uint64 key is exact: a list of ints goes through float64 past 2^63."""
+    _check_key("seed and stream", seed, stream)
+    return np.random.Generator(
+        np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
 def noise_vector(seed: int, stream: int, n: int) -> np.ndarray:
     """Standard normal draws from the (seed, stream) counter stream."""
-    if seed < 0 or stream < 0:
-        raise ValidationError("seed and stream must be nonnegative")
     return _philox(seed, stream).standard_normal(n)
+
+
+def _std_error(values: np.ndarray) -> float:
+    """Standard error of the mean of the replicates; 0 for one."""
+    n = values.size
+    return float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
 
 
 @dataclass(frozen=True)
@@ -107,8 +116,7 @@ class ExperimentConfig:
             raise ValidationError("n_grid must be strictly increasing")
         object.__setattr__(self, "n_grid", grid)
         _check_reps(self.reps)
-        if self.master_seed < 0:
-            raise ValidationError("master_seed must be nonnegative")
+        _check_key("master_seed", self.master_seed)
         if self.signal_kind not in SIGNAL_KINDS:
             raise ValidationError(
                 f"signal_kind must be one of {SIGNAL_KINDS}, got "
@@ -164,7 +172,7 @@ def simulate(theta0, sigma: float, seed: int,
     if sigma < 0:
         raise ValidationError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0:
-        return SignalVector(values.copy())
+        return SignalVector(values)
     eps = noise_vector(seed, replicate, values.size)
     return SignalVector(values + sigma * eps)
 
@@ -329,8 +337,8 @@ def lil_curve(d: int, n_grid, reps: int, master_seed: int):
         for rep in range(reps):
             eps = noise_vector(master_seed, idx * reps + rep, n)
             z2[rep] = lil_statistic(eps, d) ** 2
-        se = float(np.std(z2, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-        rows.append((n, float(np.mean(z2)), se, _loglog(16 * n)))
+        rows.append((n, float(np.mean(z2)), _std_error(z2),
+                     _loglog(16 * n)))
     return rows
 
 
@@ -388,7 +396,7 @@ def _width_k3_bound(s: np.ndarray, tail: np.ndarray) -> np.ndarray:
 
 
 def complexity_width(eps, params: ModelParams,
-                     budget: int = 200_000) -> float:
+                     budget: int = DEFAULT_WIDTH_BUDGET) -> float:
     """Largest squared projection of eps onto any knot-configuration span.
 
     This equals the supremum of (eps . theta)^2 over unit-norm members.
@@ -425,7 +433,7 @@ def complexity_width(eps, params: ModelParams,
 
 
 def width_curve(d: int, d0: int, k: int, n_grid, reps: int,
-                master_seed: int, budget: int = 200_000):
+                master_seed: int, budget: int = DEFAULT_WIDTH_BUDGET):
     """Mean and standard error of the complexity width per grid point.
 
     Returns rows (n, mean_width, std_error, rate_loglog, rate_log).
@@ -439,8 +447,7 @@ def width_curve(d: int, d0: int, k: int, n_grid, reps: int,
         for rep in range(reps):
             eps = noise_vector(master_seed, idx * reps + rep, n)
             w[rep] = complexity_width(eps, params, budget=budget)
-        se = float(np.std(w, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-        rows.append((n, float(np.mean(w)), se,
+        rows.append((n, float(np.mean(w)), _std_error(w),
                      k * _loglog(16 * n / k), k * math.log(math.e * n / k)))
     return rows
 
@@ -577,21 +584,16 @@ def build_signal(kind: str, n: int, d: int, k: int, sigma: float,
 def _fit_theta(y: np.ndarray, params: ModelParams, estimator: str,
                spec: PenaltySpec, budget: int) -> np.ndarray:
     if estimator == "l0_fit":
-        if params.d0 == -1:
-            return dp_fit(y, params).theta_hat.values
-        return exhaustive_fit(y, params, budget=budget).theta_hat.values
+        return fit_fixed_k(y, params, budget=budget).theta_hat.values
     if estimator == "adaptive":
         return adaptive_fit(y, params, spec, budget=budget) \
             .theta_hat.values
-    if estimator == "shape_lse":
-        return shape_lse(y, params.d, params.k, budget=budget) \
-            .theta_hat.values
-    raise ValidationError(
-        f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
+    # shape_lse, the last of the ESTIMATORS mc_risk checked
+    return shape_lse(y, params.d, params.k, budget=budget).theta_hat.values
 
 
 def mc_risk(config: ExperimentConfig, estimator: str,
-            budget: int = 10_000_000) -> RiskCurve:
+            budget: int = DEFAULT_BUDGET) -> RiskCurve:
     """Empirical risk curve of an estimator over the configured grid.
 
     Each cell averages ||theta_hat - theta0||^2 over the replicates.
@@ -628,13 +630,12 @@ def mc_risk(config: ExperimentConfig, estimator: str,
                                        budget)
                 diff = theta_hat - theta0.values
                 risks[rep] = float(diff @ diff)
-            se = float(np.std(risks, ddof=1) / math.sqrt(config.reps)) \
-                if config.reps > 1 else 0.0
             rows.append(RiskRow(n=n, k=config.k,
                                 mean_risk=float(np.mean(risks)),
-                                std_error=se, rate_loglog=rate_ll,
+                                std_error=_std_error(risks),
+                                rate_loglog=rate_ll,
                                 rate_log=rate_lg))
-        except _SOLVER_ERRORS as exc:
+        except L0SplineError as exc:
             rows.append(RiskRow(n=n, k=config.k, mean_risk=math.nan,
                                 std_error=math.nan, rate_loglog=rate_ll,
                                 rate_log=rate_lg, failed=True,

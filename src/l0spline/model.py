@@ -192,7 +192,7 @@ class SignalVector:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)   # frozen, unlike the caller's
         if v.ndim != 1 or v.size == 0:
             raise ValidationError("signal must be a nonempty 1-d array")
         if not np.all(np.isfinite(v)):
@@ -418,8 +418,21 @@ def local_coefficients_from_truncated_power(
 # membership and norms
 # ---------------------------------------------------------------------------
 
+# default enumeration budgets of the fits, and of widths and membership
+DEFAULT_BUDGET = 10_000_000
+DEFAULT_WIDTH_BUDGET = 200_000
+
+
+def _check_budget(total: int, budget: int,
+                  what: str = "knot configurations") -> None:
+    """Refuse an enumeration of total items that exceeds the budget."""
+    if total > budget:
+        raise BudgetExceededError(
+            f"{total} {what} exceed the budget of {budget}")
+
+
 def check_membership(theta, params: ModelParams, tol: float = 1e-8,
-                     budget: int = 200_000):
+                     budget: int = DEFAULT_WIDTH_BUDGET):
     """Decide whether a sequence lies in the class, up to sup-norm tol.
 
     Screens every distinct knot set, solves the least squares problem for
@@ -448,14 +461,6 @@ def check_membership(theta, params: ModelParams, tol: float = 1e-8,
             witness = local_coefficients_from_truncated_power(kv, d0, full)
             return True, witness
     return False, None
-
-
-def _check_budget(total: int, budget: int,
-                  what: str = "knot configurations") -> None:
-    """Refuse an enumeration of total items that exceeds the budget."""
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} {what} exceed the budget of {budget}")
 
 
 # Candidates screened within this fraction of ||y||^2 above the best

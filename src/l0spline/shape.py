@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import NonConvergenceError, ValidationError
 from .model import (
+    DEFAULT_BUDGET,
     _SCREEN_TOL,
     _check_budget,
     _rescore,
@@ -488,7 +489,8 @@ def _canonical_from_nondecreasing(theta: np.ndarray, k: int) -> MonotoneCanonica
     return MonotoneCanonical(j_star, tuple(a), tuple(b), (), kv)
 
 
-def shape_lse(y, d: int, k: int, budget: int = 10_000_000) -> ShapeFitResult:
+def shape_lse(y, d: int, k: int,
+              budget: int = DEFAULT_BUDGET) -> ShapeFitResult:
     """Exact least squares over the d-monotone class with <= k pieces.
 
     Enumerates knot vectors and pivots; ties go to the lexicographically

@@ -4,7 +4,8 @@ The segment machinery fits degree-d polynomials on index windows using a
 length-normalized power basis, so Gram matrices depend only on the window
 length and can be factored once per length.  The dynamic program solves
 the d0 = -1 problem exactly; the exhaustive solver covers every smoothness
-order by enumerating knot vectors.
+order by enumerating knot vectors.  fit_fixed_k is the one place that picks
+between them.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateSystemError, ValidationError
 from .model import (
+    DEFAULT_BUDGET,
     KnotVector,
     ModelParams,
     PiecewiseSpline,
@@ -40,6 +42,7 @@ __all__ = [
     "fit_given_knots",
     "dp_fit",
     "exhaustive_fit",
+    "fit_fixed_k",
     "penalty",
     "adaptive_fit",
     "estimate_sigma",
@@ -345,13 +348,6 @@ def _backtrack(table: tuple, k: int) -> tuple:
     return tuple(knots)
 
 
-def _check_dp_degree(d: int) -> None:
-    if d > _DP_MAX_DEGREE:
-        raise ValidationError(
-            f"the dynamic program supports d <= {_DP_MAX_DEGREE}, got d={d};"
-            " use exhaustive_fit")
-
-
 def dp_fit(y, params: ModelParams) -> FitResult:
     """Exact minimizer over all knot vectors with <= k pieces for d0 = -1.
 
@@ -361,20 +357,17 @@ def dp_fit(y, params: ModelParams) -> FitResult:
     costs a block of starts per numpy call in bounded memory and gives the
     table of costing one start at a time, bit for bit.  Ties are resolved
     to the lexicographically smallest knot vector: at each step an empty
-    piece first, then the nearest split.  Refuses d > 6, where the table's
-    costs drift from the refit.
+    piece first, then the nearest split.  Refuses d0 != -1, and d > 6,
+    where the table's costs drift from the refit.
     """
-    if params.d0 != -1:
-        raise ValidationError(
-            f"dynamic program requires d0 = -1, got d0={params.d0}")
-    _check_dp_degree(params.d)
+    _solver_for(params, "dp")
     y = _series(y, params)
     knots = _backtrack(_dp_table(y, params.d, params.k), params.k)
     return _fit_at(y, params.d, -1, knots)
 
 
 def exhaustive_fit(y, params: ModelParams,
-                   budget: int = 10_000_000) -> FitResult:
+                   budget: int = DEFAULT_BUDGET) -> FitResult:
     """Scan every valid knot vector with <= k pieces; any d0.
 
     Refuses with the exact configuration count when it exceeds the budget.
@@ -410,6 +403,32 @@ def exhaustive_fit(y, params: ModelParams,
     return _fit_at(y, d, d0, screen.knots(best))
 
 
+def _solver_for(params: ModelParams, solver: str | None) -> str:
+    """The solver serving a fixed-k fit: the dynamic program at d0 = -1 and
+    the exhaustive scan otherwise, unless named.  Refuses the dp solver at
+    d0 != -1 or d > 6, and any other name."""
+    if solver is None:
+        solver = "dp" if params.d0 == -1 else "exhaustive"
+    if solver == "dp" and params.d0 != -1:
+        raise ValidationError("the dp solver supports only d0 = -1")
+    if solver not in ("dp", "exhaustive"):
+        raise ValidationError(f"unknown solver {solver!r}")
+    if solver == "dp" and params.d > _DP_MAX_DEGREE:
+        raise ValidationError(
+            f"the dynamic program supports d <= {_DP_MAX_DEGREE}, got "
+            f"d={params.d}; use exhaustive_fit")
+    return solver
+
+
+def fit_fixed_k(y, params: ModelParams, solver: str | None = None,
+                budget: int = DEFAULT_BUDGET) -> FitResult:
+    """Exact fit with <= params.k pieces by the solver the class calls for:
+    dp_fit at d0 = -1, exhaustive_fit otherwise, or the named one."""
+    if _solver_for(params, solver) == "dp":
+        return dp_fit(y, params)
+    return exhaustive_fit(y, params, budget=budget)
+
+
 def default_k_max(params: ModelParams) -> int:
     """min(k0 + 3, n // (d+1)) and at least 1."""
     return max(1, min(params.k0 + 3, params.n // (params.d + 1)))
@@ -417,28 +436,20 @@ def default_k_max(params: ModelParams) -> int:
 
 def adaptive_fit(y, params: ModelParams, spec: PenaltySpec,
                  k_max: int | None = None, solver: str | None = None,
-                 with_trace: bool = False, budget: int = 10_000_000):
+                 with_trace: bool = False, budget: int = DEFAULT_BUDGET):
     """Penalized selection of the number of pieces.
 
     Minimizes sse(k) + penalty(k) over k in [1; k_max]; ties go to the
-    smallest k.  sse(k) comes from the dynamic program when d0 = -1 and
-    from the exhaustive scan otherwise (or per the solver override).  The
-    dynamic program runs once, to k_max; every k is backtracked from that
-    one table and refit at its knots, exactly as dp_fit at k would be, and
-    it refuses d > 6 as dp_fit does.
+    smallest k.  sse(k) comes from the solver fit_fixed_k would use, with
+    its refusals.  The dynamic program runs once, to k_max; every k is
+    backtracked from that one table and refit at its knots, exactly as
+    dp_fit at k would be.
     """
     if k_max is None:
         k_max = default_k_max(params)
     if k_max < 1:
         raise ValidationError(f"k_max must be >= 1, got {k_max}")
-    if solver is None:
-        solver = "dp" if params.d0 == -1 else "exhaustive"
-    if solver == "dp" and params.d0 != -1:
-        raise ValidationError("the dp solver supports only d0 = -1")
-    if solver not in ("dp", "exhaustive"):
-        raise ValidationError(f"unknown solver {solver!r}")
-    if solver == "dp":
-        _check_dp_degree(params.d)
+    solver = _solver_for(params, solver)
 
     y = _series(y, params)
     if solver == "dp":

@@ -8,8 +8,13 @@ import sys
 import numpy as np
 import pytest
 
+from l0spline import cli
 from l0spline.cli import main, parse_series
-from l0spline.errors import SeriesFormatError
+from l0spline.errors import (
+    DegenerateSystemError,
+    NonConvergenceError,
+    SeriesFormatError,
+)
 from l0spline.shape import is_d_monotone
 
 
@@ -90,9 +95,10 @@ class TestParseSeries:
 
     def test_header_only(self, tmp_path):
         p = tmp_path / "y.csv"
-        p.write_text("index,value\n")
-        with pytest.raises(SeriesFormatError, match="no data"):
-            parse_series(str(p))
+        for text in ("index,value\n", "value\n\n  \n"):
+            p.write_text(text)
+            with pytest.raises(SeriesFormatError, match="no data"):
+                parse_series(str(p))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(SeriesFormatError, match="cannot read"):
@@ -103,6 +109,32 @@ class TestParseSeries:
         p.write_text("1\n\n2\n\n")
         np.testing.assert_array_equal(parse_series(str(p)).values,
                                       [1.0, 2.0])
+
+    @pytest.mark.parametrize("text, message", [
+        ("1.5\n2,6.0\n3\nxyz\n", "line 4: could not parse value 'xyz'"),
+        ("1.5\n2,6.0\n3,4,5\n", "line 3: expected 1 or 2 columns, got 3"),
+        ("1,5.0\n2\n3.5,7.0\n", "line 3: index '3.5' is not an integer"),
+    ])
+    def test_bad_row_reported_before_earlier_mixed_row(self, tmp_path, text,
+                                                       message):
+        p = tmp_path / "y.csv"
+        p.write_text(text)
+        with pytest.raises(SeriesFormatError) as exc:
+            parse_series(str(p))
+        assert str(exc.value) == f"{p}: {message}"
+
+    def test_header_of_any_width(self, tmp_path):
+        p = tmp_path / "y.csv"
+        p.write_text("a,b,c\n 2 , 6.0 \n1,5.0\n")
+        np.testing.assert_array_equal(parse_series(str(p)).values,
+                                      [5.0, 6.0])
+
+    def test_only_the_first_line_can_be_a_header(self, tmp_path):
+        p = tmp_path / "y.csv"
+        p.write_text("index,value\nindex,value\n1,2\n")
+        with pytest.raises(SeriesFormatError,
+                           match="line 2: index 'index' is not an integer"):
+            parse_series(str(p))
 
 
 @pytest.fixture
@@ -407,6 +439,76 @@ class TestExitCodes:
                                capsys)
         assert code == 1
         assert "cannot read" in err
+
+
+class TestSeedRange:
+    """Seeds key a Philox stream with two uint64 words."""
+
+    @pytest.mark.parametrize("argv", [
+        ["lil", "--d", "0", "--n-grid", "16", "--reps", "2"],
+        ["width", "--d", "0", "--d0", "-1", "--k", "2", "--n-grid", "16",
+         "--reps", "2"],
+        ["mc-risk", "--d", "0", "--d0", "-1", "--k", "2", "--n-grid", "16",
+         "--reps", "2", "--signal", "zero"],
+        ["checks", "--suite", "beta_ratio", "--reps", "2"],
+    ])
+    @pytest.mark.parametrize("seed", ["18446744073709551616", "-3"])
+    def test_seed_outside_uint64_is_an_error(self, argv, seed, capsys):
+        code, out, err = run_cli(argv + ["--seed", seed], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "seed" in err
+
+    def test_seeds_from_2_63_are_distinct(self, capsys):
+        argv = ["lil", "--d", "0", "--n-grid", "16", "--reps", "2",
+                "--seed"]
+        _, a, _ = run_cli(argv + [str(2 ** 63)], capsys)
+        _, b, _ = run_cli(argv + [str(2 ** 63 + 5)], capsys)
+        assert a.split("\n")[1] != b.split("\n")[1]
+
+
+class TestMainLoop:
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize("error", [DegenerateSystemError,
+                                       NonConvergenceError])
+    def test_package_errors_exit_one(self, error, step_file, monkeypatch,
+                                     capsys):
+        def fail(*args, **kwargs):
+            raise error("no fit")
+        monkeypatch.setattr(cli, "fit_fixed_k", fail)
+        code, out, err = run_cli(["fit", "--input", step_file[0], "--d", "0",
+                                  "--d0", "-1", "--k", "2"], capsys)
+        assert (code, out, err) == (1, "", "error: no fit\n")
+
+    @pytest.mark.parametrize("suite", sorted(cli._SUITES))
+    def test_suites_share_one_signature(self, suite):
+        fn, needs_seed, _ = cli._SUITES[suite]
+        instances = 2 if needs_seed else None
+        result = fn(5 if needs_seed else None, instances)
+        assert len(result) == 4
+        count, _, _, passed = result
+        assert isinstance(passed, bool)
+        assert count == instances if needs_seed else count > 0
+
+    def test_one_process_matches_separate_runs(self, step_file, capsys):
+        path, _ = step_file
+        runs = [
+            ["fit", "--input", path, "--d", "0", "--d0", "-1", "--k", "x"],
+            ["fit", "--input", path, "--d", "0", "--d0", "-1", "--k", "2"],
+            ["adapt", "--input", path, "--d", "0", "--d0", "-1"],
+            ["checks", "--suite", "quad_form", "--seed", "3", "--reps", "4"],
+            ["fit", "--input", path, "--d", "1", "--d0", "0", "--k", "2",
+             "--solver", "dp"],
+        ]
+        together = [run_cli(argv, capsys) for argv in runs]
+        for argv, (code, out, err) in zip(runs, together):
+            alone = subprocess.run([sys.executable, "-m", "l0spline"] + argv,
+                                   capture_output=True, text=True)
+            assert (alone.returncode, alone.stdout, alone.stderr) == \
+                (code, out, err)
+        assert [code for code, _, _ in together] == [1, 0, 0, 0, 1]
 
 
 def test_module_entry_point(tmp_path):

@@ -64,6 +64,46 @@ class TestSimulate:
             noise_vector(-1, 0, 4)
 
 
+class TestPhiloxKeys:
+    @pytest.mark.parametrize("seed, stream", [
+        (0, 0), (7, 3), (2 ** 63 - 1, 5), (61001, 399)])
+    def test_stream_below_2_63_unchanged(self, seed, stream):
+        # the stream a key of two Python ints gives, as before uint64 keys
+        ref = np.random.Generator(
+            np.random.Philox(key=[seed, stream])).standard_normal(16)
+        np.testing.assert_array_equal(noise_vector(seed, stream, 16), ref)
+
+    def test_seeds_from_2_63_have_their_own_streams(self):
+        a = noise_vector(2 ** 63, 0, 16)
+        b = noise_vector(2 ** 63 + 5, 0, 16)
+        assert not np.array_equal(a, b)
+        # the key is exact, not rounded through a float
+        ref = np.random.Generator(np.random.Philox(
+            key=np.array([2 ** 63 + 5, 0], dtype=np.uint64)))
+        np.testing.assert_array_equal(b, ref.standard_normal(16))
+
+    def test_largest_key_draws_without_warnings(self):
+        # warnings are errors in this suite: no numpy cast warning here
+        assert noise_vector(2 ** 64 - 1, 2 ** 64 - 1, 4).shape == (4,)
+
+    @pytest.mark.parametrize("seed, stream", [
+        (2 ** 64, 0), (0, 2 ** 64), (-3, 0), (0, -1)])
+    def test_keys_outside_uint64_refused(self, seed, stream):
+        with pytest.raises(ValidationError):
+            noise_vector(seed, stream, 4)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_config_refuses_master_seed_outside_uint64(self, seed):
+        with pytest.raises(ValidationError, match="master_seed"):
+            ExperimentConfig(n_grid=(16,), d=0, d0=-1, k=2, reps=1,
+                             master_seed=seed, signal_kind="zero")
+
+    def test_calibration_draws_use_the_same_keys(self):
+        from l0spline._calibrate import calibrate_beta_ratio
+        with pytest.raises(ValidationError):
+            calibrate_beta_ratio(seed=-3, instances=1)
+
+
 class TestLilStatistic:
     def test_zero_noise(self):
         assert lil_statistic(np.zeros(10), 1) == 0.0

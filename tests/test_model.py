@@ -350,3 +350,12 @@ def test_signal_vector_validation():
         SignalVector(np.zeros((2, 2)))
     v = SignalVector(np.arange(3.0))
     assert v.n == 3
+
+
+def test_signal_vector_leaves_caller_array_alone():
+    y = np.arange(4.0)
+    v = SignalVector(y)
+    assert y.flags.writeable
+    assert not v.values.flags.writeable
+    y[0] = 99.0
+    np.testing.assert_array_equal(v.values, [0.0, 1.0, 2.0, 3.0])

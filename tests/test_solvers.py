@@ -28,6 +28,7 @@ from l0spline.solvers import (
     dp_fit,
     estimate_sigma,
     exhaustive_fit,
+    fit_fixed_k,
     fit_given_knots,
     penalty,
     segment_cost,
@@ -685,6 +686,93 @@ class TestDpDegreeEnvelope:
         y = self._series(20)
         fr = exhaustive_fit(y, ModelParams(d=7, d0=-1, k=2, n=20))
         assert fr.knots.k == 2
+
+
+class TestFitFixedK:
+    """fit_fixed_k holds the one rule for the solver of a fixed-k fit."""
+
+    @staticmethod
+    def _y(n):
+        rng = np.random.default_rng(71)
+        return (np.arange(n) >= n // 3) * 2.0 + rng.standard_normal(n)
+
+    @staticmethod
+    def _same(a, b):
+        assert a.knots.knots == b.knots.knots
+        assert a.sse == b.sse
+        np.testing.assert_array_equal(a.theta_hat.values, b.theta_hat.values)
+
+    @pytest.mark.parametrize("d", [0, 2])
+    def test_dp_serves_d0_minus_1(self, d):
+        p = ModelParams(d=d, d0=-1, k=3, n=30)
+        y = self._y(30)
+        self._same(fit_fixed_k(y, p), dp_fit(y, p))
+        self._same(fit_fixed_k(y, p, "dp"), dp_fit(y, p))
+        self._same(fit_fixed_k(y, p, "exhaustive"), exhaustive_fit(y, p))
+
+    @pytest.mark.parametrize("d, d0", [(1, 0), (2, 0), (2, 1)])
+    def test_exhaustive_serves_smooth_classes(self, d, d0):
+        p = ModelParams(d=d, d0=d0, k=2, n=24)
+        y = self._y(24)
+        self._same(fit_fixed_k(y, p), exhaustive_fit(y, p))
+        self._same(fit_fixed_k(y, p, "exhaustive"), exhaustive_fit(y, p))
+
+    def test_refusals(self):
+        y = self._y(20)
+        with pytest.raises(ValidationError, match="supports only d0 = -1"):
+            fit_fixed_k(y, ModelParams(d=1, d0=0, k=2, n=20), "dp")
+        with pytest.raises(ValidationError, match="unknown solver"):
+            fit_fixed_k(y, ModelParams(d=0, d0=-1, k=2, n=20), "greedy")
+        for solver in (None, "dp"):
+            with pytest.raises(ValidationError, match="d <= 6"):
+                fit_fixed_k(y, ModelParams(d=7, d0=-1, k=1, n=20), solver)
+        assert fit_fixed_k(y, ModelParams(d=7, d0=-1, k=1, n=20),
+                           "exhaustive").knots.k == 1
+
+    @pytest.mark.parametrize("d0, solver", [(0, None), (-1, "exhaustive")])
+    def test_budget_reaches_the_scan(self, d0, solver):
+        p = ModelParams(d=1, d0=d0, k=3, n=30)
+        with pytest.raises(BudgetExceededError):
+            fit_fixed_k(self._y(30), p, solver, budget=10)
+
+
+def _jump_noise(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) + 3.0 * (np.arange(n) >= 2 * n // 5)
+
+
+def _invariance_cases(fit, d, d0, k, n, seeds):
+    """The knots of fit on y against y rescaled and y plus a polynomial."""
+    x = np.arange(1, n + 1) / n
+    for seed in seeds:
+        y = _jump_noise(n, seed)
+        p = ModelParams(d=d, d0=d0, k=k, n=n)
+        base = fit(y, p)
+        for scale in (4.0, 2.0 ** -10):
+            # a power of two scales every rounding exactly
+            fr = fit(scale * y, p)
+            assert fr.knots.knots == base.knots.knots, (seed, scale)
+            assert fr.sse == scale ** 2 * base.sse, (seed, scale)
+        assert fit(3.7 * y, p).knots.knots == base.knots.knots, seed
+        coef = np.random.default_rng(seed + 1000).uniform(-100, 100, d + 1)
+        poly = sum(c * x ** m for m, c in enumerate(coef))
+        assert fit(y + poly, p).knots.knots == base.knots.knots, seed
+
+
+class TestInvariance:
+    """Knots do not move when y is rescaled or a degree-d polynomial is
+    added, which leaves every class's least squares problem the same."""
+
+    @pytest.mark.parametrize("d", range(7))
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_dp_fit(self, d, k):
+        _invariance_cases(dp_fit, d, -1, k, 80, range(5))
+
+    @pytest.mark.parametrize("d, d0", [(d, d0) for d in range(3)
+                                       for d0 in range(-1, d)])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_exhaustive_fit(self, d, d0, k):
+        _invariance_cases(exhaustive_fit, d, d0, k, 36, range(5))
 
 
 class TestFitResultInvariants:
