@@ -88,7 +88,7 @@ def parse_series(path: str) -> SignalVector:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SeriesFormatError(f"cannot read {path}: {exc}") from exc
 
     values, index = [], []

@@ -486,9 +486,9 @@ def _rescore(score: np.ndarray, tol: float, cost, key) -> tuple:
     return best[0], best[2]
 
 
-# candidate last knots whose columns are built and projected at once, so
-# no n x n block is ever allocated
-_CHUNK = 64
+# array entries in one chunk of the knot screen: the deflated candidate
+# blocks of a batch of sibling prefixes, 256 KB of doubles
+_SCREEN_BLOCK = 1 << 15
 
 
 def _knot_columns(n, d, d0, knots) -> np.ndarray:
@@ -506,61 +506,115 @@ class _KnotScreen:
     """Screened least squares cost of every distinct inner-knot set.
 
     Each valid set of at most k-1 distinct inner knots is scored exactly
-    once, one fixed prefix at a time: the prefix design is QR-factored
-    once, y and the truncated power block of every candidate last knot are
-    projected onto the complement of its span, and all last knots are
-    scored in one vectorized pass, ||r||^2 - (b'r)^2 / ||b||^2 for a
-    one-column block and through a batched QR otherwise.  The scores match
-    the per-set least squares costs up to rounding only, so callers rescore
-    the sets near the best with their own arithmetic (_rescore).  Set j is
-    the prefix _prefixes[_owner[j]] followed by _last[j]; a _last of 0
-    (never an inner knot) stands for the prefix alone.
+    once, as a prefix of knots followed by one last knot.  The truncated
+    power block of every inner knot is built once and projected off the
+    polynomial block once.  The prefixes are then walked depth first: a
+    child prefix's residual and candidate blocks are its parent's with the
+    child's own knot block projected out, that block orthonormalized from
+    its projected vectors.  The children of one prefix are deflated and
+    scored together, in chunks of at most _SCREEN_BLOCK array entries that
+    slice the candidates from the chunk's first allowed knot on, as
+    ||r||^2 less the squared projection of r on each candidate's block.
+    The blocks kept for deflation take O(n^2 (d - d0)) memory from k = 3
+    on; below that the candidates are scored a chunk at a time.
+
+    The scores match the per-set least squares costs up to rounding only,
+    so callers rescore the sets near the best with their own arithmetic
+    (_rescore).  Set j is the prefix _prefixes[_owner[j]] followed by
+    _last[j]; a _last of 0 (never an inner knot) stands for the prefix
+    alone.
     """
 
     def __init__(self, y: np.ndarray, d: int, d0: int, k: int):
         n = y.size
         self.n, self.k = n, k
         self.tol = _SCREEN_TOL * float(y @ y)
-        poly = raw_basis(n, d, d0, (0, n))
-        self._prefixes = []
-        owner, last, score = [], [], []
-        stack = [()]
-        while stack:
-            prefix = stack.pop()
-            idx = len(self._prefixes)
-            self._prefixes.append(prefix)
-            cols = _knot_columns(n, d, d0, prefix).reshape(n, -1)
-            Q, _ = np.linalg.qr(np.hstack([poly, cols]))
-            r = y - Q @ (Q.T @ y)
-            rr = float(r @ r)
-            if not prefix:
-                owner.append([idx])
-                last.append([0])
-                score.append([rr])
-            if len(prefix) == k - 1:
-                continue
-            first = (prefix[-1] if prefix else 0) + d + 1
-            cand = np.arange(first, n - d)
-            for lo in range(0, cand.size, _CHUNK):
-                ts = cand[lo:lo + _CHUNK]
-                B = _knot_columns(n, d, d0, ts)
-                B -= (Q @ (Q.T @ B.reshape(n, -1))).reshape(B.shape)
-                if d - d0 == 1:
-                    b = B[:, :, 0]
-                    gain = (r @ b) ** 2 / np.einsum("ij,ij->j", b, b)
-                else:
-                    Qb, _ = np.linalg.qr(B.transpose(1, 0, 2))
-                    gain = np.sum((r @ Qb) ** 2, axis=1)
-                owner.append(np.full(ts.size, idx))
-                last.append(ts)
-                score.append(rr - gain)
-            if len(prefix) + 2 < k:
-                # only knots that leave room for one more extend further
-                stack.extend(prefix + (int(t),) for t in cand[::-1]
-                             if t + d + 1 < n - d)
+        self._gap = d + 1
+        self._ts = np.arange(d + 1, n - d)   # every inner knot
+        Q, _ = np.linalg.qr(raw_basis(n, d, d0, (0, n)))
+        r = y - Q @ (Q.T @ y)
+        self._prefixes = [()]
+        self._parts = [(np.zeros(1, int), np.zeros(1, int),
+                        np.array([float(r @ r)]))]
+        if k >= 2:
+            m, p = self._ts.size, d - d0
+            step = max(1, _SCREEN_BLOCK // (n * p))
+            # a block holds one (p, n) column block per candidate; the
+            # children deflate slices of the whole block
+            C = np.empty((m, p, n)) if k >= 3 else None
+            for lo in range(0, m, step):
+                B = _knot_columns(n, d, d0, self._ts[lo:lo + step])
+                flat = B.reshape(n, -1)
+                flat -= Q @ (Q.T @ flat)
+                B = B.transpose(1, 2, 0)
+                self._score(0, r[None], B[None], lo,
+                            np.ones((1, B.shape[0]), bool))
+                if C is not None:
+                    C[lo:lo + step] = B
+            if C is not None:
+                self._descend((), r, C, 0)
+        owner, last, score = zip(*self._parts)
+        del self._parts
         self._owner = np.concatenate(owner)
         self._last = np.concatenate(last)
         self.score = np.concatenate(score)
+
+    def _descend(self, prefix, r, B, lo):
+        """Score the children of prefix and descend into theirs.  r is the
+        prefix's residual and B[j] the (p, n) block of its candidate
+        _ts[lo + j], both projected off the prefix design."""
+        n, gap, m = self.n, self._gap, self._ts.size
+        p = B.shape[1]
+        deeper = len(prefix) + 3 < self.k
+        a = lo   # the chunk's first child, as an index into _ts
+        while a < m - gap:   # a child needs a candidate after it
+            c = m - a - gap
+            g = min(m - gap - a, max(1, _SCREEN_BLOCK // (n * c * p)))
+            # the children's own blocks, orthonormalized: Q[i] is (p, n)
+            own = B[a - lo:a - lo + g]
+            if p == 1:
+                Q = own / np.sqrt(np.einsum("gin,gin->g", own, own))[
+                    :, None, None]
+            else:
+                Q = np.linalg.qr(own.transpose(0, 2, 1))[0].transpose(0, 2, 1)
+            R = r - ((Q @ r)[:, None, :] @ Q)[:, 0]
+            # project each child's block out of the candidates after it
+            Bc = B[a + gap - lo:].reshape(c * p, n)
+            G = Bc @ Q.reshape(g * p, n).T
+            if p == 1:   # outer products, faster broadcast than matmul
+                D = G.T[:, :, None] * Q
+            else:
+                D = G.reshape(c * p, g, p).transpose(1, 0, 2) @ Q
+            np.subtract(Bc, D, out=D)
+            Bg = D.reshape(g, c, p, n)
+            base = len(self._prefixes)
+            self._prefixes.extend(prefix + (int(t),)
+                                  for t in self._ts[a:a + g])
+            # child i may end only at candidates after its own knot
+            self._score(base, R, Bg, a + gap,
+                        np.arange(c) >= np.arange(g)[:, None])
+            if deeper:
+                for i in range(g):
+                    self._descend(self._prefixes[base + i], R[i],
+                                  Bg[i, i:], a + i + gap)
+            a += g
+
+    def _score(self, base, R, B, col, mask):
+        """Record prefix base + i followed by candidate _ts[col + j] for
+        every (i, j) in mask, scored ||R[i]||^2 less the squared
+        projection of R[i] on the span of B[i, j]."""
+        i, j = np.nonzero(mask)
+        rr = np.einsum("gn,gn->g", R, R)[i]
+        if B.shape[2] == 1:
+            b = B[:, :, 0]
+            dot = (b @ R[:, :, None])[i, j, 0]
+            sq = np.einsum("gcn,gcn->gc", b, b)[i, j]
+            score = rr - dot * dot / sq
+        else:
+            Qb, _ = np.linalg.qr(B[i, j].transpose(0, 2, 1))
+            proj = R[i, None, :] @ Qb
+            score = rr - np.einsum("kip,kip->k", proj, proj)
+        self._parts.append((base + i, self._ts[col + j], score))
 
     def knots(self, j: int) -> tuple:
         """Set j as its lexicographically smallest knot vector, the one a

@@ -527,3 +527,105 @@ def dp_backtrack(table, k):
             t = int(nxt[r, t])
         knots.append(t)
     return tuple(knots)
+
+
+# ---------------------------------------------------------------------------
+# the knot screen, one QR per prefix
+# ---------------------------------------------------------------------------
+
+_CHUNK = 64
+
+
+def _knot_columns(n, d, d0, knots):
+    """Truncated power columns ((i - t)/n)_+^l, l in [d0+1;d], of every
+    knot t, shaped (n, len(knots), d - d0)."""
+    i = np.arange(1, n + 1, dtype=float)
+    u = (i[:, None] - np.asarray(knots, dtype=float)) / n
+    pos = u > 0
+    u = np.where(pos, u, 0.0)
+    return np.stack([pos.astype(float) if ell == 0 else u ** ell
+                     for ell in range(d0 + 1, d + 1)], axis=2)
+
+
+def knot_screen_scan(y, d, d0, k):
+    """Screened least squares cost of every distinct inner-knot set, one
+    prefix at a time: the prefix design is QR-factored, y and the block of
+    every candidate last knot are projected off its span, and the last
+    knots are scored ||r||^2 - (b'r)^2 / ||b||^2, or through a batched QR
+    for blocks of several columns.  Returns {(prefix, last): score}, with
+    a last of 0 standing for the prefix alone."""
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    poly = truncated_power_design(n, d, d0, (0, n))
+    prefixes = []
+    owner, last, score = [], [], []
+    stack = [()]
+    while stack:
+        prefix = stack.pop()
+        idx = len(prefixes)
+        prefixes.append(prefix)
+        cols = _knot_columns(n, d, d0, prefix).reshape(n, -1)
+        Q, _ = np.linalg.qr(np.hstack([poly, cols]))
+        r = y - Q @ (Q.T @ y)
+        rr = float(r @ r)
+        if not prefix:
+            owner.append([idx])
+            last.append([0])
+            score.append([rr])
+        if len(prefix) == k - 1:
+            continue
+        first = (prefix[-1] if prefix else 0) + d + 1
+        cand = np.arange(first, n - d)
+        for lo in range(0, cand.size, _CHUNK):
+            ts = cand[lo:lo + _CHUNK]
+            B = _knot_columns(n, d, d0, ts)
+            B -= (Q @ (Q.T @ B.reshape(n, -1))).reshape(B.shape)
+            if d - d0 == 1:
+                b = B[:, :, 0]
+                gain = (r @ b) ** 2 / np.einsum("ij,ij->j", b, b)
+            else:
+                Qb, _ = np.linalg.qr(B.transpose(1, 0, 2))
+                gain = np.sum((r @ Qb) ** 2, axis=1)
+            owner.append(np.full(ts.size, idx))
+            last.append(ts)
+            score.append(rr - gain)
+        if len(prefix) + 2 < k:
+            # only knots that leave room for one more extend further
+            stack.extend(prefix + (int(t),) for t in cand[::-1]
+                         if t + d + 1 < n - d)
+    owner = np.concatenate(owner)
+    last = np.concatenate(last)
+    score = np.concatenate(score)
+    return {(prefixes[o], int(t)): float(s)
+            for o, t, s in zip(owner, last, score)}
+
+
+def exact_sse(y, d, d0, knots):
+    """Least squares cost of y on the truncated power design of knots, in
+    exact rational arithmetic: y'y - b'G^{-1}b with G = X'X and b = X'y,
+    G solved by Gaussian elimination over Fractions."""
+    n = len(y)
+    cols = [[Fraction(i, n) ** ell for i in range(1, n + 1)]
+            for ell in range(d + 1)]
+    for t in knots[1:-1]:
+        for ell in range(d0 + 1, d + 1):
+            cols.append([Fraction(i - t, n) ** ell if i > t else Fraction(0)
+                         for i in range(1, n + 1)])
+    yf = [Fraction(float(v)) for v in y]
+    m = len(cols)
+    G = [[sum(a * b for a, b in zip(cols[p], cols[q])) for q in range(m)]
+         + [sum(a * b for a, b in zip(cols[p], yf))] for p in range(m)]
+    rhs = [row[m] for row in G]
+    for col in range(m):
+        piv = next(r for r in range(col, m) if G[r][col] != 0)
+        G[col], G[piv] = G[piv], G[col]
+        for r in range(col + 1, m):
+            f = G[r][col] / G[col][col]
+            if f:
+                G[r] = [a - f * b for a, b in zip(G[r], G[col])]
+    coef = [Fraction(0)] * m
+    for r in range(m - 1, -1, -1):
+        coef[r] = (G[r][m] - sum(G[r][q] * coef[q]
+                                 for q in range(r + 1, m))) / G[r][r]
+    return float(sum(v * v for v in yf) - sum(b * c
+                                               for b, c in zip(rhs, coef)))

@@ -440,6 +440,17 @@ class TestExitCodes:
         assert code == 1
         assert "cannot read" in err
 
+    def test_undecodable_input_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"1\n\xff\xfe2\n")
+        code, out, err = run_cli(["fit", "--input", str(path), "--d", "0",
+                                  "--d0", "-1", "--k", "1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert "can't decode byte 0xff" in err
+        assert "Traceback" not in err
+
 
 class TestSeedRange:
     """Seeds key a Philox stream with two uint64 words."""
