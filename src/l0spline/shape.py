@@ -45,8 +45,11 @@ __all__ = [
 
 _DUAL_TOL = 1e-10
 # (knots, pivot) pairs screened per batched solve; their gathered columns
-# take 512 (k + 1) n doubles, 512 KB at n = 32, k = 3
-_PAIR_CHUNK = 512
+# take 256 (k + 1) n doubles, 256 KB at n = 32, k = 3
+_PAIR_CHUNK = 256
+# array entries in one batched QR of the knot-vector bounds, 1 MB of
+# doubles: every vector at n = 32, k = 3
+_BOUND_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -238,7 +241,14 @@ def nnls_activeset(A: np.ndarray, y: np.ndarray,
         w = A.T @ resid
 
 
+def _dual_tols(F: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """_DUAL_TOL * ||y|| * ||F_j|| for every column j of F: the KKT
+    tolerance of nnls_activeset, per column, for _nnls_screen."""
+    return _DUAL_TOL * float(np.linalg.norm(y)) * np.linalg.norm(F, axis=0)
+
+
 def _nnls_screen(F: np.ndarray, y: np.ndarray, idx: np.ndarray,
+                 dual_tol: np.ndarray,
                  max_iter: int | None = None) -> np.ndarray:
     """min ||y - F[:, idx[p]] g||^2 over g >= 0, for every row p of idx.
 
@@ -249,11 +259,11 @@ def _nnls_screen(F: np.ndarray, y: np.ndarray, idx: np.ndarray,
     per row, with the same rules: the largest dual enters first, ties go
     to the smallest index, an infeasible step moves to the boundary and
     drops the zeroed variables, and a row stops when every inactive dual
-    is <= _DUAL_TOL * ||y|| * (its largest column norm).  The masked
-    normal equations R_A' R_A z = R_A' c are solved batched; the score
-    ||c - R g||^2 is computed directly, so an error in z enters it only
-    at second order.  Raises NonConvergenceError when a row needs more
-    than max_iter (default 100 k) solves.
+    is <= the largest dual_tol (_dual_tols(F, y)) over its columns.  The
+    masked normal equations R_A' R_A z = R_A' c are solved batched; the
+    score ||c - R g||^2 is computed directly, so an error in z enters it
+    only at second order.  Raises NonConvergenceError when a row needs
+    more than max_iter (default 100 k) solves.
     """
     n = y.size
     pairs, k = idx.shape
@@ -267,8 +277,7 @@ def _nnls_screen(F: np.ndarray, y: np.ndarray, idx: np.ndarray,
     R, c = Ra[:, :k, :k], Ra[:, :k, k]
     RT = R.transpose(0, 2, 1)
     G, b = RT @ R, _matvec(RT, c)
-    tol = _DUAL_TOL * float(np.linalg.norm(y)) * np.max(
-        np.linalg.norm(F, axis=0)[idx], axis=1, initial=0.0)
+    tol = np.max(dual_tol[idx], axis=1, initial=0.0)
 
     eye = np.eye(k, dtype=bool)
     g = np.zeros((pairs, k))
@@ -494,12 +503,25 @@ def shape_lse(y, d: int, k: int,
     """Exact least squares over the d-monotone class with <= k pieces.
 
     Enumerates knot vectors and pivots; ties go to the lexicographically
-    smallest knot vector, then the smallest pivot.  Every pair is scored
-    by one batched active-set NNLS screen over columns projected once per
-    call (_nnls_screen); only the pairs scored near the best are refit as
-    fit_shape_given_knots fits them, sharing the free block's QR, and
-    only the winner's full result is built.  For d = 0 with k >= n the
-    problem is plain isotonic regression and is solved by pooling.
+    smallest knot vector, then the smallest pivot.  For d = 0 with k >= n
+    the problem is plain isotonic regression and is solved by pooling.
+
+    Otherwise pairs are screened by branch and bound over knot vectors.
+    A left hinge at t is (-1)^d ((x - t)^d - right hinge at t), so with
+    the free block the right hinges at knots[0..k-1] (pivot 0's columns)
+    span every pivot's columns, and their least squares cost lb[v]
+    (_spline_cost) bounds every pivot's cone cost at knot vector v from
+    below.  Vectors are screened (_nnls_screen) in increasing lb, all
+    k + 1 pivots together, _PAIR_CHUNK pairs per chunk, until a chunk's
+    least lb exceeds the least score so far (the incumbent) by more than
+    tol = _SCREEN_TOL * ||y||^2.  Pairs never screened score +inf, and
+    _rescore refits only the pairs scored near the best.
+
+    The pruning is exact.  With eps the screen's rounding (about
+    1e-12 ||y||^2), a pruned pair costs at least lb - eps > incumbent +
+    tol - eps >= (least cost) + tol - 2 eps, so it can neither win nor
+    tie.  Results are bit-identical to fitting every pair; the budget
+    counts every pair.
     """
     y = np.asarray(y, dtype=float)
     n = y.size
@@ -517,16 +539,28 @@ def shape_lse(y, d: int, k: int,
 
     _check_budget(count_knot_vectors(n, k, d) * (k + 1), budget,
                   "configuration/pivot pairs")
-    # y and the hinges at every knot position do not depend on the pair:
-    # project them once
+    # y, the hinges and their dual tolerances do not depend on the pair
     cone = _ConeProblem(y, d)
-    F = cone.hinges()
+    F, y_perp = cone.hinges(), cone.y_perp
+    dual_tol = _dual_tols(F, y_perp)
     vectors = list(iter_knot_vectors(n, k, d))
     knots = np.array(vectors, dtype=np.intp)
+    per = max(1, _BOUND_BLOCK // ((k + 1) * n))
+    lb = np.concatenate([_spline_cost(F, y_perp, knots[s:s + per])
+                         for s in range(0, len(vectors), per)])
+    tol = _SCREEN_TOL * float(y @ y)
+    order = np.argsort(lb, kind="stable")
     step = max(1, _PAIR_CHUNK // (k + 1))
-    score = np.concatenate([
-        _nnls_screen(F, cone.y_perp, _pair_columns(knots[s:s + step], n))
-        for s in range(0, len(vectors), step)])
+    score = np.full((len(vectors), k + 1), np.inf)
+    incumbent = np.inf
+    for s in range(0, order.size, step):
+        chunk = order[s:s + step]
+        if lb[chunk[0]] > incumbent + tol:
+            break
+        score[chunk] = _nnls_screen(
+            F, y_perp, _pair_columns(knots[chunk], n),
+            dual_tol).reshape(-1, k + 1)
+        incumbent = min(incumbent, float(score[chunk].min()))
 
     fits = {}
 
@@ -535,9 +569,32 @@ def shape_lse(y, d: int, k: int,
         fits[p] = cone.fit(KnotVector(vectors[v], d), j_star)
         return fits[p][2]
 
-    _, best = _rescore(score, _SCREEN_TOL * float(y @ y), sse,
-                       lambda p: p)
+    _, best = _rescore(score.ravel(), tol, sse, lambda p: p)
     return _shape_result(*fits[best])
+
+
+def _spline_cost(F: np.ndarray, y: np.ndarray,
+                 knots: np.ndarray) -> np.ndarray:
+    """||y - proj y||^2 onto the right hinges at knots[0..k-1], for
+    every knot vector (one per row), by one batched QR.
+
+    The columns of the distinct knots below n come first, then y, so the
+    cost is the squared diagonal entry at y; a zero or repeated column
+    ahead of y would let the QR take a direction out of y's residual.
+    """
+    n = y.size
+    v, k = knots.shape[0], knots.shape[1] - 1
+    head = knots[:, :k]
+    keep = head < n
+    keep[:, 1:] &= head[:, 1:] != head[:, :-1]
+    m = keep.sum(axis=1)
+    rows, slots = np.nonzero(keep)
+    cols = np.zeros((v, k + 1, max(n, k + 1)))
+    cols[rows, np.cumsum(keep, axis=1)[rows, slots] - 1, :n] = (
+        F.T[n + 1 + head[rows, slots]])
+    cols[np.arange(v), m, :n] = y
+    R = np.linalg.qr(cols.transpose(0, 2, 1), mode="r")
+    return R[np.arange(v), m, m] ** 2
 
 
 def _pair_columns(knots: np.ndarray, n: int) -> np.ndarray:

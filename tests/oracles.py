@@ -4,6 +4,9 @@ Everything in this module is written directly from the mathematical
 definitions using dense linear algebra, brute-force enumeration, or exact
 rational arithmetic.  Nothing here imports fitting code from ``l0spline``,
 so agreement between the two routes is meaningful evidence of correctness.
+The one exception is ``shape_pair_scan``: it runs the package's one-pair
+cone fit on every (knots, pivot) pair, the scan ``shape_lse``'s screen
+must reproduce bit for bit.
 """
 
 from fractions import Fraction
@@ -217,6 +220,23 @@ def brute_force_shape_lse(y, d, k):
                 best_sse = sse
                 best_fit = fitted
     return best_sse, best_fit
+
+
+def shape_pair_scan(y, d, k):
+    """The result ``l0spline.shape.fit_shape_given_knots`` returns for the
+    pair of least SSE, scanning knot vectors in lexicographic order and
+    pivots in increasing order; ties keep the first pair."""
+    from l0spline.model import KnotVector
+    from l0spline.shape import fit_shape_given_knots
+
+    ref = None
+    for knots in iter_knot_vectors(y.size, k, d):
+        kv = KnotVector(knots, d)
+        for j_star in range(0, k + 1):
+            fit = fit_shape_given_knots(y, d, kv, j_star)
+            if ref is None or fit.sse < ref.sse:
+                ref = fit
+    return ref
 
 
 # ---------------------------------------------------------------------------

@@ -259,20 +259,22 @@ class TestShapeLse:
 
 
 class TestShapeScreen:
-    """shape_lse scores every (knots, pivot) pair by one NNLS solve on
+    """shape_lse screens (knots, pivot) pairs by batched NNLS solves on
     columns projected once, then refits only the pairs near the best.  It
-    must return bit for bit what the per-pair scan it replaced returns;
-    the scan is copied here as the reference."""
+    must return bit for bit what fitting every pair returns
+    (oracles.shape_pair_scan)."""
 
     @staticmethod
-    def _cases(count):
-        """Seeded (y, d, k): d <= 3, k <= 3, and noise, zero, rounded,
-        offset-1e3, exact-member and noisy-member inputs."""
+    def _cases(count, key=72, ks=(1, 4), spread=9):
+        """Seeded (y, d, k): d <= 3, k in [ks[0]; ks[1]), n below
+        k (d + 1) + spread, and noise, zero, rounded, offset-1e3,
+        exact-member and noisy-member inputs."""
         for case in range(count):
-            rng = np.random.default_rng([72, case])
+            rng = np.random.default_rng([key, case])
             d = int(rng.integers(0, 4))
-            k = int(rng.integers(1, 4))
-            n = int(rng.integers(max(k * (d + 1), k + 1), k * (d + 1) + 9))
+            k = int(rng.integers(*ks))
+            n = int(rng.integers(max(k * (d + 1), k + 1),
+                                 k * (d + 1) + spread))
             kind = ("noise", "zero", "rounded", "offset", "member",
                     "noisy member")[case % 6]
             y = rng.normal(size=n)
@@ -287,21 +289,17 @@ class TestShapeScreen:
                 y = member + (0.1 * y if kind == "noisy member" else 0.0)
             yield y, d, k
 
+    @staticmethod
+    def assert_same(fit, ref):
+        assert fit.knots == ref.knots
+        assert fit.canonical == ref.canonical
+        assert fit.sse == ref.sse
+        assert fit.coeffs == ref.coeffs
+        assert np.array_equal(fit.theta_hat.values, ref.theta_hat.values)
+
     def test_matches_scan(self):
         for y, d, k in self._cases(200):
-            ref = None
-            for knots in iter_knot_vectors(y.size, k, d):
-                kv = KnotVector(knots, d)
-                for j_star in range(0, k + 1):
-                    fit = fit_shape_given_knots(y, d, kv, j_star)
-                    if ref is None or fit.sse < ref.sse:
-                        ref = fit
-            fit = shape_lse(y, d, k)
-            assert fit.knots == ref.knots
-            assert fit.canonical == ref.canonical
-            assert fit.sse == ref.sse
-            assert fit.coeffs == ref.coeffs
-            assert np.array_equal(fit.theta_hat.values, ref.theta_hat.values)
+            self.assert_same(shape_lse(y, d, k), orc.shape_pair_scan(y, d, k))
 
     def test_refits_only_near_ties(self, monkeypatch):
         """The scan built a full result for each of the 696 pairs at
@@ -359,11 +357,15 @@ class TestNnlsScreen:
 
     @staticmethod
     def _screen(y, d, k):
-        from l0spline.shape import _ConeProblem, _pair_columns
+        """The screen's arguments for every pair: hinge block, projected
+        y, pair columns and per-column dual tolerances."""
+        from l0spline.shape import _ConeProblem, _dual_tols, _pair_columns
 
         cone = _ConeProblem(y, d)
+        F = cone.hinges()
         knots = np.array(list(iter_knot_vectors(y.size, k, d)))
-        return cone.hinges(), cone.y_perp, _pair_columns(knots, y.size)
+        return (F, cone.y_perp, _pair_columns(knots, y.size),
+                _dual_tols(F, cone.y_perp))
 
     def test_scores_match_scipy_nnls(self):
         from scipy.optimize import nnls as scipy_nnls
@@ -372,8 +374,8 @@ class TestNnlsScreen:
 
         checked = 0
         for y, d, k in self._cases(60):
-            F, y_perp, idx = self._screen(y, d, k)
-            score = _nnls_screen(F, y_perp, idx)
+            F, y_perp, idx, dual_tol = self._screen(y, d, k)
+            score = _nnls_screen(F, y_perp, idx, dual_tol)
             assert score.shape == (idx.shape[0],)
             for p, cols in enumerate(idx):
                 # scipy's nnls misreports rank-deficient problems, so it
@@ -389,11 +391,87 @@ class TestNnlsScreen:
     def test_iteration_cap_raises(self):
         from l0spline.shape import _nnls_screen
 
-        F, y_perp, idx = self._screen(
+        F, y_perp, idx, dual_tol = self._screen(
             np.random.default_rng(4).normal(size=9), 1, 2)
         with pytest.raises(NonConvergenceError):
-            _nnls_screen(F, y_perp, idx, max_iter=0)
-        _nnls_screen(F, y_perp, idx, max_iter=2)
+            _nnls_screen(F, y_perp, idx, dual_tol, max_iter=0)
+        _nnls_screen(F, y_perp, idx, dual_tol, max_iter=2)
+
+
+class TestShapePruning:
+    """shape_lse screens knot vectors in increasing order of their smooth
+    spline cost, which bounds every pivot's cone cost from below, and
+    stops once no bound comes within tol of the least score so far."""
+
+    @staticmethod
+    def _benchmark_inputs():
+        """d=1, k=3 inputs like the benchmark's shape replicates: a
+        convex member times 10 plus unit noise at n = 32 and 34, and the
+        shaped least favorable signal plus unit noise at n = 32."""
+        from l0spline.experiments import build_signal
+
+        shaped = build_signal("shaped_lf", 32, 1, 3, 1.0).values
+        for seed in range(2):
+            rng = np.random.default_rng([75, seed])
+            for n in (32, 34):
+                member, _, _ = sample_shape_member(rng, 1, 3, n)
+                yield 10.0 * member + rng.normal(size=n), 1, 3
+            yield shaped + rng.normal(size=32), 1, 3
+
+    def test_one_vector_per_chunk_matches_scan(self, monkeypatch):
+        """A chunk of one knot vector (k + 1 pairs) applies the stop rule
+        at every vector boundary."""
+        import l0spline.shape as shape
+
+        cases = [*TestShapeScreen._cases(200),
+                 *TestShapeScreen._cases(12, key=74, ks=(4, 5), spread=5),
+                 *self._benchmark_inputs()]
+        for y, d, k in cases:
+            monkeypatch.setattr(shape, "_PAIR_CHUNK", k + 1)
+            TestShapeScreen.assert_same(shape_lse(y, d, k),
+                                        orc.shape_pair_scan(y, d, k))
+
+    def test_bound_holds(self):
+        """lb[v] is the (d, d - 1) spline cost at v's distinct knots, and
+        no pivot of v screens below it."""
+        from l0spline.shape import _nnls_screen, _spline_cost
+
+        checked = 0
+        for y, d, k in TestNnlsScreen._cases(60):
+            n, yy = y.size, float(y @ y)
+            F, y_perp, idx, dual_tol = TestNnlsScreen._screen(y, d, k)
+            knots = np.array(list(iter_knot_vectors(n, k, d)))
+            lb = _spline_cost(F, y_perp, knots)
+            score = _nnls_screen(F, y_perp, idx, dual_tol)
+            assert np.all(score.reshape(-1, k + 1)
+                          >= lb[:, None] - 1e-12 * yy)
+            for v, kv in enumerate(knots.tolist()):
+                X = orc.truncated_power_design(n, d, d - 1, sorted(set(kv)))
+                r = y - X @ np.linalg.lstsq(X, y, rcond=None)[0]
+                assert abs(lb[v] - r @ r) <= 1e-9 * yy
+            checked += knots.shape[0]
+        assert checked > 2_000
+
+    def test_prunes_most_pairs(self, monkeypatch):
+        """On a convex member with noise, fewer than half of the pairs
+        reach the screen, and the winner is one of them."""
+        import l0spline.shape as shape
+
+        screened = []
+        screen = shape._nnls_screen
+
+        def counting(F, y, idx, *args, **kwargs):
+            screened.extend(map(tuple, idx.tolist()))
+            return screen(F, y, idx, *args, **kwargs)
+
+        monkeypatch.setattr(shape, "_nnls_screen", counting)
+        rng = np.random.default_rng(76)
+        member, _, _ = sample_shape_member(rng, 1, 3, 32)
+        fit = shape_lse(10.0 * member + rng.normal(size=32), 1, 3)
+        assert count_knot_vectors(32, 3, 1) * 4 == 1872
+        assert len(screened) < 1872 // 2
+        cols = shape._pair_columns(np.array([fit.knots.knots]), 32)
+        assert tuple(cols[fit.canonical.j_star].tolist()) in screened
 
 
 class TestShapeScaleInvariance:
