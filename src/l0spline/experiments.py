@@ -27,7 +27,7 @@ from .model import (
     raw_basis,
 )
 from .solvers import PenaltySpec, adaptive_fit, fit_fixed_k
-from .shape import shape_lse
+from .shape import _check_envelope, shape_lse
 
 __all__ = [
     "ExperimentConfig",
@@ -600,7 +600,7 @@ def mc_risk(config: ExperimentConfig, estimator: str,
     Cells whose signal construction or solve fails are marked failed
     and carry the error message; the rest of the grid still runs.
     `shape_lse` fits the d-monotone cone, whose smoothness is d0 = d - 1,
-    so it refuses any other d0 up front.
+    so it refuses any other d0 up front, and any d above its envelope.
     """
     if estimator not in ESTIMATORS:
         raise ValidationError(
@@ -609,6 +609,8 @@ def mc_risk(config: ExperimentConfig, estimator: str,
         raise ValidationError(
             f"shape_lse fits the d-monotone cone, whose smoothness is "
             f"d0 = d - 1 = {config.d - 1}; got d0 = {config.d0}")
+    if estimator == "shape_lse":
+        _check_envelope(config.d)
     rows = []
     for idx, n in enumerate(config.n_grid):
         rate_ll = config.k * _loglog(16 * n / config.k)

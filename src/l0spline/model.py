@@ -13,6 +13,7 @@ at x = i/n for i in 1..n.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -489,6 +490,24 @@ def _rescore(score: np.ndarray, tol: float, cost, key) -> tuple:
 # array entries in one chunk of the knot screen: the deflated candidate
 # blocks of a batch of sibling prefixes, 256 KB of doubles
 _SCREEN_BLOCK = 1 << 15
+# per thread, one chunk buffer per depth of the screen's prefix walk, kept
+# between calls: a chunk freed at the end of every call would go back to
+# the operating system and cost a page fault per page on the next
+_chunks = threading.local()
+
+
+def _chunk_buffer(depth: int, size: int) -> np.ndarray:
+    """size doubles for a chunk of the screen at depth, from the kept
+    buffer when size fits in _SCREEN_BLOCK entries."""
+    if size > _SCREEN_BLOCK:
+        return np.empty(size)
+    kept = getattr(_chunks, "buffers", None)
+    if kept is None:
+        kept = _chunks.buffers = {}
+    buf = kept.get(depth)
+    if buf is None or buf.size < size:
+        buf = kept[depth] = np.empty(_SCREEN_BLOCK)
+    return buf[:size]
 
 
 def _knot_columns(n, d, d0, knots) -> np.ndarray:
@@ -516,7 +535,9 @@ class _KnotScreen:
     slice the candidates from the chunk's first allowed knot on, as
     ||r||^2 less the squared projection of r on each candidate's block.
     The blocks kept for deflation take O(n^2 (d - d0)) memory from k = 3
-    on; below that the candidates are scored a chunk at a time.
+    on; below that the candidates are scored a chunk at a time.  Each
+    depth of the walk deflates into one buffer kept between calls
+    (_chunk_buffer), so a warm call takes no page faults for its chunks.
 
     The scores match the per-set least squares costs up to rounding only,
     so callers rescore the sets near the best with their own arithmetic
@@ -581,10 +602,13 @@ class _KnotScreen:
             # project each child's block out of the candidates after it
             Bc = B[a + gap - lo:].reshape(c * p, n)
             G = Bc @ Q.reshape(g * p, n).T
+            D = _chunk_buffer(len(prefix), g * c * p * n).reshape(
+                g, c * p, n)
             if p == 1:   # outer products, faster broadcast than matmul
-                D = G.T[:, :, None] * Q
+                np.multiply(G.T[:, :, None], Q, out=D)
             else:
-                D = G.reshape(c * p, g, p).transpose(1, 0, 2) @ Q
+                np.matmul(G.reshape(c * p, g, p).transpose(1, 0, 2), Q,
+                          out=D)
             np.subtract(Bc, D, out=D)
             Bg = D.reshape(g, c, p, n)
             base = len(self._prefixes)
@@ -623,6 +647,20 @@ class _KnotScreen:
         if self._last[j]:
             inner = inner + (int(self._last[j]),)
         return _pad_knots((0,) + inner + (self.n,), self.k)
+
+    def inner_knots(self) -> np.ndarray:
+        """The inner knots of every set in increasing order, one row of
+        k - 1 per set, padded with n."""
+        n = self.n
+        pre = np.full((len(self._prefixes), self.k - 1), n, dtype=np.intp)
+        for i, prefix in enumerate(self._prefixes):
+            pre[i, :len(prefix)] = prefix
+        out = pre[self._owner]
+        if self.k > 1:   # the last knot goes after its prefix's
+            at = np.array([len(p) for p in self._prefixes])[self._owner]
+            out[np.arange(out.shape[0]), at] = np.where(
+                self._last > 0, self._last, n)
+        return out
 
     def within(self, bound: float) -> list:
         """Knot vectors of the sets screened at or below bound, in

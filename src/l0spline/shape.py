@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -22,11 +23,11 @@ from .model import (
     _SCREEN_TOL,
     _check_budget,
     _rescore,
+    _KnotScreen,
     KnotVector,
     ModelParams,
     SignalVector,
     count_knot_vectors,
-    iter_knot_vectors,
     validate_knots,
 )
 from .solvers import FitResult
@@ -45,11 +46,12 @@ __all__ = [
 
 _DUAL_TOL = 1e-10
 # (knots, pivot) pairs screened per batched solve; their gathered columns
-# take 256 (k + 1) n doubles, 256 KB at n = 32, k = 3
+# take 256 (k + 1) n doubles, 256 KB at n = 32, k = 3.  A chunk of knot
+# sets holds _PAIR_CHUNK // (k + 1) sets.
 _PAIR_CHUNK = 256
-# array entries in one batched QR of the knot-vector bounds, 1 MB of
-# doubles: every vector at n = 32, k = 3
-_BOUND_BLOCK = 1 << 17
+# shape_lse prunes on _KnotScreen scores, whose rounding is held within
+# the rescoring tolerance of the exact costs up to this degree only
+_SHAPE_MAX_DEGREE = 3
 
 
 @dataclass(frozen=True)
@@ -267,6 +269,8 @@ def _nnls_screen(F: np.ndarray, y: np.ndarray, idx: np.ndarray,
     """
     n = y.size
     pairs, k = idx.shape
+    if not k:
+        return np.full(pairs, float(y @ y))
     if max_iter is None:
         max_iter = 100 * max(k, 1)
     # rows padded with zeros to k + 1, so the QR keeps its last row
@@ -365,6 +369,18 @@ class _ConeProblem:
         return self.project(np.hstack([
             (-1.0) ** (d + 1) * _left_hinge(i, pos, n, d),
             _right_hinge(i, pos, n, d)]))
+
+    def set_cone(self, F: np.ndarray):
+        """Columns and target of the one cone of a knot set.  With the
+        free block, the right hinge at 0 (column n + 1 of F, from
+        hinges()) is the monomial of degree d, which the set's cone
+        leaves free, so the right hinges at knots 0..n and y_perp are
+        projected off it too.  Column t is then the right hinge at t off
+        every polynomial of degree <= d; column n is zero."""
+        n = self.y.size
+        H = F[:, n + 1:]
+        q = H[:, 0] / np.linalg.norm(H[:, 0])
+        return H - np.outer(q, q @ H), self.y_perp - q * (q @ self.y_perp)
 
     def fit(self, kv: KnotVector, j_star: int):
         """Canonical representation, fitted values and SSE of the cone
@@ -500,32 +516,39 @@ def _canonical_from_nondecreasing(theta: np.ndarray, k: int) -> MonotoneCanonica
 
 def shape_lse(y, d: int, k: int,
               budget: int = DEFAULT_BUDGET) -> ShapeFitResult:
-    """Exact least squares over the d-monotone class with <= k pieces.
+    """Exact least squares over the d-monotone class with <= k pieces,
+    for d <= _SHAPE_MAX_DEGREE.
 
     Enumerates knot vectors and pivots; ties go to the lexicographically
     smallest knot vector, then the smallest pivot.  For d = 0 with k >= n
     the problem is plain isotonic regression and is solved by pooling.
 
-    Otherwise pairs are screened by branch and bound over knot vectors.
-    A left hinge at t is (-1)^d ((x - t)^d - right hinge at t), so with
-    the free block the right hinges at knots[0..k-1] (pivot 0's columns)
-    span every pivot's columns, and their least squares cost lb[v]
-    (_spline_cost) bounds every pivot's cone cost at knot vector v from
-    below.  Vectors are screened (_nnls_screen) in increasing lb, all
-    k + 1 pivots together, _PAIR_CHUNK pairs per chunk, until a chunk's
-    least lb exceeds the least score so far (the incumbent) by more than
-    tol = _SCREEN_TOL * ||y||^2.  Pairs never screened score +inf, and
-    _rescore refits only the pairs scored near the best.
+    Otherwise the search runs over knot sets.  A sign-flipped left hinge
+    at t is the right hinge at t less a polynomial of degree d, so the
+    union of the k + 1 pivot cones at a knot vector is one cone: a free
+    polynomial of degree <= d plus nonnegative right hinges at the
+    vector's distinct inner knots (Meyer 2008).  Its least squares cost
+    is the least pivot cost, and the set's unconstrained (d, d - 1)
+    spline cost, its _KnotScreen score, bounds it from below.  The sets'
+    cones are screened (_nnls_screen) in increasing score,
+    _PAIR_CHUNK // (k + 1) sets per chunk, until a chunk's least score
+    exceeds the least cone cost so far (the incumbent) by more than
+    tol = _SCREEN_TOL * ||y||^2.  Each set whose cone screens within tol
+    of the incumbent expands into every knot vector that realizes it
+    times every pivot; those pairs are screened, and _rescore refits the
+    ones scored near the best.
 
-    The pruning is exact.  With eps the screen's rounding (about
-    1e-12 ||y||^2), a pruned pair costs at least lb - eps > incumbent +
-    tol - eps >= (least cost) + tol - 2 eps, so it can neither win nor
-    tie.  Results are bit-identical to fitting every pair; the budget
-    counts every pair.
+    The pruning is exact.  With eps the screens' rounding (about
+    1e-12 ||y||^2 at d <= 3), the winning pair costs the least cone cost
+    up to eps, and its set's cone costs no more, so the set scores below
+    incumbent + tol, is screened within tol of the incumbent and is
+    expanded.  Results are bit-identical to fitting every pair; the
+    budget counts every pair.
     """
     y = np.asarray(y, dtype=float)
     n = y.size
     _check_degree(d)
+    _check_envelope(d)
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if n < d + 1:
@@ -542,26 +565,30 @@ def shape_lse(y, d: int, k: int,
     # y, the hinges and their dual tolerances do not depend on the pair
     cone = _ConeProblem(y, d)
     F, y_perp = cone.hinges(), cone.y_perp
-    dual_tol = _dual_tols(F, y_perp)
-    vectors = list(iter_knot_vectors(n, k, d))
-    knots = np.array(vectors, dtype=np.intp)
-    per = max(1, _BOUND_BLOCK // ((k + 1) * n))
-    lb = np.concatenate([_spline_cost(F, y_perp, knots[s:s + per])
-                         for s in range(0, len(vectors), per)])
+    H, y_set = cone.set_cone(F)
+    screen = _KnotScreen(y, d, d - 1, k)
+    sets = screen.inner_knots()
     tol = _SCREEN_TOL * float(y @ y)
-    order = np.argsort(lb, kind="stable")
+    set_tol = _dual_tols(H, y_set)
+    order = np.argsort(screen.score, kind="stable")
     step = max(1, _PAIR_CHUNK // (k + 1))
-    score = np.full((len(vectors), k + 1), np.inf)
+    cost = np.full(order.size, np.inf)
     incumbent = np.inf
     for s in range(0, order.size, step):
         chunk = order[s:s + step]
-        if lb[chunk[0]] > incumbent + tol:
+        if screen.score[chunk[0]] > incumbent + tol:
             break
-        score[chunk] = _nnls_screen(
-            F, y_perp, _pair_columns(knots[chunk], n),
-            dual_tol).reshape(-1, k + 1)
-        incumbent = min(incumbent, float(score[chunk].min()))
+        cost[chunk] = _nnls_screen(H, y_set, sets[chunk], set_tol)
+        incumbent = min(incumbent, float(cost[chunk].min()))
 
+    # every pair of the sets near the incumbent, keyed in scan order
+    vectors = sorted(v for j in np.flatnonzero(cost <= incumbent + tol)
+                     for v in _realizations(sets[j], n, k))
+    knots = np.array(vectors, dtype=np.intp)
+    dual_tol = _dual_tols(F, y_perp)
+    score = np.concatenate([
+        _nnls_screen(F, y_perp, _pair_columns(knots[s:s + step], n),
+                     dual_tol) for s in range(0, len(vectors), step)])
     fits = {}
 
     def sse(p):
@@ -569,32 +596,24 @@ def shape_lse(y, d: int, k: int,
         fits[p] = cone.fit(KnotVector(vectors[v], d), j_star)
         return fits[p][2]
 
-    _, best = _rescore(score.ravel(), tol, sse, lambda p: p)
+    _, best = _rescore(score, tol, sse, lambda p: p)
     return _shape_result(*fits[best])
 
 
-def _spline_cost(F: np.ndarray, y: np.ndarray,
-                 knots: np.ndarray) -> np.ndarray:
-    """||y - proj y||^2 onto the right hinges at knots[0..k-1], for
-    every knot vector (one per row), by one batched QR.
+def _check_envelope(d: int) -> None:
+    if d > _SHAPE_MAX_DEGREE:
+        raise ValidationError(
+            f"shape_lse supports d <= {_SHAPE_MAX_DEGREE}, got d = {d}")
 
-    The columns of the distinct knots below n come first, then y, so the
-    cost is the squared diagonal entry at y; a zero or repeated column
-    ahead of y would let the QR take a direction out of y's residual.
-    """
-    n = y.size
-    v, k = knots.shape[0], knots.shape[1] - 1
-    head = knots[:, :k]
-    keep = head < n
-    keep[:, 1:] &= head[:, 1:] != head[:, :-1]
-    m = keep.sum(axis=1)
-    rows, slots = np.nonzero(keep)
-    cols = np.zeros((v, k + 1, max(n, k + 1)))
-    cols[rows, np.cumsum(keep, axis=1)[rows, slots] - 1, :n] = (
-        F.T[n + 1 + head[rows, slots]])
-    cols[np.arange(v), m, :n] = y
-    R = np.linalg.qr(cols.transpose(0, 2, 1), mode="r")
-    return R[np.arange(v), m, m] ** 2
+
+def _realizations(inner: np.ndarray, n: int, k: int):
+    """Every knot vector with k pieces whose distinct knots are 0, the
+    inner knots below n, and n: each knot repeated once or more."""
+    distinct = (0, *(int(t) for t in inner if t < n), n)
+    for cuts in combinations(range(1, k + 1), len(distinct) - 1):
+        bounds = (0, *cuts, k + 1)
+        yield tuple(t for t, lo, hi in zip(distinct, bounds, bounds[1:])
+                    for _ in range(hi - lo))
 
 
 def _pair_columns(knots: np.ndarray, n: int) -> np.ndarray:

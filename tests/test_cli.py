@@ -259,6 +259,15 @@ class TestShapefitCommand:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_degree_above_envelope_is_an_error(self, tmp_path, capsys):
+        p = tmp_path / "y40.csv"
+        p.write_text("\n".join(str(v) for v in range(40)) + "\n")
+        code, out, err = run_cli(["shapefit", "--input", str(p), "--d", "4",
+                                  "--k", "2"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "d <= 3" in err
+
 
 class TestSparseCommand:
     def test_hat_function(self, capsys):
@@ -343,6 +352,15 @@ class TestGridCommands:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "d0 = d - 1" in err
+
+    def test_shape_risk_refuses_degree_above_envelope(self, capsys):
+        code, out, err = run_cli(["mc-risk", "--d", "4", "--d0", "3",
+                                  "--k", "2", "--n-grid", "16", "--reps",
+                                  "2", "--seed", "1", "--signal", "zero",
+                                  "--estimator", "shape_lse"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "d <= 3" in err
 
     def test_custom_signal_requires_input(self, capsys):
         code, _, err = run_cli(["mc-risk", "--d", "0", "--d0", "-1", "--k",

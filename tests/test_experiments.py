@@ -460,6 +460,13 @@ class TestMcRisk:
         with pytest.raises(ValidationError, match="d0 = d - 1"):
             mc_risk(config, "shape_lse")
 
+    def test_shape_lse_degree_envelope(self):
+        # shape_lse prunes on the knot screen, held to tol up to d = 3
+        config = ExperimentConfig(n_grid=(16,), d=4, d0=3, k=2, reps=1,
+                                  master_seed=1, signal_kind="zero")
+        with pytest.raises(ValidationError, match="d <= 3"):
+            mc_risk(config, "shape_lse")
+
     def test_adaptive_estimator_runs(self):
         config = ExperimentConfig(n_grid=(48,), d=0, d0=-1, k=3, reps=3,
                                   master_seed=31,

@@ -250,6 +250,12 @@ class TestShapeLse:
         with pytest.raises(ValidationError):
             shape_lse(np.ones(6), d=d, k=k)
 
+    @pytest.mark.parametrize("d", [4, 5, 9])
+    def test_degree_envelope(self, d):
+        # the knot screen's rounding is held to tol only up to d = 3
+        with pytest.raises(ValidationError, match="d <= 3"):
+            shape_lse(np.random.default_rng(d).normal(size=40), d=d, k=2)
+
     def test_budget_guard(self):
         from l0spline.errors import BudgetExceededError
 
@@ -398,10 +404,42 @@ class TestNnlsScreen:
         _nnls_screen(F, y_perp, idx, dual_tol, max_iter=2)
 
 
+class TestOneCone:
+    """At fixed knots the union of the k + 1 pivot cones is one cone: a
+    free polynomial of degree <= d plus nonnegative right hinges at the
+    distinct inner knots.  shape_lse's walk over knot sets rests on it."""
+
+    def test_least_pivot_cost_is_the_set_cone_cost(self):
+        from scipy.optimize import nnls as scipy_nnls
+
+        checked = 0
+        for y, d, k in TestShapeScreen._cases(200):
+            n, yy = y.size, float(y @ y)
+            for knots in iter_knot_vectors(n, k, d):
+                kv = KnotVector(knots, d)
+                least = min(fit_shape_given_knots(y, d, kv, j_star).sse
+                            for j_star in range(k + 1))
+                # the set's distinct nonzero hinge columns, off the free
+                # polynomial; scipy's residual is recomputed
+                inner = sorted({t for t in knots if 0 < t < n})
+                X = orc.truncated_power_design(n, d, d - 1, (0, *inner, n))
+                Q, _ = np.linalg.qr(X[:, :d + 1])
+                r = y - Q @ (Q.T @ y)
+                A = X[:, d + 1:] - Q @ (Q.T @ X[:, d + 1:])
+                if A.shape[1]:
+                    r = r - A @ scipy_nnls(A, r)[0]
+                assert abs(least - r @ r) <= 1e-12 * yy
+                checked += 1
+        assert checked > 3_000
+
+
 class TestShapePruning:
-    """shape_lse screens knot vectors in increasing order of their smooth
-    spline cost, which bounds every pivot's cone cost from below, and
-    stops once no bound comes within tol of the least score so far."""
+    """shape_lse screens the cone of each knot set in increasing order of
+    the set's smooth spline cost, its _KnotScreen score, which bounds the
+    cone cost of every pivot of every knot vector on the set from below.
+    It stops once no bound comes within tol of the least cone cost so
+    far, and expands only the sets whose cone cost lies within tol of
+    it into (knots, pivot) pairs."""
 
     @staticmethod
     def _benchmark_inputs():
@@ -419,8 +457,9 @@ class TestShapePruning:
             yield shaped + rng.normal(size=32), 1, 3
 
     def test_one_vector_per_chunk_matches_scan(self, monkeypatch):
-        """A chunk of one knot vector (k + 1 pairs) applies the stop rule
-        at every vector boundary."""
+        """A _PAIR_CHUNK of k + 1 pairs makes chunks of one knot set, so
+        the stop rule applies at every set boundary, and screens the
+        expanded pairs one knot vector at a time."""
         import l0spline.shape as shape
 
         cases = [*TestShapeScreen._cases(200),
@@ -432,46 +471,62 @@ class TestShapePruning:
                                         orc.shape_pair_scan(y, d, k))
 
     def test_bound_holds(self):
-        """lb[v] is the (d, d - 1) spline cost at v's distinct knots, and
-        no pivot of v screens below it."""
-        from l0spline.shape import _nnls_screen, _spline_cost
+        """The bound of knot vector v is the _KnotScreen score of v's
+        distinct inner knots, the (d, d - 1) spline cost there, and
+        neither v's set cone nor any pivot of v screens below it."""
+        from l0spline.model import _KnotScreen
+        from l0spline.shape import _ConeProblem, _dual_tols, _nnls_screen
 
         checked = 0
         for y, d, k in TestNnlsScreen._cases(60):
             n, yy = y.size, float(y @ y)
             F, y_perp, idx, dual_tol = TestNnlsScreen._screen(y, d, k)
-            knots = np.array(list(iter_knot_vectors(n, k, d)))
-            lb = _spline_cost(F, y_perp, knots)
-            score = _nnls_screen(F, y_perp, idx, dual_tol)
-            assert np.all(score.reshape(-1, k + 1)
-                          >= lb[:, None] - 1e-12 * yy)
-            for v, kv in enumerate(knots.tolist()):
-                X = orc.truncated_power_design(n, d, d - 1, sorted(set(kv)))
+            score = _nnls_screen(F, y_perp, idx, dual_tol).reshape(-1, k + 1)
+            screen = _KnotScreen(y, d, d - 1, k)
+            sets = screen.inner_knots()
+            H, y_set = _ConeProblem(y, d).set_cone(F)
+            cone = _nnls_screen(H, y_set, sets, _dual_tols(H, y_set))
+            assert np.all(cone >= screen.score - 1e-12 * yy)
+            bound = {tuple(t for t in row if t < n): s
+                     for row, s in zip(sets.tolist(), screen.score)}
+            assert len(bound) == sets.shape[0]
+            for v, kv in enumerate(iter_knot_vectors(n, k, d)):
+                inner = tuple(sorted({t for t in kv if 0 < t < n}))
+                assert np.all(score[v] >= bound[inner] - 1e-12 * yy)
+                X = orc.truncated_power_design(n, d, d - 1, (0, *inner, n))
                 r = y - X @ np.linalg.lstsq(X, y, rcond=None)[0]
-                assert abs(lb[v] - r @ r) <= 1e-9 * yy
-            checked += knots.shape[0]
+                assert abs(bound[inner] - r @ r) <= 1e-9 * yy
+                checked += 1
         assert checked > 2_000
 
     def test_prunes_most_pairs(self, monkeypatch):
-        """On a convex member with noise, fewer than half of the pairs
-        reach the screen, and the winner is one of them."""
+        """On a convex member with noise, fewer than a quarter of the 408
+        knot sets reach the screen, and fewer than 2 % of the 1872 pairs;
+        the winner's set and pair are among them."""
         import l0spline.shape as shape
 
-        screened = []
+        sets, pairs = [], []
         screen = shape._nnls_screen
 
         def counting(F, y, idx, *args, **kwargs):
-            screened.extend(map(tuple, idx.tolist()))
+            # a set's cone has n + 1 columns, the pairs' block 2 (n + 1)
+            (sets if F.shape[1] == 33 else pairs).extend(
+                map(tuple, idx.tolist()))
             return screen(F, y, idx, *args, **kwargs)
 
         monkeypatch.setattr(shape, "_nnls_screen", counting)
         rng = np.random.default_rng(76)
         member, _, _ = sample_shape_member(rng, 1, 3, 32)
         fit = shape_lse(10.0 * member + rng.normal(size=32), 1, 3)
+        assert shape._KnotScreen(np.ones(32), 1, 0, 3).score.size == 408
         assert count_knot_vectors(32, 3, 1) * 4 == 1872
-        assert len(screened) < 1872 // 2
-        cols = shape._pair_columns(np.array([fit.knots.knots]), 32)
-        assert tuple(cols[fit.canonical.j_star].tolist()) in screened
+        assert len(sets) < 408 // 4
+        assert len(pairs) < 1872 // 50
+        knots = fit.knots.knots
+        inner = sorted({t for t in knots if 0 < t < 32})
+        assert tuple(inner + [32] * (2 - len(inner))) in sets
+        cols = shape._pair_columns(np.array([knots]), 32)
+        assert tuple(cols[fit.canonical.j_star].tolist()) in pairs
 
 
 class TestShapeScaleInvariance:
