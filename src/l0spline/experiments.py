@@ -22,6 +22,7 @@ from .model import (
     SignalVector,
     _KnotScreen,
     _check_budget,
+    _finite,
     _rescore,
     count_knot_vectors,
     raw_basis,
@@ -58,13 +59,6 @@ def _loglog(x: float) -> float:
 def _check_reps(reps: int) -> None:
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
-
-
-def _finite_noise(eps) -> np.ndarray:
-    eps = np.asarray(eps, dtype=float)
-    if not np.all(np.isfinite(eps)):
-        raise ValidationError("eps must be finite (no NaN or inf)")
-    return eps
 
 
 def _check_key(what: str, *words: int) -> None:
@@ -123,6 +117,9 @@ class ExperimentConfig:
                 f"{self.signal_kind!r}")
         if self.sigma < 0:
             raise ValidationError(f"sigma must be >= 0, got {self.sigma}")
+        if not all(map(math.isfinite, (self.sigma, self.tau))):
+            raise ValidationError(f"sigma and tau must be finite, got "
+                                  f"sigma={self.sigma}, tau={self.tau}")
         if self.custom_values is not None:
             object.__setattr__(
                 self, "custom_values",
@@ -249,7 +246,7 @@ def lil_statistic(eps, d: int) -> float:
     one row up to a third of them per call.  Refuses NaN and inf
     entries.
     """
-    eps = _finite_noise(eps)
+    eps = _finite(eps, "eps")
     n = eps.size
     if n < 2:
         raise ValidationError(f"need at least 2 observations, got {n}")
@@ -409,10 +406,7 @@ def complexity_width(eps, params: ModelParams,
     configuration count exceeds the budget.  Refuses NaN and inf
     entries.
     """
-    eps = _finite_noise(eps)
-    if eps.size != params.n:
-        raise ValidationError(
-            f"eps has length {eps.size}, expected n={params.n}")
+    eps = _finite(eps, "eps", params.n)
     n, d, d0, k = params.n, params.d, params.d0, params.k
     if d == 0 and d0 == -1 and k in (2, 3):
         return _width_const_k2(eps) if k == 2 else _width_const_k3(eps)

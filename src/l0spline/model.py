@@ -432,6 +432,17 @@ def _check_budget(total: int, budget: int,
             f"{total} {what} exceed the budget of {budget}")
 
 
+def _finite(values, what: str, n: int | None = None) -> np.ndarray:
+    """values as a float array, refused unless it has n entries (when n is
+    given) and every entry is finite."""
+    a = np.asarray(values, dtype=float)
+    if n is not None and a.size != n:
+        raise ValidationError(f"{what} has length {a.size}, expected n={n}")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError(f"{what} must be finite (no NaN or inf)")
+    return a
+
+
 def check_membership(theta, params: ModelParams, tol: float = 1e-8,
                      budget: int = DEFAULT_WIDTH_BUDGET):
     """Decide whether a sequence lies in the class, up to sup-norm tol.
@@ -440,13 +451,11 @@ def check_membership(theta, params: ModelParams, tol: float = 1e-8,
     each set whose screened cost admits a hit, and accepts on the first
     configuration in lexicographic order reproducing theta to within tol
     in every coordinate.  Returns (True, witness spline) or
-    (False, None).  Raises BudgetExceededError when the enumeration would
-    visit more configurations than the budget allows.
+    (False, None).  Refuses NaN and inf entries.  Raises
+    BudgetExceededError when the enumeration would visit more
+    configurations than the budget allows.
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.size != params.n:
-        raise ValidationError(
-            f"theta has length {theta.size}, expected n={params.n}")
+    theta = _finite(theta, "theta", params.n)
     n, d, d0, k = params.n, params.d, params.d0, params.k
     _check_budget(count_knot_vectors(n, k, d), budget)
     # a sup-norm hit has SSE <= n tol^2, so only sets screened below that
@@ -541,9 +550,10 @@ class _KnotScreen:
 
     The scores match the per-set least squares costs up to rounding only,
     so callers rescore the sets near the best with their own arithmetic
-    (_rescore).  Set j is the prefix _prefixes[_owner[j]] followed by
-    _last[j]; a _last of 0 (never an inner knot) stands for the prefix
-    alone.
+    (_rescore; best does it for the least-cost knot vector at any piece
+    count up to k).  Set j is the prefix _prefixes[_owner[j]] followed
+    by _last[j]; a _last of 0 (never an inner knot) stands for the
+    prefix alone.
     """
 
     def __init__(self, y: np.ndarray, d: int, d0: int, k: int):
@@ -648,6 +658,26 @@ class _KnotScreen:
             inner = inner + (int(self._last[j]),)
         return _pad_knots((0,) + inner + (self.n,), self.k)
 
+    def _slots(self) -> np.ndarray:
+        """Each set's prefix length: the slot of its last knot."""
+        return np.array([len(p) for p in self._prefixes])[self._owner]
+
+    def best(self, cost, k: int) -> tuple:
+        """The knot vector with k <= self.k pieces of least cost(knots),
+        ties going to the lexicographically smallest.
+
+        Only the sets of at most k - 1 inner knots take part: the others'
+        scores are masked with +inf before _rescore, which ranks the sets
+        by their knot vectors padded to self.k pieces.  Those vectors
+        order as they do padded to k pieces, so the winner is its vector
+        less the self.k - k leading empties.
+        """
+        score = np.where(self._slots() + (self._last > 0) < k, self.score,
+                         np.inf)
+        _, j = _rescore(score, self.tol, lambda j: cost(self.knots(j)),
+                        self.knots)
+        return self.knots(j)[self.k - k:]
+
     def inner_knots(self) -> np.ndarray:
         """The inner knots of every set in increasing order, one row of
         k - 1 per set, padded with n."""
@@ -657,8 +687,7 @@ class _KnotScreen:
             pre[i, :len(prefix)] = prefix
         out = pre[self._owner]
         if self.k > 1:   # the last knot goes after its prefix's
-            at = np.array([len(p) for p in self._prefixes])[self._owner]
-            out[np.arange(out.shape[0]), at] = np.where(
+            out[np.arange(out.shape[0]), self._slots()] = np.where(
                 self._last > 0, self._last, n)
         return out
 

@@ -22,6 +22,7 @@ from .model import (
     DEFAULT_BUDGET,
     _SCREEN_TOL,
     _check_budget,
+    _finite,
     _rescore,
     _KnotScreen,
     KnotVector,
@@ -453,8 +454,9 @@ def _local_coeffs_from_canonical(rep: MonotoneCanonical) -> tuple:
 
 
 def fit_shape_given_knots(y, d: int, knots, j_star: int) -> ShapeFitResult:
-    """Least squares over the canonical cone at fixed knots and pivot."""
-    y = np.asarray(y, dtype=float)
+    """Least squares over the canonical cone at fixed knots and pivot.
+    Refuses NaN and inf in y."""
+    y = _finite(y, "y")
     n = y.size
     _check_degree(d)
     kv = (knots if isinstance(knots, KnotVector)
@@ -543,9 +545,9 @@ def shape_lse(y, d: int, k: int,
     up to eps, and its set's cone costs no more, so the set scores below
     incumbent + tol, is screened within tol of the incumbent and is
     expanded.  Results are bit-identical to fitting every pair; the
-    budget counts every pair.
+    budget counts every pair.  Refuses NaN and inf in y.
     """
-    y = np.asarray(y, dtype=float)
+    y = _finite(y, "y")
     n = y.size
     _check_degree(d)
     _check_envelope(d)
@@ -638,8 +640,9 @@ def coef_bound_statistic(theta_star, d: int, k: int, knots=None,
     When the member's knots are known they can be passed to skip the
     knot scan; the refit then only searches over pivots, which matches
     the scan result whenever every hinge weight at those knots is active.
+    Refuses NaN and inf entries.
     """
-    theta = np.asarray(theta_star, dtype=float)
+    theta = _finite(theta_star, "theta_star")
     n = theta.size
     nrm = float(np.linalg.norm(theta))
     if nrm == 0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -25,8 +26,8 @@ from .model import (
     SignalVector,
     _KnotScreen,
     _check_budget,
+    _finite,
     _reexpand_coefs,
-    _rescore,
     count_knot_vectors,
     evaluate_spline,
     local_coefficients_from_truncated_power,
@@ -88,6 +89,10 @@ class PenaltySpec:
             raise ValidationError(f"tau must be >= 0, got {self.tau}")
         if not self.sigma > 0:
             raise ValidationError(f"sigma must be > 0, got {self.sigma}")
+        # penalty() squares sigma
+        if not all(map(math.isfinite, (self.tau, self.sigma * self.sigma))):
+            raise ValidationError(f"tau and sigma^2 must be finite, got "
+                                  f"tau={self.tau}, sigma={self.sigma}")
         transition_boundary(self.d, self.d0)
         if self.n < self.d + 1:
             raise ValidationError(
@@ -231,17 +236,6 @@ class _SegmentSweeper:
 # fitting at fixed knots
 # ---------------------------------------------------------------------------
 
-def _series(y, params: ModelParams) -> np.ndarray:
-    """y as a finite float array, checked against the grid size."""
-    y = np.asarray(y, dtype=float)
-    if y.size != params.n:
-        raise ValidationError(
-            f"y has length {y.size}, params expect n={params.n}")
-    if not np.all(np.isfinite(y)):
-        raise ValidationError("y must be finite (no NaN or inf)")
-    return y
-
-
 def _fit_at(y: np.ndarray, d: int, d0: int, knots) -> FitResult:
     """Least squares fit at one knot vector, with coeffs in per-piece local
     storage aligned to the given vector."""
@@ -276,7 +270,7 @@ def _fit_at(y: np.ndarray, d: int, d0: int, knots) -> FitResult:
 
 def fit_given_knots(y, params: ModelParams, knots) -> FitResult:
     """Project y onto the span of the class members with these knots."""
-    y = _series(y, params)
+    y = _finite(y, "y", params.n)
     kv = (knots if isinstance(knots, KnotVector)
           else validate_knots(knots, params.d, params.n))
     if kv.k != params.k:
@@ -361,27 +355,16 @@ def dp_fit(y, params: ModelParams) -> FitResult:
     where the table's costs drift from the refit.
     """
     _solver_for(params, "dp")
-    y = _series(y, params)
+    y = _finite(y, "y", params.n)
     knots = _backtrack(_dp_table(y, params.d, params.k), params.k)
     return _fit_at(y, params.d, -1, knots)
 
 
-def exhaustive_fit(y, params: ModelParams,
-                   budget: int = DEFAULT_BUDGET) -> FitResult:
-    """Scan every valid knot vector with <= k pieces; any d0.
-
-    Refuses with the exact configuration count when it exceeds the budget.
-    The first strictly best configuration in lexicographic order wins, so
-    ties go to the lexicographically smallest knot vector.  Every distinct
-    knot set is screened once and only the sets near the best are costed
-    one by one: by a truncated power lstsq for d0 >= 0, and for d0 = -1 by
-    summing segment_cost over the nonempty pieces, so its ranking shares
-    no code with the dynamic program it checks.
-    """
-    y = _series(y, params)
-    n, d, d0, k = params.n, params.d, params.d0, params.k
-    _check_budget(count_knot_vectors(n, k, d), budget)
-
+def _knot_cost(y: np.ndarray, d: int, d0: int):
+    """The exact cost of a knot vector by which the exhaustive solver ranks
+    the screened sets: a truncated power lstsq for d0 >= 0, and for
+    d0 = -1 segment_cost summed over the nonempty pieces, so that ranking
+    shares no code with the dynamic program it checks."""
     if d0 == -1:
         def cost(knots):
             # a plain running sum: sum() compensates from Python 3.12 on
@@ -392,15 +375,28 @@ def exhaustive_fit(y, params: ModelParams,
             return sse
     else:
         def cost(knots):
-            X = raw_basis(n, d, d0, KnotVector(knots, d).distinct())
+            X = raw_basis(y.size, d, d0, KnotVector(knots, d).distinct())
             coef, _, _, _ = np.linalg.lstsq(X, y, rcond=_RCOND)
             r = y - X @ coef
             return float(r @ r)
+    return cost
 
-    screen = _KnotScreen(y, d, d0, k)
-    _, best = _rescore(screen.score, screen.tol,
-                       lambda j: cost(screen.knots(j)), screen.knots)
-    return _fit_at(y, d, d0, screen.knots(best))
+
+def exhaustive_fit(y, params: ModelParams,
+                   budget: int = DEFAULT_BUDGET) -> FitResult:
+    """Scan every valid knot vector with <= k pieces; any d0.
+
+    Refuses with the exact configuration count when it exceeds the budget.
+    The first strictly best configuration in lexicographic order wins, so
+    ties go to the lexicographically smallest knot vector.  Every distinct
+    knot set is screened once (_KnotScreen) and only the sets near the
+    best are costed one by one (_KnotScreen.best, _knot_cost).
+    """
+    y = _finite(y, "y", params.n)
+    n, d, d0, k = params.n, params.d, params.d0, params.k
+    _check_budget(count_knot_vectors(n, k, d), budget)
+    knots = _KnotScreen(y, d, d0, k).best(_knot_cost(y, d, d0), k)
+    return _fit_at(y, d, d0, knots)
 
 
 def _solver_for(params: ModelParams, solver: str | None) -> str:
@@ -441,9 +437,13 @@ def adaptive_fit(y, params: ModelParams, spec: PenaltySpec,
 
     Minimizes sse(k) + penalty(k) over k in [1; k_max]; ties go to the
     smallest k.  sse(k) comes from the solver fit_fixed_k would use, with
-    its refusals.  The dynamic program runs once, to k_max; every k is
-    backtracked from that one table and refit at its knots, exactly as
-    dp_fit at k would be.
+    its refusals.  That solver's search runs once, to k_max, and serves
+    every k: the dynamic program fills one table (_dp_table), read by
+    _backtrack, and the exhaustive solver screens every knot set once
+    (_KnotScreen), read by _KnotScreen.best.  Every k is refit at the
+    knots it reads, exactly as dp_fit or exhaustive_fit at k would be.
+    The exhaustive solver checks the budget at every k in turn before it
+    screens, so a refusal names the first count over it.
     """
     if k_max is None:
         k_max = default_k_max(params)
@@ -451,25 +451,20 @@ def adaptive_fit(y, params: ModelParams, spec: PenaltySpec,
         raise ValidationError(f"k_max must be >= 1, got {k_max}")
     solver = _solver_for(params, solver)
 
-    y = _series(y, params)
+    y = _finite(y, "y", params.n)
+    d, d0 = params.d, params.d0
     if solver == "dp":
-        table = _dp_table(y, params.d, k_max)
-
-    best = None
-    best_obj = np.inf
-    trace = []
+        knots = partial(_backtrack, _dp_table(y, d, k_max))
+    else:
+        for k in range(1, k_max + 1):
+            _check_budget(count_knot_vectors(params.n, k, d), budget)
+        knots = partial(_KnotScreen(y, d, d0, k_max).best,
+                        _knot_cost(y, d, d0))
+    fits, trace = [], []
     for k in range(1, k_max + 1):
-        if solver == "dp":
-            fit = _fit_at(y, params.d, -1, _backtrack(table, k))
-        else:
-            pk = ModelParams(params.d, params.d0, k, params.n, params.sigma)
-            fit = exhaustive_fit(y, pk, budget=budget)
+        fits.append(_fit_at(y, d, d0, knots(k)))
         pen = penalty(k, spec)
-        obj = fit.sse + pen
-        trace.append((k, fit.sse, pen, obj))
-        if obj < best_obj:
-            best_obj = obj
-            best = fit
-    if with_trace:
-        return best, trace
-    return best
+        trace.append((k, fits[-1].sse, pen, fits[-1].sse + pen))
+    # the first least objective: ties go to the smallest k
+    best = fits[min(range(k_max), key=lambda i: trace[i][3])]
+    return (best, trace) if with_trace else best

@@ -231,6 +231,17 @@ class TestAdaptCommand:
         assert code == 0
         assert json.loads(out)["k_selected"] == 2
 
+    @pytest.mark.parametrize("flags", [["--tau", "nan"], ["--tau", "inf"],
+                                       ["--sigma", "inf"],
+                                       ["--sigma", "1e308", "--tau", "1e10"]])
+    def test_non_finite_penalty_is_an_error(self, step_file, capsys, flags):
+        path, _ = step_file
+        code, out, err = run_cli(["adapt", "--input", path, "--d", "0",
+                                  "--d0", "-1"] + flags, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "must be finite" in err
+
 
 class TestShapefitCommand:
     def test_convex_fit(self, tmp_path, capsys):
@@ -307,6 +318,19 @@ class TestGridCommands:
         assert len(lines) == 3
         first = lines[1].split(",")
         assert first[0] == "16" and first[4] == "l0_fit"
+
+    @pytest.mark.parametrize("flags", [["--sigma", "nan"],
+                                       ["--sigma", "inf"],
+                                       ["--estimator", "adaptive", "--tau",
+                                        "nan"]])
+    def test_risk_refuses_non_finite_sigma_tau(self, capsys, flags):
+        argv = ["mc-risk", "--d", "0", "--d0", "-1", "--k", "2",
+                "--n-grid", "16,32", "--reps", "2", "--seed", "1",
+                "--signal", "zero"] + flags
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "must be finite" in err
 
     def test_risk_rerun_byte_identical(self, tmp_path, capsys):
         argv = ["mc-risk", "--d", "0", "--d0", "-1", "--k", "2",

@@ -406,6 +406,15 @@ class TestExperimentConfig:
             ExperimentConfig(n_grid=(16,), d=0, d0=-1, k=2, reps=1,
                              master_seed=1, signal_kind="step")
 
+    @pytest.mark.parametrize("sigma, tau", [(math.nan, 2.5), (math.inf, 2.5),
+                                            (1.0, math.nan), (1.0, math.inf),
+                                            (1.0, -math.inf)])
+    def test_sigma_and_tau_finite(self, sigma, tau):
+        with pytest.raises(ValidationError, match="finite"):
+            ExperimentConfig(n_grid=(16,), d=0, d0=-1, k=2, reps=1,
+                             master_seed=1, signal_kind="zero", sigma=sigma,
+                             tau=tau)
+
 
 class TestMcRisk:
     def test_noiseless_representable_signal_has_zero_risk(self):

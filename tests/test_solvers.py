@@ -11,6 +11,7 @@ from l0spline import (
     ModelParams,
     ValidationError,
     check_membership,
+    count_knot_vectors,
     evaluate_spline,
     iter_knot_vectors,
     local_coefficients_from_truncated_power,
@@ -18,10 +19,16 @@ from l0spline import (
 )
 from l0spline.experiments import complexity_width
 from l0spline.model import _KnotScreen, _pad_knots, _reexpand_coefs
+from l0spline.shape import (
+    coef_bound_statistic,
+    fit_shape_given_knots,
+    shape_lse,
+)
 from l0spline.solvers import (
     FitResult,
     _backtrack,
     _dp_table,
+    _knot_cost,
     PenaltySpec,
     adaptive_fit,
     default_k_max,
@@ -486,6 +493,12 @@ class TestPenalty:
             PenaltySpec(tau=1.0, sigma=0.0, d=0, d0=-1, n=16)
         with pytest.raises(ValidationError):
             penalty(0, PenaltySpec(tau=1.0, sigma=1.0, d=0, d0=-1, n=16))
+        # non-finite multipliers, and a sigma whose square overflows
+        for tau, sigma in [(math.nan, 1.0), (math.inf, 1.0),
+                           (1.0, math.nan), (1.0, math.inf),
+                           (1e10, 1e308), (0.0, 1e200)]:
+            with pytest.raises(ValidationError):
+                PenaltySpec(tau=tau, sigma=sigma, d=0, d0=-1, n=16)
 
 
 class TestAdaptiveFit:
@@ -607,9 +620,84 @@ class TestSingleTable:
             adaptive_fit(np.zeros(7), p, spec)
 
 
+class TestSingleScreen:
+    """The exhaustive path of adaptive_fit reads every k from one knot
+    screen built for k_max; each k must read exactly what exhaustive_fit
+    at that k returns."""
+
+    @pytest.mark.parametrize("kind", ["noise", "zero", "rounded"])
+    @pytest.mark.parametrize("d, d0", [(0, -1), (1, -1), (1, 0), (2, -1),
+                                       (2, 0), (2, 1)])
+    def test_trace_matches_exhaustive_fit_at_every_k(self, kind, d, d0):
+        n = 11
+        rng = np.random.default_rng(90 + 3 * d + d0)
+        y = {"noise": rng.standard_normal(n), "zero": np.zeros(n),
+             "rounded": np.round(rng.standard_normal(n))}[kind]
+        k_max = n // (d + 1) + 2
+        p = ModelParams(d=d, d0=d0, k=1, n=n)
+        spec = PenaltySpec(tau=0.5, sigma=1.0, d=d, d0=d0, n=n)
+        fr, trace = adaptive_fit(y, p, spec, k_max=k_max,
+                                 solver="exhaustive", with_trace=True)
+        assert [row[0] for row in trace] == list(range(1, k_max + 1))
+        screen = _KnotScreen(y, d, d0, k_max)
+        cost = _knot_cost(y, d, d0)
+        for k, sse, _, _ in trace:
+            ref = exhaustive_fit(y, ModelParams(d=d, d0=d0, k=k, n=n))
+            assert sse == ref.sse
+            assert screen.best(cost, k) == ref.knots.knots
+        ref = exhaustive_fit(y, ModelParams(d=d, d0=d0, k=fr.k_selected,
+                                            n=n))
+        assert fr.knots == ref.knots
+        assert fr.sse == ref.sse
+        assert fr.coeffs == ref.coeffs
+        assert np.array_equal(fr.theta_hat.values, ref.theta_hat.values)
+
+    def test_one_screen_per_call(self, monkeypatch):
+        import l0spline.solvers as solvers
+
+        made = []
+
+        class Counting(solvers._KnotScreen):
+            def __init__(self, *args):
+                made.append(args[1:])
+                super().__init__(*args)
+
+        monkeypatch.setattr(solvers, "_KnotScreen", Counting)
+        n = 30
+        y = np.random.default_rng(91).standard_normal(n)
+        for d0, solver in [(0, None), (-1, "exhaustive")]:
+            made.clear()
+            spec = PenaltySpec(tau=2.5, sigma=1.0, d=1, d0=d0, n=n)
+            adaptive_fit(y, ModelParams(d=1, d0=d0, k=1, n=n), spec,
+                         k_max=4, solver=solver)
+            assert made == [(1, d0, 4)]
+
+    def test_budget_refusal_names_first_k_over(self, monkeypatch):
+        """Every k is checked before the screen is built, in order, so the
+        refusal names the count at the first k over the budget."""
+        import l0spline.solvers as solvers
+
+        def no_screen(*args):
+            raise AssertionError("screen built before the budget check")
+
+        monkeypatch.setattr(solvers, "_KnotScreen", no_screen)
+        n = 40
+        # the default k_max is 6; k = 4 is the first over, k = 5 and 6 too
+        assert [count_knot_vectors(n, k, 1) for k in (3, 4, 5)] == [
+            744, 9291, 85776]
+        spec = PenaltySpec(tau=2.5, sigma=1.0, d=1, d0=0, n=n)
+        with pytest.raises(BudgetExceededError) as err:
+            adaptive_fit(np.random.default_rng(92).standard_normal(n),
+                         ModelParams(d=1, d0=0, k=1, n=n), spec,
+                         budget=5000)
+        assert str(err.value) == (
+            "9291 knot configurations exceed the budget of 5000")
+
+
 class TestNonFiniteInput:
     """Every fitting entry point refuses NaN or inf in y before any work,
-    without numpy warnings on the way."""
+    without numpy warnings on the way, and so do the shape fits and the
+    membership test."""
 
     @pytest.fixture(autouse=True)
     def _warnings_are_errors(self):
@@ -648,6 +736,29 @@ class TestNonFiniteInput:
             adaptive_fit(self._bad(20, np.nan),
                          ModelParams(d=1, d0=d0, k=1, n=20), spec, k_max=3,
                          solver=solver)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_fit_shape_given_knots(self, value):
+        with pytest.raises(ValidationError, match="finite"):
+            fit_shape_given_knots(self._bad(20, value), 0, (0, 10, 20), 1)
+
+    @pytest.mark.parametrize("d, value", [(0, np.nan), (1, np.nan),
+                                          (2, -np.inf)])
+    def test_shape_lse(self, d, value):
+        with pytest.raises(ValidationError, match="finite"):
+            shape_lse(self._bad(20, value), d, 2)
+
+    @pytest.mark.parametrize("knots", [None, (0, 10, 20)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_coef_bound_statistic(self, knots, value):
+        with pytest.raises(ValidationError, match="finite"):
+            coef_bound_statistic(self._bad(20, value), 1, 2, knots=knots)
+
+    @pytest.mark.parametrize("d0, value", [(-1, np.inf), (0, np.nan)])
+    def test_check_membership(self, d0, value):
+        with pytest.raises(ValidationError, match="finite"):
+            check_membership(self._bad(20, value),
+                             ModelParams(d=1, d0=d0, k=2, n=20))
 
 
 class TestDpDegreeEnvelope:
