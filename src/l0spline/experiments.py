@@ -191,34 +191,48 @@ def _lag_bands(n: int, arrays):
     arrays[j] over e in [r + lag, min(r + lag + width - 1, n)], for
     every row r in [0, n - lag].  The width is 1 below lag
     2 * _SUB_BANDS and doubles each time the lag reaches 2 * _SUB_BANDS
-    widths, so each octave of lags has _SUB_BANDS bands.  Only the
-    sliding maxima over windows of the current width are kept; bands
-    clipped by n use suffix maxima.
+    widths, so each octave of lags has _SUB_BANDS bands.  One array per
+    width and input holds at e the max over [e, min(e + width - 1, n)]:
+    the sliding maxima of that width, then suffix maxima where n clips
+    the window.  A band's maxima are views into it from e = lag on, so
+    the caller must not write to them.
     """
-    win = list(arrays)
+    win = ext = list(arrays)
     suf = [np.maximum.accumulate(a[::-1])[::-1] for a in win]
     lag = width = 1
     while lag <= n:
-        full = max(0, n + 2 - lag - width)   # rows whose band ends by n
-        yield lag, width, [np.concatenate([w[lag:lag + full],
-                                           sx[lag + full:]])
-                           for w, sx in zip(win, suf)]
+        yield lag, width, [e[lag:] for e in ext]
         lag += width
-        if lag == 2 * _SUB_BANDS * width:
+        if lag == 2 * _SUB_BANDS * width and lag <= n:
             win = [np.maximum(w[:-width], w[width:]) for w in win]
             width *= 2
+            ext = [np.concatenate([w, sx[n + 2 - width:]])
+                   for w, sx in zip(win, suf)]
 
 
 def _pruned_max(best: float, rows, bound, row) -> float:
     """max(best, row(r) for r in rows), given bound[i] >= row(rows[i]).
 
-    Rows are visited in decreasing order of their bound, and the scan
-    stops at the first bound at or below the best value so far: no row
-    left can raise the maximum, so the result is the float the full scan
-    returns.  A NaN bound counts as unbounded.
+    Rows are visited in decreasing order of their bound, the first index
+    first among equal bounds, and the scan stops at the first bound at
+    or below the best value so far: no row left can raise the maximum,
+    so the result is the float the full scan returns.  A NaN bound
+    counts as unbounded.  No full sort is needed for that order: the
+    first row is the first argmax, and after it only the rows whose
+    bound is not at or below the best value can be visited, so only
+    those are sorted.
     """
     bound = np.where(np.isnan(bound), math.inf, bound)
-    for i in np.argsort(-bound, kind="stable"):
+    if not bound.size:
+        return float(best)
+    first = int(np.argmax(bound))
+    if bound[first] <= best:
+        return float(best)
+    best = max(best, row(int(rows[first])))
+    keep = ~(bound <= best)
+    keep[first] = False
+    left = np.flatnonzero(keep)
+    for i in left[np.argsort(-bound[left], kind="stable")]:
         if bound[i] <= best:
             break
         best = max(best, row(int(rows[i])))
@@ -258,9 +272,17 @@ def lil_statistic(eps, d: int) -> float:
     def row(n1):
         length = n - n1
         num = np.cumsum(pow_table[1:length + 1] * eps[n1:])
-        lens = np.arange(1, length + 1)
-        den = pow_table[lens] * sqrt_table[np.minimum(n1 + lens, length)]
-        return float(np.max(np.abs(num) / den))
+        np.abs(num, out=num)
+        # the divisor is w_L sqrt(min(n1 + L, length)), w_L = L^d: the
+        # minimum is n1 + L up to L = h and length after
+        h = max(0, length - n1)
+        head, tail = sqrt_table[n1 + 1:n1 + 1 + h], sqrt_table[length]
+        if d:
+            head = pow_table[1:h + 1] * head
+            tail = pow_table[h + 1:length + 1] * tail
+        num[:h] /= head
+        num[h:] /= tail
+        return float(np.max(num))
 
     return _pruned_max(0.0, np.arange(1, n), _lil_bound(eps, d, pow_table),
                        row)
@@ -285,6 +307,7 @@ def _lil_bound(eps: np.ndarray, d: int, pow_table: np.ndarray) -> np.ndarray:
     """
     n = eps.size
     s = np.concatenate([[0.0], np.cumsum(eps)])
+    root = np.sqrt(np.arange(n + 1, dtype=float))
     total = float(np.sum(np.abs(eps)))
     # the bound needs the row arithmetic free of overflow; past that,
     # every row is evaluated
@@ -303,22 +326,39 @@ def _lil_bound(eps: np.ndarray, d: int, pow_table: np.ndarray) -> np.ndarray:
             dev = np.maximum(s_hi - s[:m], s[:m] + s_lo)
         else:
             if band_w != width:
-                moments = [moments[p][:-width] + sum(
-                    binom[p][q] * float(width) ** (p - q) * moments[q][width:]
-                    for q in range(p + 1)) for p in range(d + 1)]
+                moments = [moments[p][:-width]
+                           + _shifted(moments, binom[p], width)
+                           for p in range(d + 1)]
                 width = band_w
             sbar = s[lag:] - acc / pow_table[lag]
             dev = np.maximum(s_hi - sbar, sbar + s_lo)
             lam = pow_table[lag] / pow_table[min(lag + width - 1, n)]
             dev = np.maximum(dev, lam * dev + (1.0 - lam) * (s_hi + s_lo))
             if lag + width <= n:
-                acc = acc[:-width] + sum(
-                    binom[d][q] * float(lag) ** (d - q) * moments[q][lag:]
-                    for q in range(d + 1))
-        rows = np.arange(m)
-        den = np.sqrt(np.minimum(rows + lag, n - rows).astype(float))
-        np.maximum(bound[:m], (dev + slack) / den, out=bound[:m])
+                acc = acc[:-width] + _shifted(moments, binom[d], lag)
+        # divide by sqrt(min(r + lag, n - r)), which is r + lag up to
+        # r = h - 1 and n - r after
+        h = (n - lag) // 2 + 1
+        dev += slack
+        dev[:h] /= root[lag:lag + h]
+        dev[h:] /= root[n - h:n - m:-1]
+        np.maximum(bound[:m], dev, out=bound[:m])
     return bound[1:n] * (1.0 + 16.0 * _UNIT_ROUNDOFF)
+
+
+def _shifted(moments, binom_p, shift: int) -> np.ndarray:
+    """sum_q binom_p[q] shift^(p-q) moments[q][shift:] over q in [0;p],
+    p = len(binom_p) - 1: an order-p window moment moved by shift.  The
+    terms are added in order of q from the first, and the last one, whose
+    coefficient is 1, is not multiplied."""
+    p = len(binom_p) - 1
+    if not p:
+        return moments[0][shift:]
+    total = binom_p[0] * float(shift) ** p * moments[0][shift:]
+    for q in range(1, p):
+        total += binom_p[q] * float(shift) ** (p - q) * moments[q][shift:]
+    total += moments[p][shift:]
+    return total
 
 
 def lil_curve(d: int, n_grid, reps: int, master_seed: int):
@@ -386,7 +426,10 @@ def _width_k3_bound(s: np.ndarray, tail: np.ndarray) -> np.ndarray:
     for lag, _, (s_hi, s_lo, t_hi) in _lag_bands(n, (s, -s, tail)):
         m = n - lag + 1
         dev = np.maximum(s_hi - s[:m], s[:m] + s_lo)
-        np.maximum(best_mid[:m], dev ** 2 / lag + t_hi, out=best_mid[:m])
+        np.square(dev, out=dev)
+        dev /= lag
+        dev += t_hi
+        np.maximum(best_mid[:m], dev, out=best_mid[:m])
     head = np.zeros(n - 1)
     head[1:] = np.nextafter(s[1:n - 1] ** 2, math.inf) / np.arange(1, n - 1)
     return head + best_mid[:n - 1]

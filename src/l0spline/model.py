@@ -499,23 +499,25 @@ def _rescore(score: np.ndarray, tol: float, cost, key) -> tuple:
 # array entries in one chunk of the knot screen: the deflated candidate
 # blocks of a batch of sibling prefixes, 256 KB of doubles
 _SCREEN_BLOCK = 1 << 15
-# per thread, one chunk buffer per depth of the screen's prefix walk, kept
-# between calls: a chunk freed at the end of every call would go back to
-# the operating system and cost a page fault per page on the next
+# per thread, one chunk buffer per user, kept between calls: each depth of
+# the screen's prefix walk and the shape screen's batched NNLS.  A chunk
+# freed at the end of every call would go back to the operating system and
+# cost a page fault per page on the next
 _chunks = threading.local()
 
 
-def _chunk_buffer(depth: int, size: int) -> np.ndarray:
-    """size doubles for a chunk of the screen at depth, from the kept
-    buffer when size fits in _SCREEN_BLOCK entries."""
+def _chunk_buffer(key, size: int) -> np.ndarray:
+    """size doubles for the chunk named key (a depth of the screen's walk,
+    or another kernel's name), from the kept buffer when size fits in
+    _SCREEN_BLOCK entries.  The contents are whatever the last chunk left."""
     if size > _SCREEN_BLOCK:
         return np.empty(size)
     kept = getattr(_chunks, "buffers", None)
     if kept is None:
         kept = _chunks.buffers = {}
-    buf = kept.get(depth)
+    buf = kept.get(key)
     if buf is None or buf.size < size:
-        buf = kept[depth] = np.empty(_SCREEN_BLOCK)
+        buf = kept[key] = np.empty(_SCREEN_BLOCK)
     return buf[:size]
 
 

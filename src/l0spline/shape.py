@@ -22,6 +22,7 @@ from .model import (
     DEFAULT_BUDGET,
     _SCREEN_TOL,
     _check_budget,
+    _chunk_buffer,
     _finite,
     _rescore,
     _KnotScreen,
@@ -274,10 +275,14 @@ def _nnls_screen(F: np.ndarray, y: np.ndarray, idx: np.ndarray,
         return np.full(pairs, float(y @ y))
     if max_iter is None:
         max_iter = 100 * max(k, 1)
-    # rows padded with zeros to k + 1, so the QR keeps its last row
-    cols = np.zeros((pairs, k + 1, max(n, k + 1)))
+    # rows padded with zeros to k + 1, so the QR keeps its last row, in a
+    # buffer kept between calls
+    width = max(n, k + 1)
+    cols = _chunk_buffer("nnls", pairs * (k + 1) * width).reshape(
+        pairs, k + 1, width)
     cols[:, :k, :n] = F.T[idx]
     cols[:, k, :n] = y
+    cols[:, :, n:] = 0.0
     Ra = np.linalg.qr(cols.transpose(0, 2, 1), mode="r")
     R, c = Ra[:, :k, :k], Ra[:, :k, k]
     RT = R.transpose(0, 2, 1)
@@ -640,13 +645,19 @@ def coef_bound_statistic(theta_star, d: int, k: int, knots=None,
     When the member's knots are known they can be passed to skip the
     knot scan; the refit then only searches over pivots, which matches
     the scan result whenever every hinge weight at those knots is active.
-    Refuses NaN and inf entries.
+    An input whose plain norm overflows, or underflows to 0, is scaled by
+    its largest magnitude first.  Refuses NaN and inf entries.
     """
     theta = _finite(theta_star, "theta_star")
     n = theta.size
-    nrm = float(np.linalg.norm(theta))
-    if nrm == 0:
-        return 0.0
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(theta))
+    if not 0 < nrm < math.inf:
+        if not theta.any():
+            return 0.0
+        # the squares overflowed or all underflowed: scale max|theta| to 1
+        theta = theta / np.max(np.abs(theta))
+        nrm = float(np.linalg.norm(theta))
     unit = theta / nrm
     fits = ([shape_lse(unit, d, k)] if knots is None
             else (fit_shape_given_knots(unit, d, knots, j_star)

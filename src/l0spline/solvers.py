@@ -93,6 +93,10 @@ class PenaltySpec:
         if not all(map(math.isfinite, (self.tau, self.sigma * self.sigma))):
             raise ValidationError(f"tau and sigma^2 must be finite, got "
                                   f"tau={self.tau}, sigma={self.sigma}")
+        # the scale of every penalty
+        if not math.isfinite(self.tau * self.sigma ** 2):
+            raise ValidationError(f"tau * sigma^2 must be finite, got "
+                                  f"tau={self.tau}, sigma={self.sigma}")
         transition_boundary(self.d, self.d0)
         if self.n < self.d + 1:
             raise ValidationError(
@@ -181,9 +185,19 @@ class _SegmentSweeper:
         # length: row t is y[t:] and t zeros
         self._windows = sliding_window_view(np.concatenate([y, np.zeros(n)]),
                                             n)
+        self._squares = sliding_window_view(
+            np.concatenate([y * y, np.zeros(n)]), n)
         # row n - c + i, column j is i + j >= c: a block's entries past n
         # in its last c columns
         self._past = sliding_window_view(np.arange(2 * n) >= n, n)
+        # every cost up to n is finite when no step of block() overflows:
+        # with top = n max|y|, a running sum is at most top n^d, a moment
+        # at most top, and the sum of squares less the quadratic form at
+        # most (1 + (d + 1)^2 max|Ginv|) top^2; 4 spares the rounding
+        top = n * float(np.max(np.abs(y), initial=0.0))
+        gmax = float(np.max(np.abs(self._ginv), initial=0.0))
+        self.finite = math.isfinite(
+            4.0 * max(top * n ** d, (1.0 + (d + 1) ** 2 * gmax) * top * top))
 
     def block(self, lo: int, hi: int) -> np.ndarray:
         """Costs of the segments (t; t+d+1+l] for starts t = lo..hi-1.
@@ -222,8 +236,7 @@ class _SegmentSweeper:
                                     self._ginv[:, :, :1].transpose(2, 0, 1),
                                     b1)[0]
         # R[0] is spent: it takes the running sum of squares
-        ss = np.multiply(win, win, out=R[0])
-        np.cumsum(ss, axis=1, out=ss)
+        ss = np.cumsum(self._squares[lo:hi, :w], axis=1, out=R[0])
         cost = np.subtract(ss[:, d:], quad, out=quad)
         # row i runs i columns past n, all in the last rows - 1 columns
         c = rows - 1
@@ -294,9 +307,12 @@ def _dp_table(y: np.ndarray, d: int, k_max: int) -> tuple:
     The starts are taken in blocks from the right, each costed by one
     _SegmentSweeper.block call of at most about _DP_BLOCK window entries.
     Row r of a block needs row r-1 only at and after the block's starts,
-    so the block fills its rows in order with one argmin each.  The work is
-    the O(n^2 k d) of one start at a time, and so is every entry of C and
-    nxt, bit for bit.
+    so the block fills its rows in order with one argmin each.  Row 1 is
+    read off the sweep: C[0] is +inf except C[0, n] = 0, so C[1, t] is
+    the cost of (t; n], the block's diagonal, and nxt[1, t] is n, unless
+    a cost can overflow (_SegmentSweeper.finite), where the argmin decides
+    as in every other row.  The work is the O(n^2 k d) of one start at a
+    time, and so is every entry of C and nxt, bit for bit.
     """
     n = y.size
     # every segment cost is invariant to removing a global degree-d fit,
@@ -316,8 +332,12 @@ def _dp_table(y: np.ndarray, d: int, k_max: int) -> tuple:
         cost = sweeper.block(lo, hi)
         rows = np.arange(hi - lo)
         first = lo + d + 1
+        # C[0] is +inf but at n, so when every cost is finite the one
+        # finite candidate of row 1 is the piece (t; n], and nxt[1] keeps n
+        if sweeper.finite:
+            np.add(C[0, n], cost[rows, n - first - rows], out=C[1, lo:hi])
         cand = np.empty_like(cost)
-        for r in range(1, k_max + 1):
+        for r in range(2 if sweeper.finite else 1, k_max + 1):
             np.add(after[r - 1, first:hi + d + 1, :cost.shape[1]], cost,
                    out=cand)
             hit = cand.argmin(axis=1)
@@ -443,7 +463,8 @@ def adaptive_fit(y, params: ModelParams, spec: PenaltySpec,
     (_KnotScreen), read by _KnotScreen.best.  Every k is refit at the
     knots it reads, exactly as dp_fit or exhaustive_fit at k would be.
     The exhaustive solver checks the budget at every k in turn before it
-    screens, so a refusal names the first count over it.
+    screens, so a refusal names the first count over it.  Refuses a
+    penalty that overflows at any k, before any solve.
     """
     if k_max is None:
         k_max = default_k_max(params)
@@ -452,6 +473,12 @@ def adaptive_fit(y, params: ModelParams, spec: PenaltySpec,
     solver = _solver_for(params, solver)
 
     y = _finite(y, "y", params.n)
+    pens = [penalty(k, spec) for k in range(1, k_max + 1)]
+    for k, pen in enumerate(pens, start=1):
+        if not math.isfinite(pen):
+            raise ValidationError(
+                f"penalty at k={k} must be finite, got {pen}; lower tau or "
+                f"sigma, or k_max")
     d, d0 = params.d, params.d0
     if solver == "dp":
         knots = partial(_backtrack, _dp_table(y, d, k_max))
@@ -461,9 +488,8 @@ def adaptive_fit(y, params: ModelParams, spec: PenaltySpec,
         knots = partial(_KnotScreen(y, d, d0, k_max).best,
                         _knot_cost(y, d, d0))
     fits, trace = [], []
-    for k in range(1, k_max + 1):
+    for k, pen in enumerate(pens, start=1):
         fits.append(_fit_at(y, d, d0, knots(k)))
-        pen = penalty(k, spec)
         trace.append((k, fits[-1].sse, pen, fits[-1].sse + pen))
     # the first least objective: ties go to the smallest k
     best = fits[min(range(k_max), key=lambda i: trace[i][3])]

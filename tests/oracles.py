@@ -9,6 +9,7 @@ cone fit on every (knots, pivot) pair, the scan ``shape_lse``'s screen
 must reproduce bit for bit.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -423,6 +424,136 @@ def width_const_k3_scan(eps):
         mid = (s[m1 + 1:] - s[m1]) ** 2 / lens
         best = max(best, head + float(np.max(mid + tail[m1 + 1:])))
     return float(best)
+
+
+# ---------------------------------------------------------------------------
+# the null scans' bound kernels, with a copy per band and a full sort
+# ---------------------------------------------------------------------------
+# Verbatim copies of the row bounds and the branch-and-bound loop of
+# lil_statistic and the d=0, k=3 width, as they stood before their copy,
+# gather and sort passes were removed: the package's kernels must return
+# the same arrays and floats, and the loop must visit the same rows.
+
+_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
+# bands per octave of the right-endpoint lag in the row bounds
+_SUB_BANDS = 8
+
+
+def _lag_bands(n: int, arrays):
+    """Maxima of arrays indexed 0..n over bands of the lag e - r.
+
+    Yields (lag, width, maxima) for consecutive lag bands
+    [lag, lag + width) that cover 1..n: maxima[j][r] is the max of
+    arrays[j] over e in [r + lag, min(r + lag + width - 1, n)], for
+    every row r in [0, n - lag].  The width is 1 below lag
+    2 * _SUB_BANDS and doubles each time the lag reaches 2 * _SUB_BANDS
+    widths, so each octave of lags has _SUB_BANDS bands.  Only the
+    sliding maxima over windows of the current width are kept; bands
+    clipped by n use suffix maxima.
+    """
+    win = list(arrays)
+    suf = [np.maximum.accumulate(a[::-1])[::-1] for a in win]
+    lag = width = 1
+    while lag <= n:
+        full = max(0, n + 2 - lag - width)   # rows whose band ends by n
+        yield lag, width, [np.concatenate([w[lag:lag + full],
+                                           sx[lag + full:]])
+                           for w, sx in zip(win, suf)]
+        lag += width
+        if lag == 2 * _SUB_BANDS * width:
+            win = [np.maximum(w[:-width], w[width:]) for w in win]
+            width *= 2
+
+
+def _pruned_max(best: float, rows, bound, row) -> float:
+    """max(best, row(r) for r in rows), given bound[i] >= row(rows[i]).
+
+    Rows are visited in decreasing order of their bound, and the scan
+    stops at the first bound at or below the best value so far: no row
+    left can raise the maximum, so the result is the float the full scan
+    returns.  A NaN bound counts as unbounded.
+    """
+    bound = np.where(np.isnan(bound), math.inf, bound)
+    for i in np.argsort(-bound, kind="stable"):
+        if bound[i] <= best:
+            break
+        best = max(best, row(int(rows[i])))
+    return float(best)
+
+
+def _lil_bound(eps: np.ndarray, d: int, pow_table: np.ndarray) -> np.ndarray:
+    """Upper bound on every lil_statistic row, indexed by n1 in [1, n).
+
+    With S the prefix sums of eps and w_j = j^d, Abel summation gives
+    num / w_L = S(n1+L) - Sbar_L, where Sbar_L, a weighted mean of S over
+    [n1, n1+L) with weights (w_{j+1} - w_j) / w_L, is S(n1) at d = 0.  For
+    L in a band [lag, lag + width), Sbar_L = lam Sbar_lag + (1 - lam) mu
+    with lam = w_lag / w_L and mu a mean of S over the band, so |num| /
+    w_L is at most lam A + (1 - lam) R, where A is the largest distance
+    of the band's S values from Sbar_lag and R their range.  Sbar_lag
+    comes from the band start's weighted window sums, built by adding
+    window moments sum_i i^q eps_{r+i} with binomial weights.  The
+    numerator is widened by 4 (n+1)(d+2) u sum|eps|, u the unit
+    roundoff, which covers the rounding of the row's own cumulative sum
+    against S and of the window sums, and the bound by 16 u relative for
+    the divisions and square roots.
+    """
+    n = eps.size
+    s = np.concatenate([[0.0], np.cumsum(eps)])
+    total = float(np.sum(np.abs(eps)))
+    # the bound needs the row arithmetic free of overflow; past that,
+    # every row is evaluated
+    slack = 4.0 * (n + 1) * (d + 2) * _UNIT_ROUNDOFF * total \
+        if math.isfinite(2.0 * total * pow_table[n]) else math.inf
+    binom = [[math.comb(p, q) for q in range(p + 1)] for p in range(d + 1)]
+    # moments[q][r] = sum_{i=1}^{width} i^q eps_{r+i};
+    # acc[r] = sum_{j=1}^{lag} j^d eps_{r+j}
+    moments = [eps] * (d + 1)
+    acc = eps
+    width = 1
+    bound = np.zeros(n + 1)
+    for lag, band_w, (s_hi, s_lo) in _lag_bands(n, (s, -s)):
+        m = n - lag + 1
+        if d == 0:
+            dev = np.maximum(s_hi - s[:m], s[:m] + s_lo)
+        else:
+            if band_w != width:
+                moments = [moments[p][:-width] + sum(
+                    binom[p][q] * float(width) ** (p - q) * moments[q][width:]
+                    for q in range(p + 1)) for p in range(d + 1)]
+                width = band_w
+            sbar = s[lag:] - acc / pow_table[lag]
+            dev = np.maximum(s_hi - sbar, sbar + s_lo)
+            lam = pow_table[lag] / pow_table[min(lag + width - 1, n)]
+            dev = np.maximum(dev, lam * dev + (1.0 - lam) * (s_hi + s_lo))
+            if lag + width <= n:
+                acc = acc[:-width] + sum(
+                    binom[d][q] * float(lag) ** (d - q) * moments[q][lag:]
+                    for q in range(d + 1))
+        rows = np.arange(m)
+        den = np.sqrt(np.minimum(rows + lag, n - rows).astype(float))
+        np.maximum(bound[:m], (dev + slack) / den, out=bound[:m])
+    return bound[1:n] * (1.0 + 16.0 * _UNIT_ROUNDOFF)
+
+
+def _width_k3_bound(s: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Upper bound on every _width_const_k3 row, indexed by m1 in [0, n-1).
+
+    Over a band of m2 - m1 in [lag, lag + width) the middle term is at
+    most the band's largest |S(m2) - S(m1)| squared over lag, and every
+    step is the row's own arithmetic on larger operands, so rounding
+    keeps the order and no slack is needed; only the head gets one ulp,
+    as the row squares a scalar, which rounds through pow.
+    """
+    n = s.size - 1
+    best_mid = np.zeros(n + 1)
+    for lag, _, (s_hi, s_lo, t_hi) in _lag_bands(n, (s, -s, tail)):
+        m = n - lag + 1
+        dev = np.maximum(s_hi - s[:m], s[:m] + s_lo)
+        np.maximum(best_mid[:m], dev ** 2 / lag + t_hi, out=best_mid[:m])
+    head = np.zeros(n - 1)
+    head[1:] = np.nextafter(s[1:n - 1] ** 2, math.inf) / np.arange(1, n - 1)
+    return head + best_mid[:n - 1]
 
 
 def shape_fit_projgrad(y, d, knots, j_star, tol=1e-12, max_iter=500_000):

@@ -233,7 +233,9 @@ class TestAdaptCommand:
 
     @pytest.mark.parametrize("flags", [["--tau", "nan"], ["--tau", "inf"],
                                        ["--sigma", "inf"],
-                                       ["--sigma", "1e308", "--tau", "1e10"]])
+                                       ["--sigma", "1e308", "--tau", "1e10"],
+                                       ["--sigma", "1e10", "--tau", "1e300"],
+                                       ["--sigma", "1", "--tau", "1e308"]])
     def test_non_finite_penalty_is_an_error(self, step_file, capsys, flags):
         path, _ = step_file
         code, out, err = run_cli(["adapt", "--input", path, "--d", "0",

@@ -1,9 +1,15 @@
 """Tests for shape-restricted (d-monotone) spline least squares."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import oracles as orc
+import l0spline.shape as shape_module
 from l0spline import NonConvergenceError, ValidationError
 from l0spline.model import (
     KnotVector,
@@ -394,6 +400,63 @@ class TestNnlsScreen:
             checked += idx.shape[0]
         assert checked > 10_000
 
+    def test_kept_buffer_changes_no_score(self, monkeypatch):
+        """The gathered columns live in a buffer kept between calls
+        (model._chunk_buffer).  Whatever an earlier call left there, the
+        scores are those of freshly zeroed columns, bit for bit, rows
+        padded to k + 1 > n included."""
+        import l0spline.model as model
+        import l0spline.shape as shape
+
+        rng = np.random.default_rng(95)
+        F, y = np.abs(rng.normal(size=(3, 6))), rng.normal(size=3)
+        cases = [(F, y, rng.integers(0, 6, size=(40, 4)),
+                  shape._dual_tols(F, y))]
+        cases += [self._screen(y, d, k) for y, d, k in self._cases(20)]
+        scores = []
+        for args in cases:
+            shape._nnls_screen(*args)
+            model._chunks.buffers["nnls"].fill(np.nan)
+            scores.append(shape._nnls_screen(*args))
+        monkeypatch.setattr(shape, "_chunk_buffer",
+                            lambda key, size: np.zeros(size))
+        for args, score in zip(cases, scores):
+            assert shape._nnls_screen(*args).tobytes() == score.tobytes()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts glibc's minor page faults")
+    def test_warm_calls_take_no_page_faults(self):
+        """Standalone, gathered columns freed at the end of every call
+        went back to the operating system: 672 minor page faults in the
+        screens of one shape_lse call that screens all 1872 pairs."""
+        probe = (
+            "import resource\n"
+            "import l0spline.shape as shape\n"
+            "from l0spline.experiments import build_signal, simulate\n"
+            "theta = build_signal('shaped_lf', 32, 1, 3, 1.0).values\n"
+            "y = simulate(theta, 1.0, 1, 8006).values\n"
+            "screen, faults = shape._nnls_screen, []\n"
+            "def counted(*args):\n"
+            "    a = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    out = screen(*args)\n"
+            "    faults.append(resource.getrusage(\n"
+            "        resource.RUSAGE_SELF).ru_minflt - a)\n"
+            "    return out\n"
+            "shape._nnls_screen = counted\n"
+            "calls = []\n"
+            "for _ in range(8):\n"
+            "    faults.clear()\n"
+            "    shape.shape_lse(y, 1, 3)\n"
+            "    calls.append(sum(faults))\n"
+            "print(sorted(calls[2:])[3])\n")
+        # the child imports the package this suite imported
+        src = str(Path(shape_module.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True, env=env).stdout
+        assert int(out) <= 10
+
     def test_iteration_cap_raises(self):
         from l0spline.shape import _nnls_screen
 
@@ -567,6 +630,18 @@ class TestCoefBoundStatistic:
         s2 = coef_bound_statistic(5.0 * theta, d=1, k=2)
         assert s1 > 0
         np.testing.assert_allclose(s1, s2, atol=1e-9)
+
+    @pytest.mark.parametrize("scale", (1e160, 1e-170))
+    def test_extreme_scales(self, scale):
+        """At 1e160 the plain norm overflows, at 1e-170 it underflows to
+        0; both gave 0.0.  With and without the member's knots."""
+        theta, knots, _ = sample_shape_member(np.random.default_rng(1), 1,
+                                              2, 20)
+        ref = coef_bound_statistic(theta, d=1, k=2)
+        assert ref > 1
+        for kn in (None, knots):
+            got = coef_bound_statistic(scale * theta, d=1, k=2, knots=kn)
+            assert abs(got - ref) <= 1e-9 * ref
 
     def test_non_member_rejected(self):
         with pytest.raises(ValidationError):

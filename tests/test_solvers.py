@@ -493,10 +493,11 @@ class TestPenalty:
             PenaltySpec(tau=1.0, sigma=0.0, d=0, d0=-1, n=16)
         with pytest.raises(ValidationError):
             penalty(0, PenaltySpec(tau=1.0, sigma=1.0, d=0, d0=-1, n=16))
-        # non-finite multipliers, and a sigma whose square overflows
+        # non-finite multipliers, a sigma whose square overflows, and a
+        # scale tau * sigma^2 that overflows
         for tau, sigma in [(math.nan, 1.0), (math.inf, 1.0),
                            (1.0, math.nan), (1.0, math.inf),
-                           (1e10, 1e308), (0.0, 1e200)]:
+                           (1e10, 1e308), (0.0, 1e200), (1e300, 1e10)]:
             with pytest.raises(ValidationError):
                 PenaltySpec(tau=tau, sigma=sigma, d=0, d0=-1, n=16)
 
@@ -510,6 +511,18 @@ class TestAdaptiveFit:
         spec = PenaltySpec(tau=1e9, sigma=1.0, d=0, d0=-1, n=16)
         fr = adaptive_fit(y, p, spec)
         assert fr.k_selected == 1
+
+    @pytest.mark.parametrize("solver", ["dp", "exhaustive"])
+    def test_penalty_overflow_is_refused(self, solver):
+        """The scale 1e308 is finite, penalty(k) is inf from k = 2 on;
+        every k then tied at an inf objective and k = 1 was selected."""
+        y = np.random.default_rng(19).standard_normal(16)
+        p = ModelParams(d=0, d0=-1, k=1, n=16)
+        spec = PenaltySpec(tau=1e308, sigma=1.0, d=0, d0=-1, n=16)
+        assert math.isfinite(penalty(1, spec))
+        with pytest.raises(ValidationError, match="k=2 must be finite"):
+            adaptive_fit(y, p, spec, k_max=3, solver=solver)
+        assert adaptive_fit(y, p, spec, k_max=1).k_selected == 1
 
     def test_zero_tau_ties_to_smallest_k(self):
         theta0 = np.repeat([1.0, 4.0], 5)
