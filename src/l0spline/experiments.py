@@ -284,11 +284,12 @@ def lil_statistic(eps, d: int) -> float:
         num[h:] /= tail
         return float(np.max(num))
 
-    return _pruned_max(0.0, np.arange(1, n), _lil_bound(eps, d, pow_table),
-                       row)
+    return _pruned_max(0.0, np.arange(1, n),
+                       _lil_bound(eps, d, pow_table, sqrt_table), row)
 
 
-def _lil_bound(eps: np.ndarray, d: int, pow_table: np.ndarray) -> np.ndarray:
+def _lil_bound(eps: np.ndarray, d: int, pow_table: np.ndarray,
+               root: np.ndarray | None = None) -> np.ndarray:
     """Upper bound on every lil_statistic row, indexed by n1 in [1, n).
 
     With S the prefix sums of eps and w_j = j^d, Abel summation gives
@@ -303,11 +304,13 @@ def _lil_bound(eps: np.ndarray, d: int, pow_table: np.ndarray) -> np.ndarray:
     numerator is widened by 4 (n+1)(d+2) u sum|eps|, u the unit
     roundoff, which covers the rounding of the row's own cumulative sum
     against S and of the window sums, and the bound by 16 u relative for
-    the divisions and square roots.
+    the divisions and square roots.  root is the table sqrt(arange(n+1)),
+    built here when not given.
     """
     n = eps.size
     s = np.concatenate([[0.0], np.cumsum(eps)])
-    root = np.sqrt(np.arange(n + 1, dtype=float))
+    if root is None:
+        root = np.sqrt(np.arange(n + 1, dtype=float))
     total = float(np.sum(np.abs(eps)))
     # the bound needs the row arithmetic free of overflow; past that,
     # every row is evaluated
@@ -619,7 +622,7 @@ def build_signal(kind: str, n: int, d: int, k: int, sigma: float,
 # ---------------------------------------------------------------------------
 
 def _fit_theta(y: np.ndarray, params: ModelParams, estimator: str,
-               spec: PenaltySpec, budget: int) -> np.ndarray:
+               spec: PenaltySpec | None, budget: int) -> np.ndarray:
     if estimator == "l0_fit":
         return fit_fixed_k(y, params, budget=budget).theta_hat.values
     if estimator == "adaptive":
@@ -657,10 +660,13 @@ def mc_risk(config: ExperimentConfig, estimator: str,
                                   config.k, config.sigma,
                                   config.custom_values)
             params = ModelParams(d=config.d, d0=config.d0, k=config.k, n=n)
-            spec = PenaltySpec(tau=config.tau,
-                               sigma=config.sigma if config.sigma > 0
-                               else 1.0,
-                               d=config.d, d0=config.d0, n=n)
+            spec = None
+            # the one estimator that reads tau
+            if estimator == "adaptive":
+                spec = PenaltySpec(tau=config.tau,
+                                   sigma=config.sigma if config.sigma > 0
+                                   else 1.0,
+                                   d=config.d, d0=config.d0, n=n)
             risks = np.empty(config.reps)
             for rep in range(config.reps):
                 y = simulate(theta0, config.sigma, config.master_seed,

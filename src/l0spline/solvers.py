@@ -190,14 +190,6 @@ class _SegmentSweeper:
         # row n - c + i, column j is i + j >= c: a block's entries past n
         # in its last c columns
         self._past = sliding_window_view(np.arange(2 * n) >= n, n)
-        # every cost up to n is finite when no step of block() overflows:
-        # with top = n max|y|, a running sum is at most top n^d, a moment
-        # at most top, and the sum of squares less the quadratic form at
-        # most (1 + (d + 1)^2 max|Ginv|) top^2; 4 spares the rounding
-        top = n * float(np.max(np.abs(y), initial=0.0))
-        gmax = float(np.max(np.abs(self._ginv), initial=0.0))
-        self.finite = math.isfinite(
-            4.0 * max(top * n ** d, (1.0 + (d + 1) ** 2 * gmax) * top * top))
 
     def block(self, lo: int, hi: int) -> np.ndarray:
         """Costs of the segments (t; t+d+1+l] for starts t = lo..hi-1.
@@ -296,6 +288,8 @@ def fit_given_knots(y, params: ModelParams, knots) -> FitResult:
 # global solvers
 # ---------------------------------------------------------------------------
 
+# an overflowing cost is refused once the table is filled
+@np.errstate(over="ignore", invalid="ignore")
 def _dp_table(y: np.ndarray, d: int, k_max: int) -> tuple:
     """Segment-neighbourhood forward pass for every piece count up to k_max.
 
@@ -309,10 +303,10 @@ def _dp_table(y: np.ndarray, d: int, k_max: int) -> tuple:
     Row r of a block needs row r-1 only at and after the block's starts,
     so the block fills its rows in order with one argmin each.  Row 1 is
     read off the sweep: C[0] is +inf except C[0, n] = 0, so C[1, t] is
-    the cost of (t; n], the block's diagonal, and nxt[1, t] is n, unless
-    a cost can overflow (_SegmentSweeper.finite), where the argmin decides
-    as in every other row.  The work is the O(n^2 k d) of one start at a
-    time, and so is every entry of C and nxt, bit for bit.
+    the cost of (t; n], the block's diagonal, and nxt[1, t] is n.  The
+    work is the O(n^2 k d) of one start at a time, and so is every entry
+    of C and nxt, bit for bit.  Refuses y whose segment costs overflow
+    (squares near 1e300 and up), where C would hold NaN or inf.
     """
     n = y.size
     # every segment cost is invariant to removing a global degree-d fit,
@@ -332,12 +326,10 @@ def _dp_table(y: np.ndarray, d: int, k_max: int) -> tuple:
         cost = sweeper.block(lo, hi)
         rows = np.arange(hi - lo)
         first = lo + d + 1
-        # C[0] is +inf but at n, so when every cost is finite the one
-        # finite candidate of row 1 is the piece (t; n], and nxt[1] keeps n
-        if sweeper.finite:
-            np.add(C[0, n], cost[rows, n - first - rows], out=C[1, lo:hi])
+        # C[0] is +inf but at n: row 1 is the piece (t; n], nxt[1] keeps n
+        np.add(C[0, n], cost[rows, n - first - rows], out=C[1, lo:hi])
         cand = np.empty_like(cost)
-        for r in range(2 if sweeper.finite else 1, k_max + 1):
+        for r in range(2, k_max + 1):
             np.add(after[r - 1, first:hi + d + 1, :cost.shape[1]], cost,
                    out=cand)
             hit = cand.argmin(axis=1)
@@ -346,6 +338,12 @@ def _dp_table(y: np.ndarray, d: int, k_max: int) -> tuple:
             np.minimum(C[r - 1, lo:hi], cand[rows, hit], out=C[r, lo:hi])
             nxt[r, lo:hi] = hit + rows + first
         hi = lo
+    # an overflowed cost is -inf or NaN, which row 1 takes off the diagonal
+    # and row 2 from every other piece, or +inf when its sum of squares
+    # overflows, and then that of (0; n] does too, in C[1, 0]
+    if not np.isfinite(C[1:, :n - d]).all():
+        raise ValidationError(
+            "segment costs of y overflow; rescale y to a smaller magnitude")
     return C[:, :n + 1], nxt
 
 

@@ -191,6 +191,19 @@ class TestFitCommand:
         assert out == ""
         assert "d <= 6" in err
 
+    @pytest.mark.parametrize("command", (["fit", "--k", "1"],
+                                         ["fit", "--k", "3"],
+                                         ["adapt", "--sigma", "1"]))
+    def test_dp_refuses_overflowing_data(self, tmp_path, capsys, command):
+        y = 1e154 * np.random.default_rng(78).normal(size=40)
+        p = tmp_path / "huge.csv"
+        p.write_text("\n".join(repr(float(v)) for v in y) + "\n")
+        code, out, err = run_cli(command + ["--input", str(p), "--d", "0",
+                                            "--d0", "-1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "overflow" in err
+
     def test_out_flag_writes_file(self, step_file, tmp_path, capsys):
         path, _ = step_file
         dest = tmp_path / "report.json"

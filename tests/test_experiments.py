@@ -476,6 +476,16 @@ class TestMcRisk:
         with pytest.raises(ValidationError, match="d <= 3"):
             mc_risk(config, "shape_lse")
 
+    @pytest.mark.parametrize("sigma, tau", [(1e10, 1e300), (1.0, -1.0)])
+    def test_tau_reaches_only_the_adaptive_fit(self, sigma, tau):
+        config = ExperimentConfig(n_grid=(24, 48), d=0, d0=-1, k=2, reps=2,
+                                  master_seed=1, signal_kind="sparse_boxcar",
+                                  sigma=sigma, tau=tau)
+        for row in mc_risk(config, "l0_fit").rows:
+            assert not row.failed and math.isfinite(row.mean_risk)
+        for row in mc_risk(config, "adaptive").rows:
+            assert row.failed and "tau" in row.error
+
     def test_adaptive_estimator_runs(self):
         config = ExperimentConfig(n_grid=(48,), d=0, d0=-1, k=3, reps=3,
                                   master_seed=31,

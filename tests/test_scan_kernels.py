@@ -5,7 +5,7 @@ the forms they replaced, bit for bit.
 in place by one square-root table, and `_pruned_max` sorts only the rows
 that can still be visited.  Their earlier forms, with a copy per band, a
 divisor per band and a full sort, are kept verbatim in `oracles`.  The
-DP reads row 1 off the sweep's diagonal wherever no cost can overflow.
+DP reads row 1 off the sweep's diagonal and refuses overflowing costs.
 """
 
 import math
@@ -15,7 +15,8 @@ import pytest
 
 import oracles as orc
 from l0spline import experiments
-from l0spline.solvers import _SegmentSweeper, _dp_table
+from l0spline.errors import ValidationError
+from l0spline.solvers import _dp_table
 from test_pruned_scans import _adversarial
 
 
@@ -114,23 +115,23 @@ class TestPrunedMax:
             assert np.float64(got).tobytes() == np.float64(ref).tobytes()
 
 
-class TestDpRowOne:
-    def test_finite_on_ordinary_input(self):
-        rng = np.random.default_rng(9500)
-        for d in range(7):
-            y = 1e3 + rng.standard_normal(300)
-            assert _SegmentSweeper(y, d).finite
-
-    @pytest.mark.parametrize("scale", (1e150, 1e154, 1e200, 1e300))
-    def test_overflowing_costs_match(self, scale):
-        """Where a cost can overflow the argmin decides row 1, as it did
-        throughout: the table holds NaN there, and nxt[1] need not be n."""
+class TestDpOverflow:
+    @pytest.mark.parametrize("scale,overflows",
+                             ((1e150, False), (1e154, True), (1e300, True)))
+    def test_refused_where_a_cost_overflows(self, scale, overflows):
+        """Row 1 off the diagonal gives the one-start scan's table wherever
+        that is finite; where a cost overflows the table is refused."""
         rng = np.random.default_rng(9600)
-        for d in range(3):
+        for d in range(4):
             y = scale * rng.standard_normal(40)
             with np.errstate(all="ignore"):
-                C, nxt = _dp_table(y, d, 3)
                 ref = orc.dp_table_scan(y, d, 3)
-            assert np.array_equal(C, ref[0], equal_nan=True), d
-            assert np.array_equal(nxt[1:], ref[1][1:]), d
-        assert not _SegmentSweeper(1e154 * np.ones(40), 0).finite
+            assert np.isfinite(ref[0][1:, :40 - d]).all() != overflows, d
+            for k_max in (1, 3):
+                if overflows:
+                    with pytest.raises(ValidationError, match="overflow"):
+                        _dp_table(y, d, k_max)
+                    continue
+                C, nxt = _dp_table(y, d, k_max)
+                assert np.array_equal(C, ref[0][:k_max + 1]), d
+                assert np.array_equal(nxt, ref[1][:k_max + 1]), d
