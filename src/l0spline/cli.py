@@ -171,8 +171,35 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _json_text(obj, pad: str = "") -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, for a
+    report nested pad deep.  json encodes in pure Python once indent is
+    set, so the dicts and lists are walked here and the scalars and every
+    all-number list go to its C encoder, whose ", " separators become
+    indented line breaks."""
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        # json writes a non-str key as the text of the key's JSON value
+        items = ",\n" + inner
+        return "{\n" + inner + items.join(
+            json.dumps(key if isinstance(key, str) else json.dumps(key))
+            + ": " + _json_text(value, inner)
+            for key, value in sorted(obj.items())) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(isinstance(v, (int, float)) for v in obj):
+            body = json.dumps(obj)[1:-1].replace(", ", ",\n" + inner)
+        else:
+            body = (",\n" + inner).join(_json_text(v, inner) for v in obj)
+        return "[\n" + inner + body + "\n" + pad + "]"
+    return json.dumps(obj)
+
+
 def _emit_json(obj, out: str | None) -> None:
-    _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", out)
+    _emit(_json_text(obj) + "\n", out)
 
 
 def _emit_csv(header, rows, out: str | None) -> None:

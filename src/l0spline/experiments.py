@@ -449,8 +449,9 @@ def complexity_width(eps, params: ModelParams,
     bound (`_width_k3_bound`, whose only slack is one ulp on the head
     term) and the result is bit-identical to the full O(n^2) scan.
     Every other case enumerates knot vectors and refuses when the
-    configuration count exceeds the budget.  Refuses NaN and inf
-    entries.
+    configuration count exceeds the budget, or eps whose sum of squares
+    overflows (the scans return the full scan's inf).  Refuses NaN and
+    inf entries.
     """
     eps = _finite(eps, "eps", params.n)
     n, d, d0, k = params.n, params.d, params.d0, params.k

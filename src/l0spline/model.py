@@ -443,6 +443,21 @@ def _finite(values, what: str, n: int | None = None) -> np.ndarray:
     return a
 
 
+def _overflow_error(what: str = "y") -> ValidationError:
+    return ValidationError(f"segment costs of {what} overflow; rescale {what}"
+                           f" to a smaller magnitude")
+
+
+def _sum_of_squares(values: np.ndarray, what: str = "y") -> float:
+    """||values||^2, which bounds the least squares costs of values from
+    above; refused when it overflows, since those costs can too."""
+    with np.errstate(over="ignore"):
+        ss = float(values @ values)
+    if not math.isfinite(ss):
+        raise _overflow_error(what)
+    return ss
+
+
 def check_membership(theta, params: ModelParams, tol: float = 1e-8,
                      budget: int = DEFAULT_WIDTH_BUDGET):
     """Decide whether a sequence lies in the class, up to sup-norm tol.
@@ -451,7 +466,8 @@ def check_membership(theta, params: ModelParams, tol: float = 1e-8,
     each set whose screened cost admits a hit, and accepts on the first
     configuration in lexicographic order reproducing theta to within tol
     in every coordinate.  Returns (True, witness spline) or
-    (False, None).  Refuses NaN and inf entries.  Raises
+    (False, None).  Refuses NaN and inf entries, and theta whose sum of
+    squares overflows.  Raises
     BudgetExceededError when the enumeration would visit more
     configurations than the budget allows.
     """
@@ -553,7 +569,8 @@ class _KnotScreen:
     The scores match the per-set least squares costs up to rounding only,
     so callers rescore the sets near the best with their own arithmetic
     (_rescore; best does it for the least-cost knot vector at any piece
-    count up to k).  Set j is the prefix _prefixes[_owner[j]] followed
+    count up to k).  Refuses y whose sum of squares overflows, for every
+    caller: their costs could overflow too.  Set j is the prefix _prefixes[_owner[j]] followed
     by _last[j]; a _last of 0 (never an inner knot) stands for the
     prefix alone.
     """
@@ -561,7 +578,7 @@ class _KnotScreen:
     def __init__(self, y: np.ndarray, d: int, d0: int, k: int):
         n = y.size
         self.n, self.k = n, k
-        self.tol = _SCREEN_TOL * float(y @ y)
+        self.tol = _SCREEN_TOL * _sum_of_squares(y)
         self._gap = d + 1
         self._ts = np.arange(d + 1, n - d)   # every inner knot
         Q, _ = np.linalg.qr(raw_basis(n, d, d0, (0, n)))

@@ -25,6 +25,7 @@ from .model import (
     _chunk_buffer,
     _finite,
     _rescore,
+    _sum_of_squares,
     _KnotScreen,
     KnotVector,
     ModelParams,
@@ -550,10 +551,12 @@ def shape_lse(y, d: int, k: int,
     up to eps, and its set's cone costs no more, so the set scores below
     incumbent + tol, is screened within tol of the incumbent and is
     expanded.  Results are bit-identical to fitting every pair; the
-    budget counts every pair.  Refuses NaN and inf in y.
+    budget counts every pair.  Refuses NaN and inf in y, and y whose sum
+    of squares overflows.
     """
     y = _finite(y, "y")
     n = y.size
+    tol = _SCREEN_TOL * _sum_of_squares(y)
     _check_degree(d)
     _check_envelope(d)
     if k < 1:
@@ -575,7 +578,6 @@ def shape_lse(y, d: int, k: int,
     H, y_set = cone.set_cone(F)
     screen = _KnotScreen(y, d, d - 1, k)
     sets = screen.inner_knots()
-    tol = _SCREEN_TOL * float(y @ y)
     set_tol = _dual_tols(H, y_set)
     order = np.argsort(screen.score, kind="stable")
     step = max(1, _PAIR_CHUNK // (k + 1))

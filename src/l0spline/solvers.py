@@ -26,7 +26,9 @@ from .model import (
     SignalVector,
     _KnotScreen,
     _check_budget,
+    _chunk_buffer,
     _finite,
+    _overflow_error,
     _reexpand_coefs,
     count_knot_vectors,
     evaluate_spline,
@@ -55,7 +57,8 @@ _RCOND = 1e-10
 # without an offset of 1e4, is 1.6e-8 at d=6, 2.9e-7 at d=7, 7.2e-5 at d=8
 _DP_MAX_DEGREE = 6
 # window entries per block of starts in the DP's forward pass; a block
-# holds about d + 3 arrays of this many doubles, 128 KB each
+# holds about (d + 2) / 2 complex and d + 4 float arrays of this many
+# entries, each in one kept chunk buffer of _SCREEN_BLOCK doubles
 _DP_BLOCK = 1 << 14
 
 
@@ -163,7 +166,13 @@ class _SegmentSweeper:
     A cost is ss - b' Ginv(L) b, with b the length-normalized moments of the
     window.  Each entry takes exactly the floating point steps of costing
     one start alone, in the same order, so the costs do not depend on how
-    the starts are blocked."""
+    the starts are blocked.
+
+    The running sums go two to a complex cumsum: numpy adds complex numbers
+    one IEEE add per part, so each part holds the bits of a float cumsum of
+    that part alone, for about the time of one.  y and y^2 pair, and so do
+    j^p y and j^(p+1) y for p = 1, 3, ...; an odd one out runs as a float
+    cumsum.  The blocks' arrays are kept between calls (_chunk_buffer)."""
 
     def __init__(self, y, d: int):
         y = np.asarray(y, dtype=float)
@@ -181,12 +190,12 @@ class _SegmentSweeper:
         self._ginv = np.linalg.inv(G).transpose(1, 2, 0).copy()
         self._jpow = np.stack([j ** p for p in range(d + 1)])
         self._lpow = lengths ** np.arange(d + 1, dtype=float)[:, None]
-        # y then zeros, so every start in a block has a window of one
-        # length: row t is y[t:] and t zeros
-        self._windows = sliding_window_view(np.concatenate([y, np.zeros(n)]),
-                                            n)
-        self._squares = sliding_window_view(
-            np.concatenate([y * y, np.zeros(n)]), n)
+        # y + i y^2 then zeros, so every start in a block has a window of
+        # one length: row t is y[t:] and t zeros
+        pairs = np.zeros(2 * n, dtype=complex)
+        pairs.real[:n] = y
+        pairs.imag[:n] = y * y
+        self._windows = sliding_window_view(pairs, n)
         # row n - c + i, column j is i + j >= c: a block's entries past n
         # in its last c columns
         self._past = sliding_window_view(np.arange(2 * n) >= n, n)
@@ -194,26 +203,46 @@ class _SegmentSweeper:
     def block(self, lo: int, hi: int) -> np.ndarray:
         """Costs of the segments (t; t+d+1+l] for starts t = lo..hi-1.
 
-        Row t - lo, column l; entries with t + d + 1 + l > n are +inf."""
+        Row t - lo, column l; entries with t + d + 1 + l > n are +inf.  The
+        result is a view of a kept buffer, which the next call overwrites."""
         d, n = self.d, self.n
         w = n - lo
         m = w - d
         rows = hi - lo
-        win = self._windows[lo:hi, :w]
-        # weighted running sums; p = 0 skips the product and the quotient
-        # by 1.0, both exact
-        R = [np.cumsum(win, axis=1)]
-        for p in range(1, d + 1):
-            R.append(self._jpow[p, :w] * win)
-            np.cumsum(R[p], axis=1, out=R[p])
-            R[p][:, d:] /= self._lpow[p, :m]
-        b = [Rp[:, d:] for Rp in R]
+
+        def kept(key, dtype=float, cols=m):
+            size = rows * cols * np.dtype(dtype).itemsize // 8
+            return _chunk_buffer(("sweep", key), size).view(dtype).reshape(
+                rows, cols)
+
+        # the running sums of y (real part) and y^2 (imaginary part)
+        sums = np.cumsum(self._windows[lo:hi, :w], axis=1,
+                         out=kept("sums", complex, w))
+        win = self._windows[lo:hi, :w].real
+        # the moments, divided into contiguous rows; p = 0 skips the
+        # product and the quotient by 1.0, both exact
+        b = [kept(0)]
+        np.copyto(b[0], sums.real[:, d:])
+        for p in range(1, d + 1, 2):
+            if p < d:   # j^p y and j^(p+1) y in one cumsum
+                z = kept(("sums", p), complex, w)
+                np.multiply(self._jpow[p, :w], win, out=z.real)
+                np.multiply(self._jpow[p + 1, :w], win, out=z.imag)
+                np.cumsum(z, axis=1, out=z)
+                parts = (z.real, z.imag)
+            else:
+                z = np.multiply(self._jpow[p, :w], win, out=kept(("sums", p),
+                                                                  cols=w))
+                parts = (np.cumsum(z, axis=1, out=z),)
+            for q, part in enumerate(parts, start=p):
+                b.append(np.divide(part[:, d:], self._lpow[q, :m],
+                                   out=kept(q)))
         # the order of einsum("lp,lpq,lq->l") on one start: p-major, q
         # inner, one running sum.  einsum starts the sum at 0.0, which can
         # only turn a -0.0 into +0.0 and leaves ss - quad unchanged
-        quad = b[0] * self._ginv[0, 0, :m]
+        quad = np.multiply(b[0], self._ginv[0, 0, :m], out=kept("quad"))
         quad *= b[0]
-        tmp = np.empty_like(quad)
+        tmp = kept("tmp") if d else None
         for p in range(d + 1):
             for q in range(d + 1):
                 if p or q:
@@ -227,9 +256,7 @@ class _SegmentSweeper:
             quad[-1, 0] = np.einsum("lp,lpq,lq->l", b1,
                                     self._ginv[:, :, :1].transpose(2, 0, 1),
                                     b1)[0]
-        # R[0] is spent: it takes the running sum of squares
-        ss = np.cumsum(self._squares[lo:hi, :w], axis=1, out=R[0])
-        cost = np.subtract(ss[:, d:], quad, out=quad)
+        cost = np.subtract(sums.imag[:, d:], quad, out=quad)
         # row i runs i columns past n, all in the last rows - 1 columns
         c = rows - 1
         np.copyto(cost[:, m - c:], np.inf,
@@ -328,7 +355,7 @@ def _dp_table(y: np.ndarray, d: int, k_max: int) -> tuple:
         first = lo + d + 1
         # C[0] is +inf but at n: row 1 is the piece (t; n], nxt[1] keeps n
         np.add(C[0, n], cost[rows, n - first - rows], out=C[1, lo:hi])
-        cand = np.empty_like(cost)
+        cand = _chunk_buffer("dp_cand", cost.size).reshape(cost.shape)
         for r in range(2, k_max + 1):
             np.add(after[r - 1, first:hi + d + 1, :cost.shape[1]], cost,
                    out=cand)
@@ -342,8 +369,7 @@ def _dp_table(y: np.ndarray, d: int, k_max: int) -> tuple:
     # and row 2 from every other piece, or +inf when its sum of squares
     # overflows, and then that of (0; n] does too, in C[1, 0]
     if not np.isfinite(C[1:, :n - d]).all():
-        raise ValidationError(
-            "segment costs of y overflow; rescale y to a smaller magnitude")
+        raise _overflow_error()
     return C[:, :n + 1], nxt
 
 
@@ -408,7 +434,8 @@ def exhaustive_fit(y, params: ModelParams,
     The first strictly best configuration in lexicographic order wins, so
     ties go to the lexicographically smallest knot vector.  Every distinct
     knot set is screened once (_KnotScreen) and only the sets near the
-    best are costed one by one (_KnotScreen.best, _knot_cost).
+    best are costed one by one (_KnotScreen.best, _knot_cost).  Refuses
+    y whose sum of squares overflows, like the dynamic program.
     """
     y = _finite(y, "y", params.n)
     n, d, d0, k = params.n, params.d, params.d0, params.k

@@ -295,6 +295,93 @@ class TestShapefitCommand:
         assert err.startswith("error: ") and "d <= 3" in err
 
 
+class TestOverflowingInput:
+    """Every solver refuses a series whose squares overflow with exit 1,
+    where the exhaustive and shape paths printed "sse": Infinity."""
+
+    @staticmethod
+    def _write(tmp_path, scale):
+        y = scale * np.random.default_rng(79).normal(size=30)
+        p = tmp_path / "y.csv"
+        p.write_text("\n".join(repr(float(v)) for v in y) + "\n")
+        return str(p)
+
+    @pytest.mark.parametrize("command", (
+        ["fit", "--d", "1", "--d0", "0", "--k", "2"],
+        ["fit", "--d", "1", "--d0", "-1", "--k", "2", "--solver",
+         "exhaustive"],
+        ["fit", "--d", "1", "--d0", "-1", "--k", "2"],
+        ["adapt", "--d", "1", "--d0", "0", "--k-max", "2", "--sigma", "1"],
+        ["shapefit", "--d", "1", "--k", "2"],
+        ["shapefit", "--d", "0", "--k", "40"]))
+    def test_refused(self, tmp_path, capsys, command):
+        code, out, err = run_cli(
+            command + ["--input", self._write(tmp_path, 1e154)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "overflow" in err
+        code, out, _ = run_cli(
+            command + ["--input", self._write(tmp_path, 1e150)], capsys)
+        assert code == 0
+        assert math.isfinite(json.loads(out)["sse"])
+
+
+class TestJsonText:
+    """The report writer gives json.dumps(obj, sort_keys=True, indent=2)
+    byte for byte."""
+
+    @staticmethod
+    def _same(obj):
+        assert cli._json_text(obj) == json.dumps(obj, sort_keys=True,
+                                                 indent=2)
+
+    @pytest.mark.parametrize("argv", (
+        ["fit", "--d", "1", "--d0", "-1", "--k", "3"],
+        ["fit", "--d", "1", "--d0", "0", "--k", "2"],
+        ["adapt", "--d", "0", "--d0", "-1"],
+        ["shapefit", "--d", "1", "--k", "3"],
+        ["sparse", "--d", "1", "--d0", "0", "--k", "4"],
+        ["sparse", "--d", "1", "--d0", "0", "--k", "3"],
+        ["checks", "--suite", "moment"],
+        ["checks", "--suite", "quad_form", "--seed", "3", "--reps", "5"]))
+    def test_reports(self, argv, step_file, monkeypatch, capsys):
+        seen = []
+        emit = cli._emit_json
+
+        def record(obj, out):
+            seen.append(obj)
+            emit(obj, out)
+        monkeypatch.setattr(cli, "_emit_json", record)
+        if argv[0] in ("fit", "adapt", "shapefit"):
+            argv = argv + ["--input", step_file[0]]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and len(seen) == 1
+        assert out == json.dumps(seen[0], sort_keys=True, indent=2) + "\n"
+
+    def test_values(self):
+        nums = [1.0, -0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324,
+                1e300, np.float64(0.1), np.float64(-0.0), 3, -2 ** 70,
+                True, False]
+        self._same({"nums": nums, "tuple": tuple(nums), "empty": [],
+                    "empty_dict": {}, "nested": [[], [[]], [{}], {"a": []}],
+                    "none": None, "bool": True, "float": np.float64(2.5),
+                    "mixed": [None, 1.0, "x", [1, 2.5], {"b": None}],
+                    "escapes": 'quote " backslash \\ tab \t nl \n é \u2028',
+                    "pieces": [{"start": 0, "end": 5, "coeffs": None},
+                               {"start": 5, "end": 9,
+                                "coeffs": (np.float64(1.5), -0.0)}],
+                    'key "quoted"\n': {"z": 1, "a": [2]}})
+
+    @pytest.mark.parametrize("obj", ([], {}, [[]], 1.5, -0.0, "s", None,
+                                     True, 7, math.nan, [None], [1],
+                                     {1: 2, 3: [4.5]}, {2.5: "a", 0.5: "b"},
+                                     {None: 1}, {True: 1, False: 2}))
+    def test_shapes(self, obj):
+        """Top-level scalars and lists, and dicts with non-str keys,
+        which json writes as the text of the key's JSON value."""
+        self._same(obj)
+
+
 class TestSparseCommand:
     def test_hat_function(self, capsys):
         code, out, _ = run_cli(["sparse", "--d", "1", "--d0", "0",

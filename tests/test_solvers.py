@@ -17,6 +17,7 @@ from l0spline import (
     local_coefficients_from_truncated_power,
     raw_basis,
 )
+from l0spline import model
 from l0spline.experiments import complexity_width
 from l0spline.model import _KnotScreen, _pad_knots, _reexpand_coefs
 from l0spline.shape import (
@@ -26,6 +27,7 @@ from l0spline.shape import (
 )
 from l0spline.solvers import (
     FitResult,
+    _SegmentSweeper,
     _backtrack,
     _dp_table,
     _knot_cost,
@@ -772,6 +774,85 @@ class TestNonFiniteInput:
         with pytest.raises(ValidationError, match="finite"):
             check_membership(self._bad(20, value),
                              ModelParams(d=1, d0=d0, k=2, n=20))
+
+
+class TestOverflowRefused:
+    """Every solver behind the knot screen refuses y whose squares
+    overflow, as the dynamic program does, where it returned knots
+    (0, 0, 0, n) with SSE inf; y a little smaller still fits."""
+
+    @staticmethod
+    def _huge(scale, n=50):
+        return scale * np.random.default_rng(61).standard_normal(n)
+
+    @pytest.mark.parametrize("d, d0, k", [(1, 0, 3), (0, -1, 3), (2, 1, 2)])
+    def test_exhaustive_fit(self, d, d0, k):
+        params = ModelParams(d=d, d0=d0, k=k, n=50)
+        with pytest.raises(ValidationError, match="overflow"):
+            exhaustive_fit(self._huge(1e154), params)
+        fit = exhaustive_fit(self._huge(1e150), params)
+        assert math.isfinite(fit.sse) and fit.sse > 0
+        assert fit.knots.knots[-1] == 50
+
+    @pytest.mark.parametrize("d0, solver", [(0, None), (-1, "exhaustive"),
+                                            (-1, "dp")])
+    def test_adaptive_fit(self, d0, solver):
+        spec = PenaltySpec(tau=1.0, sigma=1.0, d=1, d0=d0, n=50)
+        params = ModelParams(d=1, d0=d0, k=1, n=50)
+        with pytest.raises(ValidationError, match="overflow"):
+            adaptive_fit(self._huge(1e154), params, spec, k_max=3,
+                         solver=solver)
+        fit = adaptive_fit(self._huge(1e150), params, spec, k_max=3,
+                           solver=solver)
+        assert math.isfinite(fit.sse)
+
+    @pytest.mark.parametrize("d, d0, k", [(1, 0, 3), (0, -1, 4)])
+    def test_complexity_width(self, d, d0, k):
+        """The enumeration path; the d = 0 prefix-sum scans at k <= 3 keep
+        the full scan's inf (tests/test_pruned_scans.py)."""
+        params = ModelParams(d=d, d0=d0, k=k, n=50)
+        with pytest.raises(ValidationError, match="overflow"):
+            complexity_width(self._huge(1e154), params)
+        assert math.isfinite(complexity_width(self._huge(1e150), params))
+
+    @pytest.mark.parametrize("d, k", [(1, 2), (0, 2), (0, 40)])
+    def test_shape_lse(self, d, k):
+        """(0, 40) is the pooling path, which skips the screen."""
+        with pytest.raises(ValidationError, match="overflow"):
+            shape_lse(self._huge(1e154, 30), d, k)
+        assert math.isfinite(shape_lse(self._huge(1e150, 30), d, k).sse)
+
+    def test_check_membership(self):
+        with pytest.raises(ValidationError, match="overflow"):
+            check_membership(self._huge(1e154),
+                             ModelParams(d=1, d0=0, k=2, n=50))
+
+
+class TestSweeperBuffers:
+    """_SegmentSweeper.block returns a view of kept buffers: a block
+    after a larger or a smaller one leaves no stale entries, and matches
+    a fresh sweeper's block."""
+
+    @pytest.mark.parametrize("d", range(4))
+    def test_large_small_large(self, d):
+        n = 120
+        y = np.random.default_rng(62 + d).standard_normal(n)
+        sweeper = _SegmentSweeper(y, d)
+        blocks = [(0, 30), (n - d - 3, n - d), (10, 60), (40, 41)]
+        for lo, hi in blocks + blocks[::-1]:
+            got = sweeper.block(lo, hi).copy()
+            # a stale entry would be NaN here, and the last block's in got
+            for buf in model._chunks.buffers.values():
+                buf.fill(np.nan)
+            ref = _SegmentSweeper(y, d).block(lo, hi)
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes(), (d, lo, hi)
+
+    def test_kept_between_calls(self):
+        """Two blocks of one sweeper share the cost buffer."""
+        sweeper = _SegmentSweeper(np.arange(40.0) % 7, 1)
+        first = sweeper.block(0, 10)
+        assert np.shares_memory(first, sweeper.block(10, 20))
 
 
 class TestDpDegreeEnvelope:
