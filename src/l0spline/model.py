@@ -443,18 +443,17 @@ def _finite(values, what: str, n: int | None = None) -> np.ndarray:
     return a
 
 
-def _overflow_error(what: str = "y") -> ValidationError:
-    return ValidationError(f"segment costs of {what} overflow; rescale {what}"
-                           f" to a smaller magnitude")
+_OVERFLOW = ("segment costs of y overflow; rescale y to a smaller"
+             " magnitude")
 
 
-def _sum_of_squares(values: np.ndarray, what: str = "y") -> float:
-    """||values||^2, which bounds the least squares costs of values from
-    above; refused when it overflows, since those costs can too."""
+def _sum_of_squares(y: np.ndarray) -> float:
+    """||y||^2, which bounds the least squares costs of y from above;
+    refused when it overflows, since those costs can too."""
     with np.errstate(over="ignore"):
-        ss = float(values @ values)
+        ss = float(y @ y)
     if not math.isfinite(ss):
-        raise _overflow_error(what)
+        raise ValidationError(_OVERFLOW)
     return ss
 
 
@@ -570,9 +569,9 @@ class _KnotScreen:
     so callers rescore the sets near the best with their own arithmetic
     (_rescore; best does it for the least-cost knot vector at any piece
     count up to k).  Refuses y whose sum of squares overflows, for every
-    caller: their costs could overflow too.  Set j is the prefix _prefixes[_owner[j]] followed
-    by _last[j]; a _last of 0 (never an inner knot) stands for the
-    prefix alone.
+    caller: their costs could overflow too.  Set j is the prefix
+    _prefixes[_owner[j]] followed by _last[j]; a _last of 0 (never an
+    inner knot) stands for the prefix alone.
     """
 
     def __init__(self, y: np.ndarray, d: int, d0: int, k: int):

@@ -556,7 +556,6 @@ def shape_lse(y, d: int, k: int,
     """
     y = _finite(y, "y")
     n = y.size
-    tol = _SCREEN_TOL * _sum_of_squares(y)
     _check_degree(d)
     _check_envelope(d)
     if k < 1:
@@ -564,6 +563,7 @@ def shape_lse(y, d: int, k: int,
     if n < d + 1:
         raise ValidationError(
             f"need n >= d+1 = {d + 1} points for a degree-{d} fit, got {n}")
+    tol = _SCREEN_TOL * _sum_of_squares(y)
     if d == 0 and k >= n:
         theta = _isotonic_blocks(y)
         resid = y - theta

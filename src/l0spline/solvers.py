@@ -25,10 +25,10 @@ from .model import (
     PiecewiseSpline,
     SignalVector,
     _KnotScreen,
+    _OVERFLOW,
     _check_budget,
     _chunk_buffer,
     _finite,
-    _overflow_error,
     _reexpand_coefs,
     count_knot_vectors,
     evaluate_spline,
@@ -216,9 +216,9 @@ class _SegmentSweeper:
                 rows, cols)
 
         # the running sums of y (real part) and y^2 (imaginary part)
-        sums = np.cumsum(self._windows[lo:hi, :w], axis=1,
-                         out=kept("sums", complex, w))
-        win = self._windows[lo:hi, :w].real
+        windows = self._windows[lo:hi, :w]
+        sums = np.cumsum(windows, axis=1, out=kept("sums", complex, w))
+        win = windows.real
         # the moments, divided into contiguous rows; p = 0 skips the
         # product and the quotient by 1.0, both exact
         b = [kept(0)]
@@ -231,8 +231,8 @@ class _SegmentSweeper:
                 np.cumsum(z, axis=1, out=z)
                 parts = (z.real, z.imag)
             else:
-                z = np.multiply(self._jpow[p, :w], win, out=kept(("sums", p),
-                                                                  cols=w))
+                z = kept(("sums", p), cols=w)
+                np.multiply(self._jpow[p, :w], win, out=z)
                 parts = (np.cumsum(z, axis=1, out=z),)
             for q, part in enumerate(parts, start=p):
                 b.append(np.divide(part[:, d:], self._lpow[q, :m],
@@ -369,7 +369,7 @@ def _dp_table(y: np.ndarray, d: int, k_max: int) -> tuple:
     # and row 2 from every other piece, or +inf when its sum of squares
     # overflows, and then that of (0; n] does too, in C[1, 0]
     if not np.isfinite(C[1:, :n - d]).all():
-        raise _overflow_error()
+        raise ValidationError(_OVERFLOW)
     return C[:, :n + 1], nxt
 
 
