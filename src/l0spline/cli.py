@@ -239,7 +239,13 @@ def _cmd_fit(args) -> int:
 
 def _cmd_adapt(args) -> int:
     y = parse_series(args.input)
-    sigma = args.sigma if args.sigma is not None else estimate_sigma(y.values)
+    sigma = args.sigma
+    if sigma is None:
+        sigma = estimate_sigma(y.values)
+        if sigma == 0:
+            raise ValidationError(
+                "cannot estimate sigma: the median absolute first "
+                "difference of the series is 0; pass --sigma")
     spec = PenaltySpec(tau=args.tau, sigma=sigma, d=args.d, d0=args.d0,
                        n=y.n)
     params = ModelParams(d=args.d, d0=args.d0, k=1, n=y.n)

@@ -17,13 +17,13 @@ from .errors import DegenerateSystemError, L0SplineError, ValidationError
 from .model import (
     DEFAULT_BUDGET,
     DEFAULT_WIDTH_BUDGET,
-    KnotVector,
     ModelParams,
     SignalVector,
     _KnotScreen,
     _check_budget,
     _finite,
     _rescore,
+    _sum_of_squares,
     count_knot_vectors,
     raw_basis,
 )
@@ -289,7 +289,7 @@ def lil_statistic(eps, d: int) -> float:
 
 
 def _lil_bound(eps: np.ndarray, d: int, pow_table: np.ndarray,
-               root: np.ndarray | None = None) -> np.ndarray:
+               root: np.ndarray) -> np.ndarray:
     """Upper bound on every lil_statistic row, indexed by n1 in [1, n).
 
     With S the prefix sums of eps and w_j = j^d, Abel summation gives
@@ -304,13 +304,10 @@ def _lil_bound(eps: np.ndarray, d: int, pow_table: np.ndarray,
     numerator is widened by 4 (n+1)(d+2) u sum|eps|, u the unit
     roundoff, which covers the rounding of the row's own cumulative sum
     against S and of the window sums, and the bound by 16 u relative for
-    the divisions and square roots.  root is the table sqrt(arange(n+1)),
-    built here when not given.
+    the divisions and square roots.  root is the table sqrt(arange(n+1)).
     """
     n = eps.size
     s = np.concatenate([[0.0], np.cumsum(eps)])
-    if root is None:
-        root = np.sqrt(np.arange(n + 1, dtype=float))
     total = float(np.sum(np.abs(eps)))
     # the bound needs the row arithmetic free of overflow; past that,
     # every row is evaluated
@@ -364,22 +361,31 @@ def _shifted(moments, binom_p, shift: int) -> np.ndarray:
     return total
 
 
+def _noise_means(n_grid, reps: int, master_seed: int, statistic):
+    """Rows (n, mean, std_error) of a statistic of reps noise vectors per
+    grid point n, replicate rep of grid point idx drawing the stream
+    idx * reps + rep.  statistic(n) is called once per point, before its
+    draws, and returns the statistic of one draw."""
+    _check_reps(reps)
+    grid = tuple(int(v) for v in n_grid)
+    rows = []
+    for idx, n in enumerate(grid):
+        of_draw = statistic(n)
+        values = np.array([
+            of_draw(noise_vector(master_seed, idx * reps + rep, n))
+            for rep in range(reps)])
+        rows.append((n, float(np.mean(values)), _std_error(values)))
+    return rows
+
+
 def lil_curve(d: int, n_grid, reps: int, master_seed: int):
     """Mean and standard error of Z^2 per grid point.
 
     Returns rows (n, mean_Z2, std_error, loglog16n).
     """
-    _check_reps(reps)
-    grid = tuple(int(v) for v in n_grid)
-    rows = []
-    for idx, n in enumerate(grid):
-        z2 = np.empty(reps)
-        for rep in range(reps):
-            eps = noise_vector(master_seed, idx * reps + rep, n)
-            z2[rep] = lil_statistic(eps, d) ** 2
-        rows.append((n, float(np.mean(z2)), _std_error(z2),
-                     _loglog(16 * n)))
-    return rows
+    rows = _noise_means(n_grid, reps, master_seed,
+                        lambda n: lambda eps: lil_statistic(eps, d) ** 2)
+    return [row + (_loglog(16 * row[0]),) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -449,18 +455,18 @@ def complexity_width(eps, params: ModelParams,
     bound (`_width_k3_bound`, whose only slack is one ulp on the head
     term) and the result is bit-identical to the full O(n^2) scan.
     Every other case enumerates knot vectors and refuses when the
-    configuration count exceeds the budget, or eps whose sum of squares
-    overflows (the scans return the full scan's inf).  Refuses NaN and
-    inf entries.
+    configuration count exceeds the budget.  Refuses NaN and inf
+    entries, and eps whose sum of squares overflows.
     """
     eps = _finite(eps, "eps", params.n)
+    ss = _sum_of_squares(eps)
     n, d, d0, k = params.n, params.d, params.d0, params.k
     if d == 0 and d0 == -1 and k in (2, 3):
         return _width_const_k2(eps) if k == 2 else _width_const_k3(eps)
     _check_budget(count_knot_vectors(n, k, d), budget)
 
     def proj_sq(knots):
-        X = raw_basis(n, d, d0, KnotVector(knots, d).distinct())
+        X = raw_basis(n, d, d0, knots)
         coef, _, _, _ = np.linalg.lstsq(X, eps, rcond=None)
         proj = X @ coef
         return float(proj @ proj)
@@ -468,8 +474,8 @@ def complexity_width(eps, params: ModelParams,
     # the largest projection leaves the least SSE: rank the sets by minus
     # the projection, which the screened SSE minus ||eps||^2 estimates
     screen = _KnotScreen(eps, d, d0, k)
-    least, _ = _rescore(screen.score - float(eps @ eps), screen.tol,
-                        lambda j: -proj_sq(screen.knots(j)), screen.knots)
+    least, _ = _rescore(screen.score - ss, screen.tol,
+                        lambda j: -proj_sq(screen.distinct(j)), screen.knots)
     return -least
 
 
@@ -479,18 +485,14 @@ def width_curve(d: int, d0: int, k: int, n_grid, reps: int,
 
     Returns rows (n, mean_width, std_error, rate_loglog, rate_log).
     """
-    _check_reps(reps)
-    grid = tuple(int(v) for v in n_grid)
-    rows = []
-    for idx, n in enumerate(grid):
+    def statistic(n):
         params = ModelParams(d=d, d0=d0, k=k, n=n)
-        w = np.empty(reps)
-        for rep in range(reps):
-            eps = noise_vector(master_seed, idx * reps + rep, n)
-            w[rep] = complexity_width(eps, params, budget=budget)
-        rows.append((n, float(np.mean(w)), _std_error(w),
-                     k * _loglog(16 * n / k), k * math.log(math.e * n / k)))
-    return rows
+        return lambda eps: complexity_width(eps, params, budget=budget)
+
+    return [(n, mean, se, k * _loglog(16 * n / k),
+             k * math.log(math.e * n / k))
+            for n, mean, se in _noise_means(n_grid, reps, master_seed,
+                                            statistic)]
 
 
 # ---------------------------------------------------------------------------

@@ -569,9 +569,9 @@ class _KnotScreen:
     so callers rescore the sets near the best with their own arithmetic
     (_rescore; best does it for the least-cost knot vector at any piece
     count up to k).  Refuses y whose sum of squares overflows, for every
-    caller: their costs could overflow too.  Set j is the prefix
-    _prefixes[_owner[j]] followed by _last[j]; a _last of 0 (never an
-    inner knot) stands for the prefix alone.
+    caller: their costs could overflow too.  Set j is row j of sets, an
+    (S, k - 1) integer array: its inner knots in increasing order, padded
+    with n; score[j] is its screened cost.
     """
 
     def __init__(self, y: np.ndarray, d: int, d0: int, k: int):
@@ -582,9 +582,8 @@ class _KnotScreen:
         self._ts = np.arange(d + 1, n - d)   # every inner knot
         Q, _ = np.linalg.qr(raw_basis(n, d, d0, (0, n)))
         r = y - Q @ (Q.T @ y)
-        self._prefixes = [()]
-        self._parts = [(np.zeros(1, int), np.zeros(1, int),
-                        np.array([float(r @ r)]))]
+        empty = np.full((1, k - 1), n, dtype=np.intp)
+        self._parts = [(empty, np.array([float(r @ r)]))]
         if k >= 2:
             m, p = self._ts.size, d - d0
             step = max(1, _SCREEN_BLOCK // (n * p))
@@ -596,25 +595,25 @@ class _KnotScreen:
                 flat = B.reshape(n, -1)
                 flat -= Q @ (Q.T @ flat)
                 B = B.transpose(1, 2, 0)
-                self._score(0, r[None], B[None], lo,
+                self._score(empty, 0, r[None], B[None], lo,
                             np.ones((1, B.shape[0]), bool))
                 if C is not None:
                     C[lo:lo + step] = B
             if C is not None:
-                self._descend((), r, C, 0)
-        owner, last, score = zip(*self._parts)
+                self._descend(empty[0], 0, r, C, 0)
+        sets, score = zip(*self._parts)
         del self._parts
-        self._owner = np.concatenate(owner)
-        self._last = np.concatenate(last)
+        self.sets = np.concatenate(sets)
         self.score = np.concatenate(score)
 
-    def _descend(self, prefix, r, B, lo):
-        """Score the children of prefix and descend into theirs.  r is the
-        prefix's residual and B[j] the (p, n) block of its candidate
-        _ts[lo + j], both projected off the prefix design."""
+    def _descend(self, row, depth, r, B, lo):
+        """Score the children of the prefix of depth knots in row and
+        descend into theirs.  r is the prefix's residual and B[j] the
+        (p, n) block of its candidate _ts[lo + j], both projected off the
+        prefix design."""
         n, gap, m = self.n, self._gap, self._ts.size
         p = B.shape[1]
-        deeper = len(prefix) + 3 < self.k
+        deeper = depth + 3 < self.k
         a = lo   # the chunk's first child, as an index into _ts
         while a < m - gap:   # a child needs a candidate after it
             c = m - a - gap
@@ -630,8 +629,7 @@ class _KnotScreen:
             # project each child's block out of the candidates after it
             Bc = B[a + gap - lo:].reshape(c * p, n)
             G = Bc @ Q.reshape(g * p, n).T
-            D = _chunk_buffer(len(prefix), g * c * p * n).reshape(
-                g, c * p, n)
+            D = _chunk_buffer(depth, g * c * p * n).reshape(g, c * p, n)
             if p == 1:   # outer products, faster broadcast than matmul
                 np.multiply(G.T[:, :, None], Q, out=D)
             else:
@@ -639,22 +637,21 @@ class _KnotScreen:
                           out=D)
             np.subtract(Bc, D, out=D)
             Bg = D.reshape(g, c, p, n)
-            base = len(self._prefixes)
-            self._prefixes.extend(prefix + (int(t),)
-                                  for t in self._ts[a:a + g])
+            rows = np.repeat(row[None], g, axis=0)
+            rows[:, depth] = self._ts[a:a + g]
             # child i may end only at candidates after its own knot
-            self._score(base, R, Bg, a + gap,
+            self._score(rows, depth + 1, R, Bg, a + gap,
                         np.arange(c) >= np.arange(g)[:, None])
             if deeper:
                 for i in range(g):
-                    self._descend(self._prefixes[base + i], R[i],
-                                  Bg[i, i:], a + i + gap)
+                    self._descend(rows[i], depth + 1, R[i], Bg[i, i:],
+                                  a + i + gap)
             a += g
 
-    def _score(self, base, R, B, col, mask):
-        """Record prefix base + i followed by candidate _ts[col + j] for
-        every (i, j) in mask, scored ||R[i]||^2 less the squared
-        projection of R[i] on the span of B[i, j]."""
+    def _score(self, rows, depth, R, B, col, mask):
+        """Record prefix rows[i] followed by candidate _ts[col + j], in
+        column depth, for every (i, j) in mask, scored ||R[i]||^2 less
+        the squared projection of R[i] on the span of B[i, j]."""
         i, j = np.nonzero(mask)
         rr = np.einsum("gn,gn->g", R, R)[i]
         if B.shape[2] == 1:
@@ -666,48 +663,33 @@ class _KnotScreen:
             Qb, _ = np.linalg.qr(B[i, j].transpose(0, 2, 1))
             proj = R[i, None, :] @ Qb
             score = rr - np.einsum("kip,kip->k", proj, proj)
-        self._parts.append((base + i, self._ts[col + j], score))
+        sets = rows[i]
+        sets[:, depth] = self._ts[col + j]
+        self._parts.append((sets, score))
+
+    def distinct(self, j: int) -> tuple:
+        """Set j's distinct knots: 0, its inner knots and n."""
+        row = self.sets[j]
+        return (0, *row[row < self.n].tolist(), self.n)
 
     def knots(self, j: int) -> tuple:
         """Set j as its lexicographically smallest knot vector, the one a
         lexicographic scan of all knot vectors meets first."""
-        inner = self._prefixes[self._owner[j]]
-        if self._last[j]:
-            inner = inner + (int(self._last[j]),)
-        return _pad_knots((0,) + inner + (self.n,), self.k)
-
-    def _slots(self) -> np.ndarray:
-        """Each set's prefix length: the slot of its last knot."""
-        return np.array([len(p) for p in self._prefixes])[self._owner]
+        return _pad_knots(self.distinct(j), self.k)
 
     def best(self, cost, k: int) -> tuple:
-        """The knot vector with k <= self.k pieces of least cost(knots),
-        ties going to the lexicographically smallest.
+        """The knot vector with k <= self.k pieces of least
+        cost(distinct knots), ties going to the lexicographically
+        smallest.  Only the sets of at most k - 1 inner knots take part:
+        the others' scores are masked with +inf before _rescore."""
+        def vector(j):
+            return _pad_knots(self.distinct(j), k)
 
-        Only the sets of at most k - 1 inner knots take part: the others'
-        scores are masked with +inf before _rescore, which ranks the sets
-        by their knot vectors padded to self.k pieces.  Those vectors
-        order as they do padded to k pieces, so the winner is its vector
-        less the self.k - k leading empties.
-        """
-        score = np.where(self._slots() + (self._last > 0) < k, self.score,
+        score = np.where((self.sets < self.n).sum(1) < k, self.score,
                          np.inf)
-        _, j = _rescore(score, self.tol, lambda j: cost(self.knots(j)),
-                        self.knots)
-        return self.knots(j)[self.k - k:]
-
-    def inner_knots(self) -> np.ndarray:
-        """The inner knots of every set in increasing order, one row of
-        k - 1 per set, padded with n."""
-        n = self.n
-        pre = np.full((len(self._prefixes), self.k - 1), n, dtype=np.intp)
-        for i, prefix in enumerate(self._prefixes):
-            pre[i, :len(prefix)] = prefix
-        out = pre[self._owner]
-        if self.k > 1:   # the last knot goes after its prefix's
-            out[np.arange(out.shape[0]), self._slots()] = np.where(
-                self._last > 0, self._last, n)
-        return out
+        _, j = _rescore(score, self.tol, lambda j: cost(self.distinct(j)),
+                        vector)
+        return vector(j)
 
     def within(self, bound: float) -> list:
         """Knot vectors of the sets screened at or below bound, in

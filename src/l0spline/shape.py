@@ -577,7 +577,6 @@ def shape_lse(y, d: int, k: int,
     F, y_perp = cone.hinges(), cone.y_perp
     H, y_set = cone.set_cone(F)
     screen = _KnotScreen(y, d, d - 1, k)
-    sets = screen.inner_knots()
     set_tol = _dual_tols(H, y_set)
     order = np.argsort(screen.score, kind="stable")
     step = max(1, _PAIR_CHUNK // (k + 1))
@@ -587,12 +586,12 @@ def shape_lse(y, d: int, k: int,
         chunk = order[s:s + step]
         if screen.score[chunk[0]] > incumbent + tol:
             break
-        cost[chunk] = _nnls_screen(H, y_set, sets[chunk], set_tol)
+        cost[chunk] = _nnls_screen(H, y_set, screen.sets[chunk], set_tol)
         incumbent = min(incumbent, float(cost[chunk].min()))
 
     # every pair of the sets near the incumbent, keyed in scan order
     vectors = sorted(v for j in np.flatnonzero(cost <= incumbent + tol)
-                     for v in _realizations(sets[j], n, k))
+                     for v in _realizations(screen.distinct(j), k))
     knots = np.array(vectors, dtype=np.intp)
     dual_tol = _dual_tols(F, y_perp)
     score = np.concatenate([
@@ -615,10 +614,9 @@ def _check_envelope(d: int) -> None:
             f"shape_lse supports d <= {_SHAPE_MAX_DEGREE}, got d = {d}")
 
 
-def _realizations(inner: np.ndarray, n: int, k: int):
-    """Every knot vector with k pieces whose distinct knots are 0, the
-    inner knots below n, and n: each knot repeated once or more."""
-    distinct = (0, *(int(t) for t in inner if t < n), n)
+def _realizations(distinct: tuple, k: int):
+    """Every knot vector with k pieces on the given distinct knots, each
+    knot repeated once or more."""
     for cuts in combinations(range(1, k + 1), len(distinct) - 1):
         bounds = (0, *cuts, k + 1)
         yield tuple(t for t, lo, hi in zip(distinct, bounds, bounds[1:])

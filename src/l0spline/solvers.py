@@ -405,21 +405,20 @@ def dp_fit(y, params: ModelParams) -> FitResult:
 
 
 def _knot_cost(y: np.ndarray, d: int, d0: int):
-    """The exact cost of a knot vector by which the exhaustive solver ranks
-    the screened sets: a truncated power lstsq for d0 >= 0, and for
-    d0 = -1 segment_cost summed over the nonempty pieces, so that ranking
+    """The exact cost of a set of distinct knots by which the exhaustive
+    solver ranks the screened sets: a truncated power lstsq for d0 >= 0,
+    and for d0 = -1 segment_cost summed over the pieces, so that ranking
     shares no code with the dynamic program it checks."""
     if d0 == -1:
         def cost(knots):
             # a plain running sum: sum() compensates from Python 3.12 on
             sse = 0.0
             for lo, hi in zip(knots, knots[1:]):
-                if lo < hi:
-                    sse += segment_cost(y[lo:hi], d)[0]
+                sse += segment_cost(y[lo:hi], d)[0]
             return sse
     else:
         def cost(knots):
-            X = raw_basis(y.size, d, d0, KnotVector(knots, d).distinct())
+            X = raw_basis(y.size, d, d0, knots)
             coef, _, _, _ = np.linalg.lstsq(X, y, rcond=_RCOND)
             r = y - X @ coef
             return float(r @ r)

@@ -244,6 +244,19 @@ class TestAdaptCommand:
         assert code == 0
         assert json.loads(out)["k_selected"] == 2
 
+    def test_zero_noise_estimate_is_an_error(self, tmp_path, capsys):
+        """On a tie-heavy series the median absolute first difference is
+        0, and the refusal names it, not a sigma never passed."""
+        y = np.round(0.3 * np.random.default_rng(7).normal(size=250))
+        p = tmp_path / "ties.csv"
+        p.write_text("\n".join(repr(float(v)) for v in y) + "\n")
+        code, out, err = run_cli(["adapt", "--input", str(p), "--d", "0",
+                                  "--d0", "-1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot estimate sigma")
+        assert "--sigma" in err and "got 0.0" not in err
+
     @pytest.mark.parametrize("flags", [["--tau", "nan"], ["--tau", "inf"],
                                        ["--sigma", "inf"],
                                        ["--sigma", "1e308", "--tau", "1e10"],

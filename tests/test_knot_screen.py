@@ -5,6 +5,7 @@ sibling prefixes per numpy call.  It must score exactly the (prefix, last)
 sets that the per-prefix scan kept verbatim in `oracles.knot_screen_scan`
 scores, each to within rounding of that scan, for every degree, smoothness
 order and piece count, and the screen's error must stay of the scan's order.
+Its table holds each distinct inner-knot set once, as one padded row.
 """
 
 import os
@@ -17,7 +18,9 @@ import pytest
 
 import oracles as orc
 import l0spline.model as model
-from l0spline.model import _SCREEN_TOL, _KnotScreen, raw_basis
+from l0spline.model import (_SCREEN_TOL, KnotVector, _KnotScreen,
+                            iter_knot_vectors, raw_basis)
+from l0spline.shape import _realizations
 
 KINDS = ("noise", "zero", "constant", "rounded", "offset", "member")
 
@@ -39,8 +42,13 @@ def _series(kind, n, d, d0, k, rng):
 
 
 def _scores(screen):
-    return {(screen._prefixes[o], int(t)): float(s)
-            for o, t, s in zip(screen._owner, screen._last, screen.score)}
+    """The scores keyed like the scan's, by each row's inner knots but
+    the last and its last inner knot, ((), 0) for the empty set."""
+    scores = {}
+    for row, s in zip(screen.sets.tolist(), screen.score):
+        inner = tuple(t for t in row if t < screen.n)
+        scores[(inner[:-1], inner[-1]) if inner else ((), 0)] = float(s)
+    return scores
 
 
 def _bound(d, n):
@@ -124,6 +132,32 @@ class TestAccuracy:
         assert err_new <= 0.25 * _SCREEN_TOL * float(y @ y)
 
 
+class TestTable:
+    @pytest.mark.parametrize("d, d0, k, n", [(0, -1, 1, 7), (0, -1, 4, 12),
+                                             (1, 0, 3, 20), (2, 1, 4, 25),
+                                             (3, -1, 2, 16)])
+    def test_rows_are_the_distinct_sets(self, d, d0, k, n):
+        """Each row holds a set's inner knots in increasing order, padded
+        with n, at gaps of at least d + 1; every distinct set of the knot
+        vectors appears once, and knots(j) is the smallest vector that
+        realizes row j."""
+        screen = _KnotScreen(np.random.default_rng(n).standard_normal(n),
+                             d, d0, k)
+        assert screen.sets.shape == (screen.score.size, k - 1)
+        seen = set()
+        for j, row in enumerate(screen.sets.tolist()):
+            inner = [t for t in row if t < n]
+            assert row == inner + [n] * (k - 1 - len(inner))
+            distinct = screen.distinct(j)
+            assert distinct == (0, *inner, n)
+            assert min(np.diff(distinct)) >= d + 1
+            assert screen.knots(j) == min(_realizations(distinct, k))
+            seen.add(distinct)
+        assert len(seen) == screen.sets.shape[0]
+        assert seen == {KnotVector(v, d).distinct()
+                        for v in iter_knot_vectors(n, k, d)}
+
+
 class TestCalls:
     def test_few_qr_calls_per_screen(self, monkeypatch):
         """At n=60, d=1, d0=0, k=3 the scan made one QR per prefix, 56 of
@@ -144,7 +178,8 @@ class TestCalls:
         monkeypatch.setattr(model, "raw_basis", counting_raw)
         y = np.random.default_rng(81).standard_normal(60)
         screen = _KnotScreen(y, 1, 0, 3)
-        assert len(screen._prefixes) == 56
+        # every distinct inner-knot set, each scored once
+        assert len(screen.sets) == 1598
         assert len(calls) <= 2
         assert len(designs) == 1
 

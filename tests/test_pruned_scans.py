@@ -23,9 +23,13 @@ def _width(eps, k):
     return complexity_width(eps, ModelParams(d=0, d0=-1, k=k, n=eps.size))
 
 
-def _assert_scans_match(eps, degrees=range(4)):
+def _assert_lil_matches(eps, degrees=range(4)):
     for d in degrees:
         assert lil_statistic(eps, d).hex() == orc.lil_scan(eps, d).hex(), d
+
+
+def _assert_scans_match(eps, degrees=range(4)):
+    _assert_lil_matches(eps, degrees)
     assert _width(eps, 2).hex() == orc.width_const_k2_scan(eps).hex()
     assert _width(eps, 3).hex() == orc.width_const_k3_scan(eps).hex()
 
@@ -66,7 +70,8 @@ def _adversarial(n, rng):
         "tiny": 1e-150 * noise,
         "spike": spike,
         "negated": -noise,
-        # partial sums past the float range: every row is evaluated
+        # partial sums past the float range: every lil_statistic row is
+        # evaluated, and the widths refuse the overflowing squares
         "overflow": 1e306 * rng.standard_cauchy(n),
     }
 
@@ -78,7 +83,14 @@ class TestAdversarial:
         for kind, eps in _adversarial(n, rng).items():
             with np.errstate(over="ignore", invalid="ignore"):
                 try:
-                    _assert_scans_match(eps)
+                    if kind == "overflow":
+                        _assert_lil_matches(eps)
+                        for k in (2, 3):
+                            with pytest.raises(ValidationError,
+                                               match="overflow"):
+                                _width(eps, k)
+                    else:
+                        _assert_scans_match(eps)
                 except AssertionError as exc:
                     raise AssertionError(f"{kind}: {exc}") from None
 
@@ -121,7 +133,8 @@ class TestRowBounds:
             for eps in _bound_inputs(n, rng):
                 for d in range(4):
                     pow_table = np.arange(n + 1, dtype=float) ** d
-                    bound = experiments._lil_bound(eps, d, pow_table)
+                    bound = experiments._lil_bound(
+                        eps, d, pow_table, np.sqrt(np.arange(n + 1)))
                     rows = orc.lil_rows(eps, d)
                     assert np.all(bound >= rows), (n, d)
 

@@ -46,7 +46,8 @@ def _assert_bounds_match(n, rng, degrees=range(4)):
     for kind, eps in _inputs(n, rng).items():
         for d in degrees:
             pow_table = np.arange(n + 1, dtype=float) ** d
-            assert _same(experiments._lil_bound(eps, d, pow_table),
+            root = np.sqrt(np.arange(n + 1))
+            assert _same(experiments._lil_bound(eps, d, pow_table, root),
                          orc._lil_bound(eps, d, pow_table)), (kind, d)
         s, tail = _k3_args(eps)
         assert _same(experiments._width_k3_bound(s, tail),

@@ -546,7 +546,7 @@ class TestShapePruning:
             F, y_perp, idx, dual_tol = TestNnlsScreen._screen(y, d, k)
             score = _nnls_screen(F, y_perp, idx, dual_tol).reshape(-1, k + 1)
             screen = _KnotScreen(y, d, d - 1, k)
-            sets = screen.inner_knots()
+            sets = screen.sets
             H, y_set = _ConeProblem(y, d).set_cone(F)
             cone = _nnls_screen(H, y_set, sets, _dual_tols(H, y_set))
             assert np.all(cone >= screen.score - 1e-12 * yy)
