@@ -241,11 +241,13 @@ def _cmd_adapt(args) -> int:
     y = parse_series(args.input)
     sigma = args.sigma
     if sigma is None:
-        sigma = estimate_sigma(y.values)
-        if sigma == 0:
+        with np.errstate(over="ignore"):
+            sigma = estimate_sigma(y.values)
+        if sigma == 0 or not math.isfinite(sigma * sigma):
             raise ValidationError(
                 "cannot estimate sigma: the median absolute first "
-                "difference of the series is 0; pass --sigma")
+                f"difference of the series gives sigma = {sigma:g}, which "
+                "must be > 0 with a finite square; pass --sigma")
     spec = PenaltySpec(tau=args.tau, sigma=sigma, d=args.d, d0=args.d0,
                        n=y.n)
     params = ModelParams(d=args.d, d0=args.d0, k=1, n=y.n)

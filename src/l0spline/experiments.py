@@ -459,7 +459,7 @@ def complexity_width(eps, params: ModelParams,
     entries, and eps whose sum of squares overflows.
     """
     eps = _finite(eps, "eps", params.n)
-    ss = _sum_of_squares(eps)
+    ss = _sum_of_squares(eps, "eps")
     n, d, d0, k = params.n, params.d, params.d0, params.k
     if d == 0 and d0 == -1 and k in (2, 3):
         return _width_const_k2(eps) if k == 2 else _width_const_k3(eps)

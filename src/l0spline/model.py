@@ -443,17 +443,17 @@ def _finite(values, what: str, n: int | None = None) -> np.ndarray:
     return a
 
 
-_OVERFLOW = ("segment costs of y overflow; rescale y to a smaller"
-             " magnitude")
+_OVERFLOW = ("least squares costs of {0} overflow; rescale {0} to a"
+             " smaller magnitude")
 
 
-def _sum_of_squares(y: np.ndarray) -> float:
-    """||y||^2, which bounds the least squares costs of y from above;
-    refused when it overflows, since those costs can too."""
+def _sum_of_squares(y: np.ndarray, what: str = "y") -> float:
+    """||y||^2, an upper bound on the least squares costs of y; refused,
+    naming y as what, when it overflows, since those costs can too."""
     with np.errstate(over="ignore"):
         ss = float(y @ y)
     if not math.isfinite(ss):
-        raise ValidationError(_OVERFLOW)
+        raise ValidationError(_OVERFLOW.format(what))
     return ss
 
 
@@ -471,6 +471,7 @@ def check_membership(theta, params: ModelParams, tol: float = 1e-8,
     configurations than the budget allows.
     """
     theta = _finite(theta, "theta", params.n)
+    _sum_of_squares(theta, "theta")
     n, d, d0, k = params.n, params.d, params.d0, params.k
     _check_budget(count_knot_vectors(n, k, d), budget)
     # a sup-norm hit has SSE <= n tol^2, so only sets screened below that
@@ -553,17 +554,12 @@ class _KnotScreen:
     Each valid set of at most k-1 distinct inner knots is scored exactly
     once, as a prefix of knots followed by one last knot.  The truncated
     power block of every inner knot is built once and projected off the
-    polynomial block once.  The prefixes are then walked depth first: a
-    child prefix's residual and candidate blocks are its parent's with the
-    child's own knot block projected out, that block orthonormalized from
-    its projected vectors.  The children of one prefix are deflated and
-    scored together, in chunks of at most _SCREEN_BLOCK array entries that
-    slice the candidates from the chunk's first allowed knot on, as
-    ||r||^2 less the squared projection of r on each candidate's block.
-    The blocks kept for deflation take O(n^2 (d - d0)) memory from k = 3
-    on; below that the candidates are scored a chunk at a time.  Each
-    depth of the walk deflates into one buffer kept between calls
-    (_chunk_buffer), so a warm call takes no page faults for its chunks.
+    polynomial block once; the one-knot sets are scored from it a chunk
+    at a time.  From k = 3 on the prefixes are walked depth first, with
+    O(n^2 (d - d0)) numbers kept: _walk carries Gram matrices when each
+    knot has one column (leaps and bounds, Furnival & Wilson 1974), and
+    _descend deflates column blocks when it has more, since normal
+    equations of power blocks lose more digits.
 
     The scores match the per-set least squares costs up to rounding only,
     so callers rescore the sets near the best with their own arithmetic
@@ -587,8 +583,7 @@ class _KnotScreen:
         if k >= 2:
             m, p = self._ts.size, d - d0
             step = max(1, _SCREEN_BLOCK // (n * p))
-            # a block holds one (p, n) column block per candidate; the
-            # children deflate slices of the whole block
+            # every candidate's projected (p, n) block, for the walks
             C = np.empty((m, p, n)) if k >= 3 else None
             for lo in range(0, m, step):
                 B = _knot_columns(n, d, d0, self._ts[lo:lo + step])
@@ -599,18 +594,51 @@ class _KnotScreen:
                             np.ones((1, B.shape[0]), bool))
                 if C is not None:
                     C[lo:lo + step] = B
-            if C is not None:
+            if C is not None and p == 1:   # the walk keeps no columns
+                C = C[:, 0]
+                G, v, C = C @ C.T, C @ r, None
+                self._walk(empty[0], 0, G, v, float(r @ r), 0)
+            elif C is not None:
                 self._descend(empty[0], 0, r, C, 0)
         sets, score = zip(*self._parts)
         del self._parts
         self.sets = np.concatenate(sets)
         self.score = np.concatenate(score)
 
+    def _walk(self, row, depth, G, v, rr, lo):
+        """Score the prefix of depth knots in row followed by every pair of
+        its candidates _ts[lo + i], _ts[lo + j], j - i >= gap, from the
+        Gram matrix G of their columns, their products v with the residual
+        and its squared norm rr, all projected off the prefix design; then
+        descend, each child's state the Schur complement on its column."""
+        gap, m = self._gap, v.size
+        g = np.diag(G)
+        a = v / g
+        head = rr - a * v   # the score of the prefix and i alone
+        rows = np.repeat(row[None], m, axis=0)
+        rows[:, depth] = self._ts[lo:]
+        step = max(1, _SCREEN_BLOCK // (m + 1))
+        for b in range(0, m - gap, step):   # a chunk of children at a time
+            i, j = np.nonzero(np.arange(m) - np.arange(b, min(b + step, m))[
+                :, None] >= gap)   # the chunk's rows of triu_indices
+            i += b
+            c = G[i, j]
+            w = v[j] - c * a[i]
+            sets = rows[i]
+            sets[:, depth + 1] = self._ts[lo + j]
+            self._parts.append((sets, head[i] - w * w / (g[j] - c * c / g[i])))
+        if depth + 3 < self.k:
+            for i in range(m - 2 * gap):   # a child needs a pair after it
+                c = G[i, i + gap:]
+                self._walk(rows[i], depth + 1,
+                           G[i + gap:, i + gap:] - np.outer(c, c / g[i]),
+                           v[i + gap:] - c * a[i], head[i], lo + i + gap)
+
     def _descend(self, row, depth, r, B, lo):
         """Score the children of the prefix of depth knots in row and
         descend into theirs.  r is the prefix's residual and B[j] the
         (p, n) block of its candidate _ts[lo + j], both projected off the
-        prefix design."""
+        prefix design.  Each depth deflates into one kept _chunk_buffer."""
         n, gap, m = self.n, self._gap, self._ts.size
         p = B.shape[1]
         deeper = depth + 3 < self.k
@@ -620,21 +648,13 @@ class _KnotScreen:
             g = min(m - gap - a, max(1, _SCREEN_BLOCK // (n * c * p)))
             # the children's own blocks, orthonormalized: Q[i] is (p, n)
             own = B[a - lo:a - lo + g]
-            if p == 1:
-                Q = own / np.sqrt(np.einsum("gin,gin->g", own, own))[
-                    :, None, None]
-            else:
-                Q = np.linalg.qr(own.transpose(0, 2, 1))[0].transpose(0, 2, 1)
+            Q = np.linalg.qr(own.transpose(0, 2, 1))[0].transpose(0, 2, 1)
             R = r - ((Q @ r)[:, None, :] @ Q)[:, 0]
             # project each child's block out of the candidates after it
             Bc = B[a + gap - lo:].reshape(c * p, n)
             G = Bc @ Q.reshape(g * p, n).T
             D = _chunk_buffer(depth, g * c * p * n).reshape(g, c * p, n)
-            if p == 1:   # outer products, faster broadcast than matmul
-                np.multiply(G.T[:, :, None], Q, out=D)
-            else:
-                np.matmul(G.reshape(c * p, g, p).transpose(1, 0, 2), Q,
-                          out=D)
+            np.matmul(G.reshape(c * p, g, p).transpose(1, 0, 2), Q, out=D)
             np.subtract(Bc, D, out=D)
             Bg = D.reshape(g, c, p, n)
             rows = np.repeat(row[None], g, axis=0)

@@ -369,7 +369,7 @@ def _dp_table(y: np.ndarray, d: int, k_max: int) -> tuple:
     # and row 2 from every other piece, or +inf when its sum of squares
     # overflows, and then that of (0; n] does too, in C[1, 0]
     if not np.isfinite(C[1:, :n - d]).all():
-        raise ValidationError(_OVERFLOW)
+        raise ValidationError(_OVERFLOW.format("y"))
     return C[:, :n + 1], nxt
 
 

@@ -257,6 +257,24 @@ class TestAdaptCommand:
         assert err.startswith("error: cannot estimate sigma")
         assert "--sigma" in err and "got 0.0" not in err
 
+    @pytest.mark.parametrize("value, estimate", [("1e308", "inf"),
+                                                 ("3e160", "6.29005e+160")])
+    def test_overflowing_noise_estimate_is_an_error(
+            self, tmp_path, capsys, recwarn, value, estimate):
+        """On 20 points alternating +-1e308 the first differences overflow
+        and the estimate is inf; at +-3e160 it is finite but its square
+        is not.  The refusal names the estimate, not a sigma never
+        passed, and numpy's overflow warning does not get through."""
+        p = tmp_path / "huge.csv"
+        p.write_text("\n".join([value, "-" + value] * 10) + "\n")
+        code, out, err = run_cli(["adapt", "--input", str(p), "--d", "0",
+                                  "--d0", "-1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot estimate sigma")
+        assert f"sigma = {estimate}," in err and "pass --sigma" in err
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+
     @pytest.mark.parametrize("flags", [["--tau", "nan"], ["--tau", "inf"],
                                        ["--sigma", "inf"],
                                        ["--sigma", "1e308", "--tau", "1e10"],

@@ -1,11 +1,14 @@
-"""The chunked deflation knot screen against the per-prefix scan.
+"""The knot screen against the per-prefix scan.
 
-`model._KnotScreen` walks the prefixes depth first and deflates a chunk of
-sibling prefixes per numpy call.  It must score exactly the (prefix, last)
-sets that the per-prefix scan kept verbatim in `oracles.knot_screen_scan`
-scores, each to within rounding of that scan, for every degree, smoothness
-order and piece count, and the screen's error must stay of the scan's order.
-Its table holds each distinct inner-knot set once, as one padded row.
+`model._KnotScreen` walks the prefixes depth first.  With one column per
+knot (d - d0 = 1) it carries each prefix's Gram matrix of candidate
+columns and scores all of its (child, last) pairs in one pass; with more
+it deflates a chunk of sibling prefixes per numpy call.  Either way it must
+score exactly the (prefix, last) sets that the per-prefix scan kept
+verbatim in `oracles.knot_screen_scan` scores, each to within rounding of
+that scan, for every degree, smoothness order and piece count, and the
+screen's error must stay of the scan's order.  Its table holds each
+distinct inner-knot set once, as one padded row.
 """
 
 import os
@@ -98,6 +101,15 @@ class TestAgainstScan:
                     _assert_matches_scan(_series(kind, n, d, d0, k, rng),
                                          d, d0, k)
 
+    @pytest.mark.parametrize("d, d0", [(1, 0), (0, -1)])
+    @pytest.mark.parametrize("kind", ("member", "rounded"))
+    def test_k5_gram_walk(self, d, d0, kind):
+        """Two nested Schur complements of the one-column Gram walk, one
+        more than k <= 4 reaches."""
+        for n in (20, 22, 24):
+            rng = np.random.default_rng([d, d0 + 1, 5, n])
+            _assert_matches_scan(_series(kind, n, d, d0, 5, rng), d, d0, 5)
+
     @pytest.mark.parametrize("n", (128, 256))
     def test_k3_large_n(self, n):
         """Several chunks per level at k = 3; one kind per (d, d0)."""
@@ -161,10 +173,11 @@ class TestTable:
 class TestCalls:
     def test_few_qr_calls_per_screen(self, monkeypatch):
         """At n=60, d=1, d0=0, k=3 the scan made one QR per prefix, 56 of
-        them.  The deflation screen factors the polynomial block once and
-        normalizes the one-column knot blocks; it builds one design."""
-        calls, designs = [], []
-        qr, raw = np.linalg.qr, model.raw_basis
+        them.  The one-column screen factors the polynomial block, its one
+        design, and nothing else: its pairs are scored from the Gram
+        matrix of the knot columns, with no deflated chunks."""
+        calls, designs, chunks = [], [], []
+        qr, raw, chunk = np.linalg.qr, model.raw_basis, model._chunk_buffer
 
         def counting_qr(*a, **kw):
             calls.append(a)
@@ -174,25 +187,34 @@ class TestCalls:
             designs.append(a)
             return raw(*a, **kw)
 
+        def counting_chunk(*a, **kw):
+            chunks.append(a)
+            return chunk(*a, **kw)
+
         monkeypatch.setattr(np.linalg, "qr", counting_qr)
         monkeypatch.setattr(model, "raw_basis", counting_raw)
+        monkeypatch.setattr(model, "_chunk_buffer", counting_chunk)
         y = np.random.default_rng(81).standard_normal(60)
         screen = _KnotScreen(y, 1, 0, 3)
         # every distinct inner-knot set, each scored once
         assert len(screen.sets) == 1598
-        assert len(calls) <= 2
         assert len(designs) == 1
+        assert len(calls) == 1 and calls[0][0].shape == (60, 2)
+        assert chunks == []
 
     def test_chunks_stay_within_the_block(self, monkeypatch):
         """With a block too small for one child, each chunk holds one child
-        and the scores are unchanged."""
+        and the scores are unchanged, for the deflation (d - d0 = 2) and
+        the Gram walk (d - d0 = 1)."""
         y = np.random.default_rng(3).standard_normal(40)
-        ref = _scores(_KnotScreen(y, 2, 0, 4))
-        monkeypatch.setattr(model, "_SCREEN_BLOCK", 1)
-        small = _scores(_KnotScreen(y, 2, 0, 4))
-        assert small.keys() == ref.keys()
-        assert max(abs(small[q] - ref[q]) for q in ref) <= (
-            1e-3 * _SCREEN_TOL * float(y @ y))
+        for d, d0 in ((2, 0), (1, 0)):
+            ref = _scores(_KnotScreen(y, d, d0, 4))
+            with monkeypatch.context() as patch:
+                patch.setattr(model, "_SCREEN_BLOCK", 1)
+                small = _scores(_KnotScreen(y, d, d0, 4))
+            assert small.keys() == ref.keys()
+            assert max(abs(small[q] - ref[q]) for q in ref) <= (
+                1e-3 * _SCREEN_TOL * float(y @ y))
 
 
 class TestChunkBuffers:

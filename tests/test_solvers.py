@@ -807,12 +807,13 @@ class TestOverflowRefused:
                            solver=solver)
         assert math.isfinite(fit.sse)
 
-    @pytest.mark.parametrize("d, d0, k", [(1, 0, 3), (0, -1, 4)])
+    @pytest.mark.parametrize("d, d0, k", [(1, 0, 3), (0, -1, 4),
+                                          (0, -1, 3)])
     def test_complexity_width(self, d, d0, k):
-        """The enumeration path; the d = 0 prefix-sum scans at k <= 3 keep
-        the full scan's inf (tests/test_pruned_scans.py)."""
+        """The enumeration path and the d = 0 prefix-sum scans; the
+        refusal names the width's argument, eps."""
         params = ModelParams(d=d, d0=d0, k=k, n=50)
-        with pytest.raises(ValidationError, match="overflow"):
+        with pytest.raises(ValidationError, match="costs of eps overflow"):
             complexity_width(self._huge(1e154), params)
         assert math.isfinite(complexity_width(self._huge(1e150), params))
 
@@ -824,9 +825,12 @@ class TestOverflowRefused:
         assert math.isfinite(shape_lse(self._huge(1e150, 30), d, k).sse)
 
     def test_check_membership(self):
-        with pytest.raises(ValidationError, match="overflow"):
-            check_membership(self._huge(1e154),
-                             ModelParams(d=1, d0=0, k=2, n=50))
+        """The refusal names the argument, theta."""
+        for theta in (self._huge(1e154), 1e200 * np.ones(20)):
+            params = ModelParams(d=1, d0=0, k=2, n=theta.size)
+            with pytest.raises(ValidationError,
+                               match="costs of theta overflow; rescale theta"):
+                check_membership(theta, params)
 
 
 class TestSweeperBuffers:
