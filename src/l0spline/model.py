@@ -212,20 +212,12 @@ class SignalVector:
 
 def count_knot_vectors(n: int, k: int, d: int) -> int:
     """Exact number of valid knot vectors for the class (d, ., k) on grid n."""
-    # ways[pos]: completions from a knot at pos with the pieces placed so
-    # far; the next knot repeats pos or is any later s that is n or leaves
-    # n - s >= d + 1, and tail sums ways over those s
-    ways = [0] * n + [1]
-    for _ in range(k):
-        nxt = [0] * n + [1]
-        tail = 0
-        for pos in range(n - 1, -1, -1):
-            s = pos + d + 1
-            if s == n or s <= n - d - 1:
-                tail += ways[s]
-            nxt[pos] = ways[pos] + tail
-        ways = nxt
-    return ways[0]
+    # m of the k pieces are nonempty, in C(k, m) ways, and their lengths,
+    # each >= d + 1, sum to n in C(n - m d - 1, m - 1) ways; at n = 0 the
+    # one vector has every piece empty
+    return int(n == 0) + sum(
+        math.comb(k, m) * math.comb(n - m * d - 1, m - 1)
+        for m in range(1, min(k, n // (d + 1)) + 1))
 
 
 def iter_knot_vectors(n: int, k: int, d: int):

@@ -263,6 +263,46 @@ class _SegmentSweeper:
                   where=self._past[n - c:n - c + rows, :c])
         return cost
 
+    def diagonal(self) -> np.ndarray:
+        """Costs of the segments (t; n] for starts t = 0..n-d-1: block's
+        entries with t + d + 1 + l = n, bit for bit, in O(n d) memory.
+
+        Each start's running sums are folded along its window one offset
+        at a time, for all starts at once, so every start adds its terms
+        in block's order; the quadratic form runs on these windows alone."""
+        d, n = self.d, self.n
+        m = n - d
+        pairs = self._windows[0]
+        y = pairs.real
+        # y + i y^2 as block pairs them, and j^p y for p = 1..d, whose
+        # weight 1^p at offset 0 is exact
+        sums = pairs[:m].copy()
+        acc = np.tile(y[:m], (d, 1))
+        term = np.empty(m)
+        for j in range(1, n):
+            w = min(m, n - j)
+            np.add(sums[:w], pairs[j:j + w], out=sums[:w])
+            for p in range(1, d + 1):
+                np.multiply(y[j:j + w], self._jpow[p, j], out=term[:w])
+                np.add(acc[p - 1, :w], term[:w], out=acc[p - 1, :w])
+        # by window length from d + 1 up, the order of _ginv and _lpow
+        ss, b = sums.imag[::-1], [sums.real[::-1]]
+        for q in range(1, d + 1):
+            b.append(acc[q - 1, ::-1] / self._lpow[q])
+        quad = b[0] * self._ginv[0, 0]
+        quad *= b[0]
+        for p in range(d + 1):
+            for q in range(d + 1):
+                if p or q:
+                    tmp = b[p] * self._ginv[p, q]
+                    tmp *= b[q]
+                    quad += tmp
+        # the last start's one window, summed as block sums it
+        b1 = np.array([[bp[0] for bp in b]])
+        quad[0] = np.einsum("lp,lpq,lq->l", b1,
+                            self._ginv[:, :, :1].transpose(2, 0, 1), b1)[0]
+        return (ss - quad)[::-1]
+
 
 # ---------------------------------------------------------------------------
 # fitting at fixed knots
@@ -315,8 +355,6 @@ def fit_given_knots(y, params: ModelParams, knots) -> FitResult:
 # global solvers
 # ---------------------------------------------------------------------------
 
-# an overflowing cost is refused once the table is filled
-@np.errstate(over="ignore", invalid="ignore")
 def _dp_table(y: np.ndarray, d: int, k_max: int) -> tuple:
     """Segment-neighbourhood forward pass for every piece count up to k_max.
 
@@ -324,16 +362,32 @@ def _dp_table(y: np.ndarray, d: int, k_max: int) -> tuple:
     with at most r pieces; nxt[r, t] is the first split minimizing the cost
     of a nonempty piece starting at t plus C[r-1] after it.  Row r depends
     only on row r-1, so a table built for k_max serves every k <= k_max.
+    Every entry of C and nxt is that of costing one start at a time, bit
+    for bit (_dp_pass).  Refuses y whose segment costs overflow (squares
+    near 1e300 and up), where C would hold NaN or inf.
+    """
+    return _dp_pass(y, d, k_max, k_max)
+
+
+# an overflowing cost is refused once the entries are filled
+@np.errstate(over="ignore", invalid="ignore")
+def _dp_pass(y: np.ndarray, d: int, k: int, full: int) -> tuple:
+    """The (C, nxt) of _dp_table(y, d, k) with rows 1..full filled, full
+    being k or k - 1, and in the second case row k only at t = 0.
 
     The starts are taken in blocks from the right, each costed by one
     _SegmentSweeper.block call of at most about _DP_BLOCK window entries.
     Row r of a block needs row r-1 only at and after the block's starts,
     so the block fills its rows in order with one argmin each.  Row 1 is
     read off the sweep: C[0] is +inf except C[0, n] = 0, so C[1, t] is
-    the cost of (t; n], the block's diagonal, and nxt[1, t] is n.  The
-    work is the O(n^2 k d) of one start at a time, and so is every entry
-    of C and nxt, bit for bit.  Refuses y whose segment costs overflow
-    (squares near 1e300 and up), where C would hold NaN or inf.
+    the cost of (t; n], the block's diagonal, and nxt[1, t] is n.  When
+    row 1 is the only full row, _SegmentSweeper.diagonal gives it without
+    the blocks.  C[k, 0] takes start 0's costs from a one-start block as
+    the full row does: off the diagonal at k = 1, else through the add,
+    argmin and minimum.  The blocks do the O(n^2 (d^2 + full)) work of
+    one start at a time, the fold O(n^2 d) and start 0's block O(n d^2),
+    and every entry is the per-start one, bit for bit.  Refuses y whose
+    costs overflow in any entry filled.
     """
     n = y.size
     # every segment cost is invariant to removing a global degree-d fit,
@@ -341,11 +395,14 @@ def _dp_table(y: np.ndarray, d: int, k_max: int) -> tuple:
     Q, _ = np.linalg.qr(raw_basis(n, d, -1, (0, n)))
     sweeper = _SegmentSweeper(y - Q @ (Q.T @ y), d)
     # columns past n stay +inf for the blocks' ragged right edge
-    C = np.full((k_max + 1, 2 * n + 1), np.inf)
+    C = np.full((k + 1, 2 * n + 1), np.inf)
     C[:, n] = 0.0
-    nxt = np.full((k_max + 1, n + 1), n)
+    nxt = np.full((k + 1, n + 1), n)
     after = sliding_window_view(C, n - d, axis=1)
-    hi = n - d
+    # C[0] is +inf but at n: row 1 is the piece (t; n], nxt[1] keeps n
+    if full == 1:
+        np.add(C[0, n], sweeper.diagonal(), out=C[1, :n - d])
+    hi = n - d if full > 1 else 0
     while hi > 0:
         # as many starts as keep starts * (n - lo) <= _DP_BLOCK
         w = n - hi
@@ -353,10 +410,9 @@ def _dp_table(y: np.ndarray, d: int, k_max: int) -> tuple:
         cost = sweeper.block(lo, hi)
         rows = np.arange(hi - lo)
         first = lo + d + 1
-        # C[0] is +inf but at n: row 1 is the piece (t; n], nxt[1] keeps n
         np.add(C[0, n], cost[rows, n - first - rows], out=C[1, lo:hi])
         cand = _chunk_buffer("dp_cand", cost.size).reshape(cost.shape)
-        for r in range(2, k_max + 1):
+        for r in range(2, full + 1):
             np.add(after[r - 1, first:hi + d + 1, :cost.shape[1]], cost,
                    out=cand)
             hit = cand.argmin(axis=1)
@@ -365,10 +421,23 @@ def _dp_table(y: np.ndarray, d: int, k_max: int) -> tuple:
             np.minimum(C[r - 1, lo:hi], cand[rows, hit], out=C[r, lo:hi])
             nxt[r, lo:hi] = hit + rows + first
         hi = lo
-    # an overflowed cost is -inf or NaN, which row 1 takes off the diagonal
-    # and row 2 from every other piece, or +inf when its sum of squares
-    # overflows, and then that of (0; n] does too, in C[1, 0]
-    if not np.isfinite(C[1:, :n - d]).all():
+    if full < k:
+        # start 0's costs as the full row k takes them: row 1 the piece
+        # (0; n], a later row every piece through the add, argmin and min
+        cost = sweeper.block(0, 1)[0]
+        if k == 1:
+            C[1, 0] = C[0, n] + cost[-1]
+        else:
+            cand = np.add(C[k - 1, d + 1:n + 1], cost)
+            hit = cand.argmin()
+            C[k, 0] = np.minimum(C[k - 1, 0], cand[hit])
+            nxt[k, 0] = hit + d + 1
+    # an overflowed cost is -inf or NaN, which row 1 takes off the diagonal,
+    # row 2 from every other piece and C[k, 0] from every piece from 0, or
+    # +inf when its sum of squares overflows, and then that of (0; n] does
+    # too, in C[1, 0]
+    if not (np.isfinite(C[1:full + 1, :n - d]).all()
+            and np.isfinite(C[k, 0])):
         raise ValidationError(_OVERFLOW.format("y"))
     return C[:, :n + 1], nxt
 
@@ -389,18 +458,25 @@ def _backtrack(table: tuple, k: int) -> tuple:
 def dp_fit(y, params: ModelParams) -> FitResult:
     """Exact minimizer over all knot vectors with <= k pieces for d0 = -1.
 
-    One forward pass over segment costs, O(n^2 k d) work, fills the cost
-    table for every piece count up to k and stores each step's choice, so
-    the backtrack reads the table and sweeps no segment again.  The pass
-    costs a block of starts per numpy call in bounded memory and gives the
-    table of costing one start at a time, bit for bit.  Ties are resolved
+    The forward pass fills only the table entries the backtrack reads:
+    rows 1..k-1 in full and row k at t = 0, from one sweep of start 0.
+    So k = 1 costs that one sweep, O(n d^2).  At k = 2 row 1 is the costs
+    of the pieces ending at n, which folds every start's running sums
+    along its window, O(n^2 d) additions in O(n d) memory, and takes the
+    quadratic form on those n - d windows alone.  From k = 3 on, rows
+    1..k-1 take the blocked pass over every window, O(n^2 (d^2 + k)) work
+    in bounded memory.  Every entry is that of the full table costed one
+    start at a time, bit for bit, so the backtrack sweeps no segment
+    again and the knots do not depend on the path.  Ties are resolved
     to the lexicographically smallest knot vector: at each step an empty
     piece first, then the nearest split.  Refuses d0 != -1, and d > 6,
-    where the table's costs drift from the refit.
+    where the table's costs drift from the refit, and y whose costs
+    overflow in any entry the pass fills.
     """
     _solver_for(params, "dp")
     y = _finite(y, "y", params.n)
-    knots = _backtrack(_dp_table(y, params.d, params.k), params.k)
+    k = params.k
+    knots = _backtrack(_dp_pass(y, params.d, k, k - 1), k)
     return _fit_at(y, params.d, -1, knots)
 
 

@@ -45,6 +45,25 @@ def iter_knot_vectors(n, k, d):
     yield from rec([0], k)
 
 
+def count_knot_vectors(n, k, d):
+    """Exact number of valid knot vectors, counted by a DP over the last
+    knot's position: the reference the closed form must match."""
+    # ways[pos]: completions from a knot at pos with the pieces placed so
+    # far; the next knot repeats pos or is any later s that is n or leaves
+    # n - s >= d + 1, and tail sums ways over those s
+    ways = [0] * n + [1]
+    for _ in range(k):
+        nxt = [0] * n + [1]
+        tail = 0
+        for pos in range(n - 1, -1, -1):
+            s = pos + d + 1
+            if s == n or s <= n - d - 1:
+                tail += ways[s]
+            nxt[pos] = ways[pos] + tail
+        ways = nxt
+    return ways[0]
+
+
 def truncated_power_design(n, d, d0, knots):
     """Dense design matrix with columns (i/n)^l for l in [0;d] followed by
     ((i - n_j)/n)_+^l for each inner knot j and l in [d0+1;d]."""
@@ -780,3 +799,4 @@ def exact_sse(y, d, d0, knots):
                                  for q in range(r + 1, m))) / G[r][r]
     return float(sum(v * v for v in yf) - sum(b * c
                                                for b, c in zip(rhs, coef)))
+

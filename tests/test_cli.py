@@ -601,6 +601,26 @@ class TestExitCodes:
         assert code == 2
         assert "budget" in err
 
+    @pytest.mark.parametrize("argv", (
+        ["fit", "--d", "0", "--d0", "-1", "--solver", "exhaustive", "--k",
+         "1000000000"],
+        ["width", "--d", "1", "--d0", "0", "--k", "100000000", "--n-grid",
+         "40", "--reps", "2", "--seed", "1"]))
+    def test_huge_k_is_refused_at_once(self, tmp_path, argv):
+        """The budget check counts knot vectors in closed form, so a k in
+        the hundreds of millions is refused without a count that runs
+        for minutes."""
+        if argv[0] == "fit":
+            path = tmp_path / "y.csv"
+            y = np.random.default_rng(5).normal(size=8)
+            path.write_text("".join(f"{v!r}\n" for v in y.tolist()))
+            argv = argv + ["--input", str(path)]
+        out = subprocess.run([sys.executable, "-m", "l0spline"] + argv,
+                             capture_output=True, text=True, timeout=20)
+        assert out.returncode == 2, out.stderr
+        assert out.stdout == ""
+        assert "exceed the budget" in out.stderr
+
     def test_unknown_flag(self, capsys):
         code, _, err = run_cli(["lil", "--d", "0", "--n-grid", "16",
                                 "--reps", "2", "--seed", "1",

@@ -11,7 +11,9 @@ import pytest
 
 import oracles as orc
 import l0spline.solvers as solvers
-from l0spline.solvers import _backtrack, _dp_table
+from l0spline import ModelParams
+from l0spline.errors import ValidationError
+from l0spline.solvers import _backtrack, _dp_table, dp_fit
 
 KINDS = ("noise", "zero", "rounded", "offset", "constant", "poly")
 
@@ -96,3 +98,111 @@ class TestBitIdentical:
         ends = np.arange(10, 20)[:, None] + d + 1 + np.arange(cost.shape[1])
         assert np.all(cost[ends > n] == np.inf)
         assert np.all(np.isfinite(cost[ends <= n]))
+
+
+def _detrended_sweeper(y, d):
+    """The sweeper _dp_table costs with: y less its global degree-d fit,
+    removed as oracles.dp_table_scan removes it."""
+    n = y.size
+    i = np.arange(1, n + 1, dtype=float)
+    Q, _ = np.linalg.qr(np.column_stack([(i / n) ** m for m in range(d + 1)]))
+    return solvers._SegmentSweeper(y - Q @ (Q.T @ y), d)
+
+
+def _assert_row1_matches(y, d):
+    n = y.size
+    ref = orc.dp_table_scan(y, d, 1)[0][1, :n - d]
+    got = 0.0 + _detrended_sweeper(y, d).diagonal()
+    assert got.tobytes() == ref.tobytes(), (d, n)
+    C, _ = _dp_table(y, d, 1)
+    assert C[1, :n - d].tobytes() == ref.tobytes(), (d, n)
+
+
+class TestDiagonalFold:
+    """_SegmentSweeper.diagonal folds each start's running sums along its
+    window instead of costing the blocks; row 1 of a table with k_max = 1
+    is read off it and must be the per-start scan's, bit for bit."""
+
+    @pytest.mark.parametrize("d", range(7))
+    def test_small_n(self, d):
+        rng = np.random.default_rng(8400 + d)
+        for n in range(d + 1, 41):
+            for kind in KINDS:
+                _assert_row1_matches(_series(kind, n, d, rng), d)
+
+    @pytest.mark.parametrize("n", (999, 2000))
+    def test_long_series(self, n):
+        """One kind per degree, taking the kinds in turn."""
+        rng = np.random.default_rng(8500 + n)
+        for d in range(7):
+            _assert_row1_matches(
+                _series(KINDS[(d + n) % len(KINDS)], n, d, rng), d)
+
+    def test_single_window_start_at_degree_1(self):
+        """The last start's one window is summed in einsum's order, as
+        the blocks sum it."""
+        hits = 0
+        for seed in range(40):
+            y = np.random.default_rng(seed).standard_normal(12)
+            got = 0.0 + _detrended_sweeper(y, 1).diagonal()
+            ref, _ = orc.dp_table_scan(y, 1, 1)
+            assert got[10] == ref[1, 10]
+            hits += ref[1, 10] != 0.0
+        assert hits > 0
+
+
+class TestDpFitReadsWhatItNeeds:
+    """dp_fit fills rows 1..k-1 and only C[k, 0]: its knots must be those
+    the full per-start table gives at every k."""
+
+    @pytest.mark.parametrize("d", range(7))
+    def test_every_k_up_to_6(self, d):
+        rng = np.random.default_rng(8600 + d)
+        for n in range(d + 1, 61, 3):
+            for kind in KINDS:
+                y = _series(kind, n, d, rng)
+                ref = orc.dp_table_scan(y, d, 6)
+                for k in range(1, 7):
+                    fit = dp_fit(y, ModelParams(d=d, d0=-1, k=k, n=n))
+                    assert fit.knots.knots == orc.dp_backtrack(ref, k), (
+                        kind, n, k)
+
+    @pytest.mark.parametrize("k", (1, 2))
+    def test_one_sweeper_and_start_0_alone(self, monkeypatch, k):
+        """At k <= 2 no block but start 0's is costed: row 1, when read,
+        comes from the diagonal fold."""
+        made, costed = [], []
+
+        class Counting(solvers._SegmentSweeper):
+            def __init__(self, y, d):
+                made.append(d)
+                super().__init__(y, d)
+
+            def block(self, lo, hi):
+                costed.extend(range(lo, hi))
+                return super().block(lo, hi)
+
+        monkeypatch.setattr(solvers, "_SegmentSweeper", Counting)
+        monkeypatch.setattr(solvers, "_DP_BLOCK", 200)
+        n = 40
+        y = np.random.default_rng(8700).standard_normal(n)
+        dp_fit(y, ModelParams(d=1, d0=-1, k=k, n=n))
+        assert made == [1]
+        assert costed == [0]
+
+    @pytest.mark.parametrize("scale,overflows",
+                             ((1e150, False), (1e154, True), (1e300, True)))
+    def test_overflow_refused_at_k_1_and_2(self, scale, overflows):
+        rng = np.random.default_rng(9600)
+        for d in range(4):
+            y = scale * rng.standard_normal(40)
+            for k in (1, 2):
+                params = ModelParams(d=d, d0=-1, k=k, n=40)
+                if overflows:
+                    with pytest.raises(ValidationError, match="overflow"):
+                        dp_fit(y, params)
+                    continue
+                with np.errstate(all="ignore"):
+                    ref = orc.dp_table_scan(y, d, k)
+                assert dp_fit(y, params).knots.knots == orc.dp_backtrack(
+                    ref, k), d

@@ -112,6 +112,20 @@ def test_knot_enumeration_count_and_order(n, k, d):
         validate_knots(v, d=d, n=n)
 
 
+
+def test_count_in_closed_form_matches_the_loop():
+    """The closed form against the position DP it replaced, on every small
+    grid, and against the enumeration itself."""
+    for n in range(40):
+        for k in range(6):
+            for d in range(4):
+                assert (count_knot_vectors(n, k, d)
+                        == orc.count_knot_vectors(n, k, d)), (n, k, d)
+    for n, k, d in ((1, 1, 0), (7, 5, 0), (12, 4, 1), (17, 3, 2),
+                    (13, 5, 3)):
+        assert count_knot_vectors(n, k, d) == len(
+            list(orc.iter_knot_vectors(n, k, d)))
+
 class TestBasisMatrix:
     def test_step_basis(self):
         p = ModelParams(d=0, d0=-1, k=2, n=4)
