@@ -274,17 +274,18 @@ class _SegmentSweeper:
         m = n - d
         pairs = self._windows[0]
         y = pairs.real
-        # y + i y^2 as block pairs them, and j^p y for p = 1..d, whose
-        # weight 1^p at offset 0 is exact
+        # y + i y^2 as block pairs them, and row p - 1 of acc j^p y for
+        # p = 1..d, whose weight 1^p at offset 0 is exact
         sums = pairs[:m].copy()
         acc = np.tile(y[:m], (d, 1))
-        term = np.empty(m)
+        term = np.empty((d, m))
+        weight = self._jpow[1:, :, None]
         for j in range(1, n):
-            w = min(m, n - j)
+            w = m if j <= d else n - j
             np.add(sums[:w], pairs[j:j + w], out=sums[:w])
-            for p in range(1, d + 1):
-                np.multiply(y[j:j + w], self._jpow[p, j], out=term[:w])
-                np.add(acc[p - 1, :w], term[:w], out=acc[p - 1, :w])
+            if d:
+                np.multiply(weight[:, j], y[j:j + w], out=term[:, :w])
+                np.add(acc[:, :w], term[:, :w], out=acc[:, :w])
         # by window length from d + 1 up, the order of _ginv and _lpow
         ss, b = sums.imag[::-1], [sums.real[::-1]]
         for q in range(1, d + 1):
