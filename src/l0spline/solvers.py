@@ -237,25 +237,10 @@ class _SegmentSweeper:
             for q, part in enumerate(parts, start=p):
                 b.append(np.divide(part[:, d:], self._lpow[q, :m],
                                    out=kept(q)))
-        # the order of einsum("lp,lpq,lq->l") on one start: p-major, q
-        # inner, one running sum.  einsum starts the sum at 0.0, which can
-        # only turn a -0.0 into +0.0 and leaves ss - quad unchanged
-        quad = np.multiply(b[0], self._ginv[0, 0, :m], out=kept("quad"))
-        quad *= b[0]
-        tmp = kept("tmp") if d else None
-        for p in range(d + 1):
-            for q in range(d + 1):
-                if p or q:
-                    np.multiply(b[p], self._ginv[p, q, :m], out=tmp)
-                    tmp *= b[q]
-                    quad += tmp
+        quad = self._quad(b, self._ginv[:, :, :m], kept("quad"),
+                          kept("tmp") if d else None)
         if hi == n - d:
-            # the last start has one window, which einsum sums in another
-            # order
-            b1 = np.array([[bp[-1, 0] for bp in b]])
-            quad[-1, 0] = np.einsum("lp,lpq,lq->l", b1,
-                                    self._ginv[:, :, :1].transpose(2, 0, 1),
-                                    b1)[0]
+            quad[-1, 0] = self._one_window([bp[-1, 0] for bp in b])
         cost = np.subtract(sums.imag[:, d:], quad, out=quad)
         # row i runs i columns past n, all in the last rows - 1 columns
         c = rows - 1
@@ -290,19 +275,33 @@ class _SegmentSweeper:
         ss, b = sums.imag[::-1], [sums.real[::-1]]
         for q in range(1, d + 1):
             b.append(acc[q - 1, ::-1] / self._lpow[q])
-        quad = b[0] * self._ginv[0, 0]
+        quad = self._quad(b, self._ginv, np.empty(m), np.empty(m))
+        quad[0] = self._one_window([bp[0] for bp in b])
+        return (ss - quad)[::-1]
+
+    def _quad(self, b, ginv, quad, tmp):
+        """b' Ginv b into quad, with tmp as scratch: b[p] the p-th moments
+        and ginv[p, q] the Gram inverse's entries over the same lengths.
+
+        The order of einsum("lp,lpq,lq->l") on one start: p-major, q inner,
+        one running sum.  einsum starts the sum at 0.0, which can only turn
+        a -0.0 into +0.0 and leaves ss - quad unchanged."""
+        np.multiply(b[0], ginv[0, 0], out=quad)
         quad *= b[0]
-        for p in range(d + 1):
-            for q in range(d + 1):
+        for p in range(self.d + 1):
+            for q in range(self.d + 1):
                 if p or q:
-                    tmp = b[p] * self._ginv[p, q]
+                    np.multiply(b[p], ginv[p, q], out=tmp)
                     tmp *= b[q]
                     quad += tmp
-        # the last start's one window, summed as block sums it
-        b1 = np.array([[bp[0] for bp in b]])
-        quad[0] = np.einsum("lp,lpq,lq->l", b1,
-                            self._ginv[:, :, :1].transpose(2, 0, 1), b1)[0]
-        return (ss - quad)[::-1]
+        return quad
+
+    def _one_window(self, b1):
+        """b' Ginv b of a start's one window, of length d + 1, with its
+        moments b1: einsum sums it in another order than a longer one."""
+        b1 = np.array([b1])
+        return np.einsum("lp,lpq,lq->l", b1,
+                         self._ginv[:, :, :1].transpose(2, 0, 1), b1)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import oracles as orc
 import l0spline.solvers as solvers
 from l0spline import ModelParams
 from l0spline.errors import ValidationError
-from l0spline.solvers import _backtrack, _dp_table, dp_fit
+from l0spline.solvers import _backtrack, _dp_table, dp_fit, segment_cost
 
 KINDS = ("noise", "zero", "rounded", "offset", "constant", "poly")
 
@@ -206,3 +206,22 @@ class TestDpFitReadsWhatItNeeds:
                     ref = orc.dp_table_scan(y, d, k)
                 assert dp_fit(y, params).knots.knots == orc.dp_backtrack(
                     ref, k), d
+
+    @pytest.mark.parametrize("d,k,scale,seed",
+                             ((2, 1, 1e153, 0), (4, 2, 1e151, 1)))
+    def test_unread_overflow_is_not_refused(self, d, k, scale, seed):
+        """A cost that overflows only in pieces no k-piece vector has
+        refuses the full table but not dp_fit, whose fit has the least
+        SSE over every split."""
+        n = 40
+        y = scale * np.random.default_rng(seed).standard_normal(n)
+        with pytest.raises(ValidationError, match="overflow"):
+            _dp_table(y, d, k)
+        fit = dp_fit(y, ModelParams(d=d, d0=-1, k=k, n=n))
+        splits = range(d + 1, n - d) if k == 2 else ()
+        with np.errstate(all="ignore"):
+            least = min([segment_cost(y, d)[0]] + [
+                segment_cost(y[:s], d)[0] + segment_cost(y[s:], d)[0]
+                for s in splits])
+        assert np.isfinite(least)
+        assert abs(fit.sse - least) <= 1e-12 * least
