@@ -382,12 +382,12 @@ def _dp_pass(y: np.ndarray, d: int, k: int, full: int) -> tuple:
     read off the sweep: C[0] is +inf except C[0, n] = 0, so C[1, t] is
     the cost of (t; n], the block's diagonal, and nxt[1, t] is n.  When
     row 1 is the only full row, _SegmentSweeper.diagonal gives it without
-    the blocks.  C[k, 0] takes start 0's costs from a one-start block as
-    the full row does: off the diagonal at k = 1, else through the add,
-    argmin and minimum.  The blocks do the O(n^2 (d^2 + full)) work of
-    one start at a time, the fold O(n^2 d) and start 0's block O(n d^2),
-    and every entry is the per-start one, bit for bit.  Refuses y whose
-    costs overflow in any entry filled.
+    the blocks.  C[k, 0] takes start 0's costs, the last block's first row
+    or else a one-start block, as the full row does: off the diagonal at
+    k = 1, else through the add, argmin and minimum.  The blocks do the
+    O(n^2 (d^2 + full)) work of one start at a time, the fold O(n^2 d)
+    and a one-start block O(n d^2), and every entry is the per-start one,
+    bit for bit.  Refuses y whose costs overflow in any entry filled.
     """
     n = y.size
     # every segment cost is invariant to removing a global degree-d fit,
@@ -424,7 +424,7 @@ def _dp_pass(y: np.ndarray, d: int, k: int, full: int) -> tuple:
     if full < k:
         # start 0's costs as the full row k takes them: row 1 the piece
         # (0; n], a later row every piece through the add, argmin and min
-        cost = sweeper.block(0, 1)[0]
+        cost = cost[0] if full > 1 else sweeper.block(0, 1)[0]
         if k == 1:
             C[1, 0] = C[0, n] + cost[-1]
         else:
@@ -459,8 +459,8 @@ def dp_fit(y, params: ModelParams) -> FitResult:
     """Exact minimizer over all knot vectors with <= k pieces for d0 = -1.
 
     The forward pass fills only the table entries the backtrack reads:
-    rows 1..k-1 in full and row k at t = 0, from one sweep of start 0.
-    So k = 1 costs that one sweep, O(n d^2).  At k = 2 row 1 is the costs
+    rows 1..k-1 in full and row k at t = 0, from start 0's costs.  So
+    k = 1 costs one sweep of start 0, O(n d^2).  At k = 2 row 1 is the costs
     of the pieces ending at n, which folds every start's running sums
     along its window, O(n^2 d) additions in O(n d) memory, and takes the
     quadratic form on those n - d windows alone.  From k = 3 on, rows
