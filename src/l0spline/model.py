@@ -123,8 +123,11 @@ def validate_knots(knots, d: int, n: int) -> KnotVector:
     """Check a candidate knot vector against the grid convention.
 
     Raises KnotEndpointError, KnotOrderError, or KnotGapError so callers
-    can tell which rule failed.
+    can tell which rule failed.  A KnotVector is checked like its tuple,
+    against this d and n.
     """
+    if isinstance(knots, KnotVector):
+        knots = knots.knots
     knots = [int(t) for t in knots]
     if len(knots) < 2:
         raise KnotEndpointError(
@@ -262,8 +265,7 @@ def basis_matrix(params: ModelParams, knots) -> np.ndarray:
     columns, so the matrix has full column rank only when all pieces are
     nonempty.
     """
-    kv = (knots if isinstance(knots, KnotVector)
-          else validate_knots(knots, params.d, params.n))
+    kv = validate_knots(knots, params.d, params.n)
     if kv.k != params.k:
         raise ValidationError(
             f"knot vector has {kv.k} pieces, params expect {params.k}")

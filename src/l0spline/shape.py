@@ -465,11 +465,7 @@ def fit_shape_given_knots(y, d: int, knots, j_star: int) -> ShapeFitResult:
     y = _finite(y, "y")
     n = y.size
     _check_degree(d)
-    kv = (knots if isinstance(knots, KnotVector)
-          else validate_knots(knots, d, n))
-    if kv.n != n:
-        raise ValidationError(
-            f"knots end at {kv.n}, y has length {n}")
+    kv = validate_knots(knots, d, n)
     if not (0 <= j_star <= kv.k):
         raise ValidationError(
             f"pivot must lie in [0;{kv.k}], got {j_star}")

@@ -3,9 +3,10 @@
 The segment machinery fits degree-d polynomials on index windows using a
 length-normalized power basis, so Gram matrices depend only on the window
 length and can be factored once per length.  The dynamic program solves
-the d0 = -1 problem exactly; the exhaustive solver covers every smoothness
-order by enumerating knot vectors.  fit_fixed_k is the one place that picks
-between them.
+the d0 = -1 problem exactly, in one forward pass that serves every piece
+count up to the one it is built for, for dp_fit and adaptive_fit alike; the
+exhaustive solver covers every smoothness order by enumerating knot
+vectors.  fit_fixed_k is the one place that picks between them.
 """
 
 from __future__ import annotations
@@ -343,8 +344,7 @@ def _fit_at(y: np.ndarray, d: int, d0: int, knots) -> FitResult:
 def fit_given_knots(y, params: ModelParams, knots) -> FitResult:
     """Project y onto the span of the class members with these knots."""
     y = _finite(y, "y", params.n)
-    kv = (knots if isinstance(knots, KnotVector)
-          else validate_knots(knots, params.d, params.n))
+    kv = validate_knots(knots, params.d, params.n)
     if kv.k != params.k:
         raise ValidationError(
             f"knot vector has {kv.k} pieces, params expect {params.k}")
@@ -355,38 +355,30 @@ def fit_given_knots(y, params: ModelParams, knots) -> FitResult:
 # global solvers
 # ---------------------------------------------------------------------------
 
-def _dp_table(y: np.ndarray, d: int, k_max: int) -> tuple:
-    """Segment-neighbourhood forward pass for every piece count up to k_max.
+# an overflowing cost is refused once the entries are filled
+@np.errstate(over="ignore", invalid="ignore")
+def _dp_table(y: np.ndarray, d: int, k: int) -> tuple:
+    """Segment-neighbourhood forward pass for every piece count up to k,
+    filling only the entries _backtrack reads: rows 1..k-1 in full and
+    row k at t = 0.
 
     Returns (C, nxt).  C[r, t] is the least cost of fitting y on (t; n]
     with at most r pieces; nxt[r, t] is the first split minimizing the cost
     of a nonempty piece starting at t plus C[r-1] after it.  Row r depends
-    only on row r-1, so a table built for k_max serves every k <= k_max.
-    Every entry of C and nxt is that of costing one start at a time, bit
-    for bit (_dp_pass).  Refuses y whose segment costs overflow (squares
-    near 1e300 and up), where C would hold NaN or inf.
-    """
-    return _dp_pass(y, d, k_max, k_max)
-
-
-# an overflowing cost is refused once the entries are filled
-@np.errstate(over="ignore", invalid="ignore")
-def _dp_pass(y: np.ndarray, d: int, k: int, full: int) -> tuple:
-    """The (C, nxt) of _dp_table(y, d, k) with rows 1..full filled, full
-    being k or k - 1, and in the second case row k only at t = 0.
+    only on row r-1, so one table serves _backtrack at every k' <= k.
 
     The starts are taken in blocks from the right, each costed by one
     _SegmentSweeper.block call of at most about _DP_BLOCK window entries.
     Row r of a block needs row r-1 only at and after the block's starts,
     so the block fills its rows in order with one argmin each.  Row 1 is
     read off the sweep: C[0] is +inf except C[0, n] = 0, so C[1, t] is
-    the cost of (t; n], the block's diagonal, and nxt[1, t] is n.  When
-    row 1 is the only full row, _SegmentSweeper.diagonal gives it without
-    the blocks.  C[k, 0] takes start 0's costs, the last block's first row
-    or else a one-start block, as the full row does: off the diagonal at
-    k = 1, else through the add, argmin and minimum.  The blocks do the
-    O(n^2 (d^2 + full)) work of one start at a time, the fold O(n^2 d)
-    and a one-start block O(n d^2), and every entry is the per-start one,
+    the cost of (t; n], the block's diagonal, and nxt[1, t] is n.  At
+    k = 2 _SegmentSweeper.diagonal gives row 1 without the blocks.
+    C[k, 0] takes start 0's costs, the last block's first row or else a
+    one-start block, as a full row would: off the diagonal at k = 1, else
+    through the add, argmin and minimum.  The blocks do the
+    O(n^2 (d^2 + k)) work of one start at a time, the fold O(n^2 d) and
+    a one-start block O(n d^2), and every entry is the per-start one,
     bit for bit.  Refuses y whose costs overflow in any entry filled.
     """
     n = y.size
@@ -400,9 +392,9 @@ def _dp_pass(y: np.ndarray, d: int, k: int, full: int) -> tuple:
     nxt = np.full((k + 1, n + 1), n)
     after = sliding_window_view(C, n - d, axis=1)
     # C[0] is +inf but at n: row 1 is the piece (t; n], nxt[1] keeps n
-    if full == 1:
+    if k == 2:
         np.add(C[0, n], sweeper.diagonal(), out=C[1, :n - d])
-    hi = n - d if full > 1 else 0
+    hi = n - d if k > 2 else 0
     while hi > 0:
         # as many starts as keep starts * (n - lo) <= _DP_BLOCK
         w = n - hi
@@ -412,7 +404,7 @@ def _dp_pass(y: np.ndarray, d: int, k: int, full: int) -> tuple:
         first = lo + d + 1
         np.add(C[0, n], cost[rows, n - first - rows], out=C[1, lo:hi])
         cand = _chunk_buffer("dp_cand", cost.size).reshape(cost.shape)
-        for r in range(2, full + 1):
+        for r in range(2, k):
             np.add(after[r - 1, first:hi + d + 1, :cost.shape[1]], cost,
                    out=cand)
             hit = cand.argmin(axis=1)
@@ -421,23 +413,21 @@ def _dp_pass(y: np.ndarray, d: int, k: int, full: int) -> tuple:
             np.minimum(C[r - 1, lo:hi], cand[rows, hit], out=C[r, lo:hi])
             nxt[r, lo:hi] = hit + rows + first
         hi = lo
-    if full < k:
-        # start 0's costs as the full row k takes them: row 1 the piece
-        # (0; n], a later row every piece through the add, argmin and min
-        cost = cost[0] if full > 1 else sweeper.block(0, 1)[0]
-        if k == 1:
-            C[1, 0] = C[0, n] + cost[-1]
-        else:
-            cand = np.add(C[k - 1, d + 1:n + 1], cost)
-            hit = cand.argmin()
-            C[k, 0] = np.minimum(C[k - 1, 0], cand[hit])
-            nxt[k, 0] = hit + d + 1
+    # start 0's costs as a full row k takes them: row 1 the piece (0; n],
+    # a later row every piece through the add, argmin and min
+    cost = cost[0] if k > 2 else sweeper.block(0, 1)[0]
+    if k == 1:
+        C[1, 0] = C[0, n] + cost[-1]
+    else:
+        cand = np.add(C[k - 1, d + 1:n + 1], cost)
+        hit = cand.argmin()
+        C[k, 0] = np.minimum(C[k - 1, 0], cand[hit])
+        nxt[k, 0] = hit + d + 1
     # an overflowed cost is -inf or NaN, which row 1 takes off the diagonal,
     # row 2 from every other piece and C[k, 0] from every piece from 0, or
     # +inf when its sum of squares overflows, and then that of (0; n] does
     # too, in C[1, 0]
-    if not (np.isfinite(C[1:full + 1, :n - d]).all()
-            and np.isfinite(C[k, 0])):
+    if not (np.isfinite(C[1:k, :n - d]).all() and np.isfinite(C[k, 0])):
         raise ValidationError(_OVERFLOW.format("y"))
     return C[:, :n + 1], nxt
 
@@ -458,8 +448,8 @@ def _backtrack(table: tuple, k: int) -> tuple:
 def dp_fit(y, params: ModelParams) -> FitResult:
     """Exact minimizer over all knot vectors with <= k pieces for d0 = -1.
 
-    The forward pass fills only the table entries the backtrack reads:
-    rows 1..k-1 in full and row k at t = 0, from start 0's costs.  So
+    The forward pass (_dp_table) fills only the table entries the
+    backtrack reads: rows 1..k-1 in full and row k at t = 0.  So
     k = 1 costs one sweep of start 0, O(n d^2).  At k = 2 row 1 is the costs
     of the pieces ending at n, which folds every start's running sums
     along its window, O(n^2 d) additions in O(n d) memory, and takes the
@@ -476,7 +466,7 @@ def dp_fit(y, params: ModelParams) -> FitResult:
     _solver_for(params, "dp")
     y = _finite(y, "y", params.n)
     k = params.k
-    knots = _backtrack(_dp_pass(y, params.d, k, k - 1), k)
+    knots = _backtrack(_dp_table(y, params.d, k), k)
     return _fit_at(y, params.d, -1, knots)
 
 
@@ -558,8 +548,9 @@ def adaptive_fit(y, params: ModelParams, spec: PenaltySpec,
     Minimizes sse(k) + penalty(k) over k in [1; k_max]; ties go to the
     smallest k.  sse(k) comes from the solver fit_fixed_k would use, with
     its refusals.  That solver's search runs once, to k_max, and serves
-    every k: the dynamic program fills one table (_dp_table), read by
-    _backtrack, and the exhaustive solver screens every knot set once
+    every k: the dynamic program runs dp_fit's forward pass at k_max
+    (_dp_table), read by _backtrack, so it refuses y only where a cost it
+    fills overflows; the exhaustive solver screens every knot set once
     (_KnotScreen), read by _KnotScreen.best.  Every k is refit at the
     knots it reads, exactly as dp_fit or exhaustive_fit at k would be.
     The exhaustive solver checks the budget at every k in turn before it

@@ -28,16 +28,21 @@ def _series(kind, n, d, rng):
 
 
 def _assert_tables_match(y, d, k_maxes):
-    """Each table for k_max in k_maxes against the rows of one scan: a
-    scan's row r does not depend on how many rows follow it."""
-    ref = orc.dp_table_scan(y, d, max(k_maxes))
+    """Rows 0..k_max of the table built for k_max + 1, for each k_max in
+    k_maxes, against the rows of one scan at every start, and its row
+    k_max + 1 at t = 0: a scan's row r does not depend on how many rows
+    follow it, and the pass fills its top row only at t = 0."""
+    ref = orc.dp_table_scan(y, d, max(k_maxes) + 1)
     for k_max in k_maxes:
-        C, nxt = _dp_table(y, d, k_max)
-        ref_k = (ref[0][:k_max + 1], ref[1][:k_max + 1])
+        C, nxt = _dp_table(y, d, k_max + 1)
+        top = k_max + 1
+        ref_k = (ref[0][:top + 1], ref[1][:top + 1])
         assert C.shape == ref_k[0].shape
-        assert np.array_equal(C, ref_k[0]), k_max
-        assert np.array_equal(nxt[1:], ref_k[1][1:]), k_max
-        for k in range(1, k_max + 1):
+        assert np.array_equal(C[:top], ref_k[0][:top]), k_max
+        assert np.array_equal(nxt[1:top], ref_k[1][1:top]), k_max
+        assert C[top, 0] == ref_k[0][top, 0], k_max
+        assert nxt[top, 0] == ref_k[1][top, 0], k_max
+        for k in range(1, top + 1):
             assert _backtrack((C, nxt), k) == orc.dp_backtrack(ref_k, k)
 
 
@@ -78,11 +83,11 @@ class TestBitIdentical:
     def test_single_window_start_at_degree_1(self):
         """The last start has one window, which einsum sums in another
         order than a longer one: C[1, n-2] is -4.4e-16, not 0.0, on some
-        inputs, and the block pass must give the same."""
+        inputs, and the block pass (k >= 3) must give the same."""
         hits = 0
         for seed in range(40):
             y = np.random.default_rng(seed).standard_normal(12)
-            C, _ = _dp_table(y, 1, 2)
+            C, _ = _dp_table(y, 1, 3)
             ref, _ = orc.dp_table_scan(y, 1, 2)
             assert C[1, 10] == ref[1, 10]
             hits += ref[1, 10] != 0.0
@@ -114,13 +119,13 @@ def _assert_row1_matches(y, d):
     ref = orc.dp_table_scan(y, d, 1)[0][1, :n - d]
     got = 0.0 + _detrended_sweeper(y, d).diagonal()
     assert got.tobytes() == ref.tobytes(), (d, n)
-    C, _ = _dp_table(y, d, 1)
+    C, _ = _dp_table(y, d, 2)
     assert C[1, :n - d].tobytes() == ref.tobytes(), (d, n)
 
 
 class TestDiagonalFold:
     """_SegmentSweeper.diagonal folds each start's running sums along its
-    window instead of costing the blocks; row 1 of a table with k_max = 1
+    window instead of costing the blocks; row 1 of a table with k = 2
     is read off it and must be the per-start scan's, bit for bit."""
 
     @pytest.mark.parametrize("d", range(7))
@@ -212,12 +217,12 @@ class TestDpFitReadsWhatItNeeds:
                              ((2, 1, 1e153, 0), (4, 2, 1e151, 1)))
     def test_unread_overflow_is_not_refused(self, d, k, scale, seed):
         """A cost that overflows only in pieces no k-piece vector has
-        refuses the full table but not dp_fit, whose fit has the least
-        SSE over every split."""
+        refuses the table that fills row k in full, built for k + 1, but
+        not dp_fit, whose fit has the least SSE over every split."""
         n = 40
         y = scale * np.random.default_rng(seed).standard_normal(n)
         with pytest.raises(ValidationError, match="overflow"):
-            _dp_table(y, d, k)
+            _dp_table(y, d, k + 1)
         fit = dp_fit(y, ModelParams(d=d, d0=-1, k=k, n=n))
         splits = range(d + 1, n - d) if k == 2 else ()
         with np.errstate(all="ignore"):

@@ -162,6 +162,15 @@ class TestBasisMatrix:
         with pytest.raises(ValidationError):
             basis_matrix(p, validate_knots([0, 2, 4], 0, 4))
 
+    @pytest.mark.parametrize("knots,error", (((0, 10, 30), KnotEndpointError),
+                                             ((0, 1, 20), KnotGapError)))
+    def test_knot_vector_checked_like_its_tuple(self, knots, error):
+        """Against the params' d and n, not the vector's own."""
+        p = ModelParams(d=1, d0=-1, k=2, n=20)
+        for kv in (knots, KnotVector(knots, 1), KnotVector(knots, 0)):
+            with pytest.raises(error):
+                basis_matrix(p, kv)
+
     def test_matches_oracle_design(self):
         X = raw_basis(9, 2, 0, (0, 3, 9))
         Y = orc.truncated_power_design(9, 2, 0, (0, 3, 9))

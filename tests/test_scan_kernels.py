@@ -120,19 +120,23 @@ class TestDpOverflow:
     @pytest.mark.parametrize("scale,overflows",
                              ((1e150, False), (1e154, True), (1e300, True)))
     def test_refused_where_a_cost_overflows(self, scale, overflows):
-        """Row 1 off the diagonal gives the one-start scan's table wherever
-        that is finite; where a cost overflows the table is refused."""
+        """Row 1 off the diagonal fold (k = 2) or the blocks (k = 4) gives
+        the one-start scan's rows 0..k-1, and C and nxt of row k at t = 0,
+        wherever the scan is finite; where a cost overflows the table is
+        refused."""
         rng = np.random.default_rng(9600)
         for d in range(4):
             y = scale * rng.standard_normal(40)
             with np.errstate(all="ignore"):
-                ref = orc.dp_table_scan(y, d, 3)
-            assert np.isfinite(ref[0][1:, :40 - d]).all() != overflows, d
-            for k_max in (1, 3):
+                ref = orc.dp_table_scan(y, d, 4)
+            assert np.isfinite(ref[0][1:4, :40 - d]).all() != overflows, d
+            for k in (2, 4):
                 if overflows:
                     with pytest.raises(ValidationError, match="overflow"):
-                        _dp_table(y, d, k_max)
+                        _dp_table(y, d, k)
                     continue
-                C, nxt = _dp_table(y, d, k_max)
-                assert np.array_equal(C, ref[0][:k_max + 1]), d
-                assert np.array_equal(nxt, ref[1][:k_max + 1]), d
+                C, nxt = _dp_table(y, d, k)
+                assert np.array_equal(C[:k], ref[0][:k]), d
+                assert np.array_equal(nxt[:k], ref[1][:k]), d
+                assert C[k, 0] == ref[0][k, 0], d
+                assert nxt[k, 0] == ref[1][k, 0], d

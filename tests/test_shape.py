@@ -10,7 +10,12 @@ import pytest
 
 import oracles as orc
 import l0spline.shape as shape_module
-from l0spline import NonConvergenceError, ValidationError
+from l0spline import (
+    KnotEndpointError,
+    KnotOrderError,
+    NonConvergenceError,
+    ValidationError,
+)
 from l0spline.model import (
     KnotVector,
     ModelParams,
@@ -190,6 +195,14 @@ class TestFitShapeGivenKnots:
     def test_knot_validation_applies(self):
         with pytest.raises(ValidationError):
             fit_shape_given_knots(np.ones(6), 1, (0, 5, 6), j_star=0)
+
+    @pytest.mark.parametrize("knots,error", (((0, 5, 3, 8), KnotOrderError),
+                                             ((0, 4, 10), KnotEndpointError)))
+    def test_knot_vector_checked_like_its_tuple(self, knots, error):
+        y = np.random.default_rng(7).standard_normal(8)
+        for kv in (knots, KnotVector(knots, 1)):
+            with pytest.raises(error):
+                fit_shape_given_knots(y, 1, kv, 1)
 
 
 class TestShapeLse:

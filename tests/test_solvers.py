@@ -7,6 +7,7 @@ import pytest
 import oracles as orc
 from l0spline import (
     BudgetExceededError,
+    KnotEndpointError,
     KnotVector,
     ModelParams,
     ValidationError,
@@ -121,6 +122,13 @@ class TestFitGivenKnots:
         fr = fit_given_knots(y, p, (0, 3, 3, 6))
         assert fr.coeffs[1] is None
         assert fr.coeffs[0] is not None
+
+    def test_knot_vector_checked_like_its_tuple(self):
+        y = np.random.default_rng(6).standard_normal(20)
+        p = ModelParams(d=1, d0=-1, k=2, n=20)
+        for knots in ((0, 10, 30), KnotVector((0, 10, 30), 1)):
+            with pytest.raises(KnotEndpointError):
+                fit_given_knots(y, p, knots)
 
 
 class TestDpFit:
@@ -603,9 +611,10 @@ class TestSingleTable:
             assert _backtrack(table, k) == (0,) * k + (n,)
 
     def test_one_sweeper_and_no_backtrack_sweeps(self, monkeypatch):
-        """One cost engine per table, and every start costed once across
-        all k_max rows and the backtracks, also when the pass takes the
-        starts in several blocks."""
+        """One cost engine per table, and no start costed twice across the
+        rows and the backtracks, also when the pass takes the starts in
+        several blocks: at k_max <= 2 only start 0 goes through a block,
+        as in dp_fit, and from k_max = 3 on every start does once."""
         import l0spline.solvers as solvers
 
         made, costed = [], []
@@ -624,10 +633,34 @@ class TestSingleTable:
         n = 40
         y = np.random.default_rng(50).standard_normal(n)
         spec = PenaltySpec(tau=2.5, sigma=1.0, d=1, d0=-1, n=n)
-        adaptive_fit(y, ModelParams(d=1, d0=-1, k=1, n=n), spec, k_max=6)
-        assert len(made) == 1
-        assert len(costed) == len(set(costed)) <= n
-        assert sorted(costed) == list(range(n - 1))
+        for k_max in (1, 2, 6):
+            made.clear()
+            costed.clear()
+            adaptive_fit(y, ModelParams(d=1, d0=-1, k=1, n=n), spec,
+                         k_max=k_max)
+            assert len(made) == 1
+            assert len(costed) == len(set(costed)) <= n
+            assert sorted(costed) == (
+                [0] if k_max <= 2 else list(range(n - 1))), k_max
+
+    @pytest.mark.parametrize("d,k,scale,seed",
+                             ((2, 1, 1e153, 0), (4, 2, 1e151, 1)))
+    def test_unread_overflow_is_not_refused(self, d, k, scale, seed):
+        """A cost that overflows only in entries the pass does not fill
+        (row k at t > 0) refuses neither dp_fit nor adaptive_fit at
+        k_max = k, and every k of the trace is dp_fit's at that k."""
+        n = 40
+        y = scale * np.random.default_rng(seed).standard_normal(n)
+        spec = PenaltySpec(tau=2.5, sigma=1.0, d=d, d0=-1, n=n)
+        fr, trace = adaptive_fit(y, ModelParams(d=d, d0=-1, k=1, n=n), spec,
+                                 k_max=k, solver="dp", with_trace=True)
+        assert [row[0] for row in trace] == list(range(1, k + 1))
+        for kk, sse, _, _ in trace:
+            ref = dp_fit(y, ModelParams(d=d, d0=-1, k=kk, n=n))
+            assert sse == ref.sse
+            assert np.isfinite(sse)
+        ref = dp_fit(y, ModelParams(d=d, d0=-1, k=fr.k_selected, n=n))
+        assert fr.knots == ref.knots
 
     def test_rejects_wrong_length(self):
         p = ModelParams(d=0, d0=-1, k=1, n=8)
