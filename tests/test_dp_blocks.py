@@ -34,8 +34,8 @@ def _assert_tables_match(y, d, k_maxes):
     follow it, and the pass fills its top row only at t = 0."""
     ref = orc.dp_table_scan(y, d, max(k_maxes) + 1)
     for k_max in k_maxes:
-        C, nxt = _dp_table(y, d, k_max + 1)
         top = k_max + 1
+        C, nxt = _dp_table(y, d, top)
         ref_k = (ref[0][:top + 1], ref[1][:top + 1])
         assert C.shape == ref_k[0].shape
         assert np.array_equal(C[:top], ref_k[0][:top]), k_max
