@@ -184,7 +184,7 @@ def calibrate_adaptive(seed: int = TAU_SEED, reps: int = 200,
     j1, j2 = n // 3, 2 * n // 3
     theta = np.zeros(n)
     theta[j1:j2] = 10.0 * sigma
-    params = ModelParams(d=0, d0=-1, k=1, n=n, sigma=sigma)
+    params = ModelParams(d=0, d0=-1, k=1, n=n)
     spec = PenaltySpec(tau=tau, sigma=sigma, d=0, d0=-1, n=n)
     hits = 0
     for rep in range(reps):

@@ -157,12 +157,6 @@ def _is_float(text: str) -> bool:
 # emission helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -204,7 +198,7 @@ def _emit_json(obj, out: str | None) -> None:
 
 def _emit_csv(header, rows, out: str | None) -> None:
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(c) for c in row) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)
     _emit("\n".join(lines) + "\n", out)
 
 
@@ -266,8 +260,7 @@ def _cmd_shapefit(args) -> int:
     y = parse_series(args.input)
     res = shape_lse(y.values, args.d, args.k, budget=args.budget)
     report = _fit_report(res, args.d, args.d - 1, None)
-    report["pivot"] = (None if res.canonical is None
-                       else int(res.canonical.j_star))
+    report["pivot"] = int(res.canonical.j_star)
     _emit_json(report, args.out)
     return 0
 

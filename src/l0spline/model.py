@@ -64,7 +64,6 @@ class ModelParams:
     d0: int
     k: int
     n: int
-    sigma: float = 1.0
 
     def __post_init__(self):
         if self.d < 0:
@@ -78,8 +77,6 @@ class ModelParams:
         if self.n < self.d + 1:
             raise ValidationError(
                 f"grid size n must be >= d+1 = {self.d + 1}, got {self.n}")
-        if not self.sigma >= 0:
-            raise ValidationError(f"sigma must be >= 0, got {self.sigma}")
 
     @property
     def k0(self) -> int:
@@ -123,12 +120,13 @@ def validate_knots(knots, d: int, n: int) -> KnotVector:
     """Check a candidate knot vector against the grid convention.
 
     Raises KnotEndpointError, KnotOrderError, or KnotGapError so callers
-    can tell which rule failed.  A KnotVector is checked like its tuple,
+    can tell which rule failed, and ValidationError for a knot that is
+    not a finite integral value.  A KnotVector is checked like its tuple,
     against this d and n.
     """
     if isinstance(knots, KnotVector):
         knots = knots.knots
-    knots = [int(t) for t in knots]
+    knots = [_knot_value(t) for t in knots]
     if len(knots) < 2:
         raise KnotEndpointError(
             f"need at least 2 knots, got {len(knots)}")
@@ -146,6 +144,17 @@ def validate_knots(knots, d: int, n: int) -> KnotVector:
                 f"consecutive knots must be equal or >= d+1 = {d + 1} "
                 f"apart, got gap {b - a} between {a} and {b}")
     return KnotVector(tuple(knots), d)
+
+
+def _knot_value(t) -> int:
+    """t as an int, refused unless it is a finite integral value."""
+    try:
+        value = int(t)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if value is None or value != t:
+        raise ValidationError(f"knots must be finite integers, got {t}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -242,8 +251,6 @@ def iter_knot_vectors(n: int, k: int, d: int):
         for s in candidates:
             rem = n - s
             if rem > 0 and rem < d + 1:
-                continue
-            if rem > 0 and left == 1:
                 continue
             prefix.append(s)
             yield from rec(prefix)
@@ -477,9 +484,9 @@ def check_membership(theta, params: ModelParams, tol: float = 1e-8,
         coef, _, _, _ = np.linalg.lstsq(X, theta, rcond=None)
         fit = X @ coef
         if np.max(np.abs(fit - theta)) <= tol:
-            full = _reexpand_coefs(kv, d0, coef)
-            witness = local_coefficients_from_truncated_power(kv, d0, full)
-            return True, witness
+            local = local_coefficients_from_truncated_power(
+                KnotVector(kv.distinct(), d), d0, coef)
+            return True, _on_pieces(kv, local.coeffs)
     return False, None
 
 
@@ -570,8 +577,7 @@ class _KnotScreen:
         self.tol = _SCREEN_TOL * _sum_of_squares(y)
         self._gap = d + 1
         self._ts = np.arange(d + 1, n - d)   # every inner knot
-        Q, _ = np.linalg.qr(raw_basis(n, d, d0, (0, n)))
-        r = y - Q @ (Q.T @ y)
+        Q, r = _detrend(y, d)
         empty = np.full((1, k - 1), n, dtype=np.intp)
         self._parts = [(empty, np.array([float(r @ r)]))]
         if k >= 2:
@@ -718,20 +724,21 @@ def _pad_knots(distinct, k):
     return (distinct[0],) * missing + tuple(distinct)
 
 
-def _reexpand_coefs(kv: KnotVector, d0, dedup_coef):
-    """Spread truncated power coefficients fit on kv.distinct() over the
-    full knot vector: each duplicated inner knot carries a zero block."""
-    d = kv.d
-    per_knot = d - d0
-    g = list(dedup_coef[:d + 1])
-    pos = d + 1
-    for j in range(1, kv.k):
-        if kv.knots[j] == kv.knots[j - 1]:
-            g.extend([0.0] * per_knot)
-        else:
-            g.extend(dedup_coef[pos:pos + per_knot])
-            pos += per_knot
-    return np.asarray(g)
+def _on_pieces(kv: KnotVector, coeffs) -> PiecewiseSpline:
+    """The spline on kv whose nonempty pieces carry coeffs, those of the
+    pieces of kv.distinct() in order; every empty piece, wherever it is,
+    carries None."""
+    fits = iter(coeffs)
+    return PiecewiseSpline(kv, tuple(
+        None if lo == hi else next(fits)
+        for lo, hi in zip(kv.knots, kv.knots[1:])))
+
+
+def _detrend(y: np.ndarray, d: int) -> tuple:
+    """(Q, r): Q an orthonormal basis of the polynomials of degree <= d on
+    the grid, and r what y leaves off their span."""
+    Q, _ = np.linalg.qr(raw_basis(y.size, d, -1, (0, y.size)))
+    return Q, y - Q @ (Q.T @ y)
 
 
 def discrete_vs_integral_l2(spline: PiecewiseSpline):

@@ -24,6 +24,7 @@ from .model import (
     _check_budget,
     _chunk_buffer,
     _finite,
+    _knot_columns,
     _rescore,
     _sum_of_squares,
     _KnotScreen,
@@ -110,20 +111,13 @@ class MonotoneCanonical:
 class ShapeFitResult(FitResult):
     """FitResult carrying the canonical representation of the fit."""
 
-    canonical: MonotoneCanonical = None
+    canonical: MonotoneCanonical
 
 
 def _left_hinge(i: np.ndarray, knot: int, n: int, d: int) -> np.ndarray:
     u = (knot - i) / n
     if d == 0:
         return (u >= 0).astype(float)
-    return np.where(u > 0, u, 0.0) ** d
-
-
-def _right_hinge(i: np.ndarray, knot: int, n: int, d: int) -> np.ndarray:
-    u = (i - knot) / n
-    if d == 0:
-        return (u > 0).astype(float)
     return np.where(u > 0, u, 0.0) ** d
 
 
@@ -150,8 +144,8 @@ class _Grid:
             self.i, knot, self.n, self.d))
 
     def right(self, knot: int) -> np.ndarray:
-        return self._col(("r", knot), lambda: _right_hinge(
-            self.i, knot, self.n, self.d))
+        return self._col(("r", knot), lambda: _knot_columns(
+            self.n, self.d, self.d - 1, (knot,))[:, 0, 0])
 
 
 def canonical_evaluate(rep: MonotoneCanonical, n: int | None = None) -> np.ndarray:
@@ -375,7 +369,7 @@ class _ConeProblem:
         pos = np.arange(n + 1, dtype=float)
         return self.project(np.hstack([
             (-1.0) ** (d + 1) * _left_hinge(i, pos, n, d),
-            _right_hinge(i, pos, n, d)]))
+            _knot_columns(n, d, d - 1, pos)[:, :, 0]]))
 
     def set_cone(self, F: np.ndarray):
         """Columns and target of the one cone of a knot set.  With the
@@ -415,8 +409,7 @@ def _shape_result(rep: MonotoneCanonical, theta: np.ndarray,
                   sse: float) -> ShapeFitResult:
     return ShapeFitResult(
         theta_hat=SignalVector(theta), knots=rep.knots,
-        coeffs=_local_coeffs_from_canonical(rep),
-        sse=sse, k_selected=rep.knots.k, canonical=rep)
+        coeffs=_local_coeffs_from_canonical(rep), sse=sse, canonical=rep)
 
 
 def _local_coeffs_from_canonical(rep: MonotoneCanonical) -> tuple:

@@ -29,8 +29,9 @@ from .model import (
     _OVERFLOW,
     _check_budget,
     _chunk_buffer,
+    _detrend,
     _finite,
-    _reexpand_coefs,
+    _on_pieces,
     count_knot_vectors,
     evaluate_spline,
     local_coefficients_from_truncated_power,
@@ -71,7 +72,10 @@ class FitResult:
     knots: KnotVector
     coeffs: tuple
     sse: float
-    k_selected: int
+
+    @property
+    def k_selected(self) -> int:
+        return self.knots.k
 
     @property
     def spline(self) -> PiecewiseSpline:
@@ -314,31 +318,26 @@ def _fit_at(y: np.ndarray, d: int, d0: int, knots) -> FitResult:
     storage aligned to the given vector."""
     n = y.size
     kv = KnotVector(tuple(knots), d)
+    distinct = kv.distinct()
     if d0 == -1:
         # each piece in its own well-conditioned (j/L)^l basis, rescaled to
         # local storage on (j/n)^l
-        coeffs = []
-        for lo, hi in zip(kv.knots, kv.knots[1:]):
-            if lo == hi:
-                coeffs.append(None)
-                continue
-            _, coef = segment_cost(y[lo:hi], d)
-            coeffs.append(tuple(coef * (n / (hi - lo)) ** np.arange(d + 1)))
-        coeffs = tuple(coeffs)
-        theta = evaluate_spline(PiecewiseSpline(kv, coeffs))
+        spline = _on_pieces(kv, [
+            segment_cost(y[lo:hi], d)[1] * (n / (hi - lo)) ** np.arange(d + 1)
+            for lo, hi in zip(distinct, distinct[1:])])
+        theta = evaluate_spline(spline)
     else:
-        distinct = kv.distinct()
         X = raw_basis(n, d, d0, distinct)
         coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=_RCOND)
         if rank < X.shape[1]:
             raise DegenerateSystemError(
                 f"design with knots {distinct} has rank {rank} < {X.shape[1]}")
         theta = X @ coef
-        coeffs = local_coefficients_from_truncated_power(
-            kv, d0, _reexpand_coefs(kv, d0, coef)).coeffs
+        spline = _on_pieces(kv, local_coefficients_from_truncated_power(
+            KnotVector(distinct, d), d0, coef).coeffs)
     resid = y - theta
-    return FitResult(SignalVector(theta), kv, coeffs, float(resid @ resid),
-                     kv.k)
+    return FitResult(SignalVector(theta), kv, spline.coeffs,
+                     float(resid @ resid))
 
 
 def fit_given_knots(y, params: ModelParams, knots) -> FitResult:
@@ -384,8 +383,7 @@ def _dp_table(y: np.ndarray, d: int, k: int) -> tuple:
     n = y.size
     # every segment cost is invariant to removing a global degree-d fit,
     # and the sweeper's normal equations lose accuracy with the offset
-    Q, _ = np.linalg.qr(raw_basis(n, d, -1, (0, n)))
-    sweeper = _SegmentSweeper(y - Q @ (Q.T @ y), d)
+    sweeper = _SegmentSweeper(_detrend(y, d)[1], d)
     # columns past n stay +inf for the blocks' ragged right edge
     C = np.full((k + 1, 2 * n + 1), np.inf)
     C[:, n] = 0.0
@@ -555,12 +553,20 @@ def adaptive_fit(y, params: ModelParams, spec: PenaltySpec,
     knots it reads, exactly as dp_fit or exhaustive_fit at k would be.
     The exhaustive solver checks the budget at every k in turn before it
     screens, so a refusal names the first count over it.  Refuses a
-    penalty that overflows at any k, before any solve.
+    penalty that overflows at any k, before any solve; k_max outside
+    [1; n], since past n the penalty k log(en/k) falls and past e n it is
+    negative; and a spec whose d, d0 or n differ from params.
     """
     if k_max is None:
         k_max = default_k_max(params)
-    if k_max < 1:
-        raise ValidationError(f"k_max must be >= 1, got {k_max}")
+    if not 1 <= k_max <= params.n:
+        raise ValidationError(
+            f"k_max must lie in [1;n] = [1;{params.n}], got {k_max}")
+    for name in ("d", "d0", "n"):
+        if getattr(spec, name) != getattr(params, name):
+            raise ValidationError(
+                f"penalty spec has {name}={getattr(spec, name)}, params "
+                f"have {name}={getattr(params, name)}")
     solver = _solver_for(params, solver)
 
     y = _finite(y, "y", params.n)

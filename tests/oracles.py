@@ -664,6 +664,24 @@ class _ScanSweeper:
         return ss[d:] - quad
 
 
+def reexpand_coefs(knots, d, d0, dedup_coef):
+    """Spread truncated power coefficients fit on the distinct knots over
+    the full knot vector, in truncated_power_design's column order: each
+    inner knot equal to the one before it carries a zero block.  Every
+    repeat must be a leading one, as in a vector padded with leading
+    empty pieces."""
+    per_knot = d - d0
+    g = list(dedup_coef[:d + 1])
+    pos = d + 1
+    for j in range(1, len(knots) - 1):
+        if knots[j] == knots[j - 1]:
+            g.extend([0.0] * per_knot)
+        else:
+            g.extend(dedup_coef[pos:pos + per_knot])
+            pos += per_knot
+    return np.asarray(g)
+
+
 def dp_table_scan(y, d, k_max):
     """The segment-neighbourhood table (C, nxt) costed one start at a time:
     the reference the blocked forward pass must match bit for bit.  y is

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,9 +63,6 @@ class TestModelParams:
         p = ModelParams(d=3, d0=1, k=4, n=20)
         assert p.k0 == 3
 
-    def test_sigma_zero_allowed(self):
-        ModelParams(d=0, d0=-1, k=1, n=4, sigma=0.0)
-
     def test_rejects_bad_smoothness(self):
         with pytest.raises(ValidationError):
             ModelParams(d=1, d0=1, k=1, n=8)
@@ -97,6 +96,20 @@ class TestValidateKnots:
             validate_knots([1, 5, 10], d=1, n=10)
         with pytest.raises(KnotEndpointError):
             validate_knots([0, 5, 9], d=1, n=10)
+
+    @pytest.mark.parametrize("knots", [
+        [0, 4.7, 10], [0, 5, 10.9], [0, math.nan, 10], [0, 5, math.inf],
+        np.array([0.0, 5.5, 10.0])])
+    def test_non_integral_knots_refused(self, knots):
+        """A knot is an integer grid index: a fractional, NaN or infinite
+        value is refused, not truncated."""
+        with pytest.raises(ValidationError, match="finite integers"):
+            validate_knots(knots, d=1, n=10)
+
+    def test_integral_values_of_any_type(self):
+        kv = validate_knots(np.array([0.0, 5.0, 10.0]), d=1, n=10)
+        assert kv.knots == (0, 5, 10)
+        assert all(type(t) is int for t in kv.knots)
 
 
 @given(st.integers(4, 18), st.integers(1, 4), st.integers(0, 2))
@@ -279,7 +292,6 @@ def test_one_sided_derivatives_match_to_order_d0():
         for ell in range(d0 + 1):
             dl = np.polynomial.polynomial.polyder(left, ell)
             lval = np.polynomial.polynomial.polyval(gap, dl)
-            import math
             rval = math.factorial(ell) * right[ell]
             assert abs(lval - rval) <= 1e-8 * max(1.0, abs(lval), abs(rval))
 

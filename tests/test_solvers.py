@@ -20,7 +20,7 @@ from l0spline import (
 )
 from l0spline import model
 from l0spline.experiments import complexity_width
-from l0spline.model import _KnotScreen, _pad_knots, _reexpand_coefs
+from l0spline.model import _KnotScreen, _pad_knots
 from l0spline.shape import (
     coef_bound_statistic,
     fit_shape_given_knots,
@@ -129,6 +129,44 @@ class TestFitGivenKnots:
         for knots in ((0, 10, 30), KnotVector((0, 10, 30), 1)):
             with pytest.raises(KnotEndpointError):
                 fit_given_knots(y, p, knots)
+
+    def test_fractional_last_knot_refused(self):
+        """10.9 is not the grid end 10, nor any grid index."""
+        y = np.random.default_rng(6).standard_normal(10)
+        p = ModelParams(d=1, d0=0, k=2, n=10)
+        for knots in ((0, 5, 10.9), (0, 5.5, 10)):
+            with pytest.raises(ValidationError, match="finite integers"):
+                fit_given_knots(y, p, knots)
+
+    def test_empty_pieces_anywhere(self):
+        """Every valid knot vector of a smooth class fits, inner knots at
+        n included, exactly as the vector on the same knots with its empty
+        pieces leading: the same SSE and fitted values, bit for bit, and
+        the same coefficients on the nonempty pieces, in order."""
+        y = np.random.default_rng(9).standard_normal(10)
+        p = ModelParams(d=1, d0=0, k=2, n=10)
+        assert fit_given_knots(y, p, (0, 10, 10)).coeffs[1] is None
+        for d, d0 in ((1, 0), (2, 0), (2, 1), (3, 1)):
+            for k in (2, 3, 4):
+                for n in range(d + 1, 12):
+                    y = np.random.default_rng(10 * n + k).standard_normal(n)
+                    p = ModelParams(d=d, d0=d0, k=k, n=n)
+                    for knots in iter_knot_vectors(n, k, d):
+                        fr = fit_given_knots(y, p, knots)
+                        twin = fit_given_knots(
+                            y, p, _pad_knots(KnotVector(knots, d).distinct(),
+                                             k))
+                        assert fr.knots.knots == knots
+                        assert fr.sse == twin.sse
+                        assert (fr.theta_hat.values.tobytes()
+                                == twin.theta_hat.values.tobytes())
+                        assert ([c for c in fr.coeffs if c is not None]
+                                == [c for c in twin.coeffs if c is not None])
+                        assert all((c is None) == (lo == hi) for c, lo, hi
+                                   in zip(fr.coeffs, knots, knots[1:]))
+                        np.testing.assert_allclose(
+                            evaluate_spline(fr.spline), fr.theta_hat.values,
+                            rtol=0, atol=1e-10)
 
 
 class TestDpFit:
@@ -360,7 +398,8 @@ class TestKnotScreen:
                 if np.max(np.abs(X @ coef - theta)) <= tol:
                     kv = KnotVector(_pad_knots(key, p.k), p.d)
                     ref = (True, local_coefficients_from_truncated_power(
-                        kv, p.d0, _reexpand_coefs(kv, p.d0, coef)))
+                        kv, p.d0, orc.reexpand_coefs(kv.knots, p.d, p.d0,
+                                                     coef)))
                     break
             ok, wit = check_membership(theta, p, tol=tol)
             assert ok == ref[0]
@@ -562,7 +601,7 @@ class TestAdaptiveFit:
         of 200 seeded replicates under the default multiplier."""
         n, sigma, tau = 256, 1.0, 2.5
         theta0 = np.concatenate([np.zeros(n // 2), np.full(n // 2, 10.0)])
-        p = ModelParams(d=0, d0=-1, k=1, n=n, sigma=sigma)
+        p = ModelParams(d=0, d0=-1, k=1, n=n)
         spec = PenaltySpec(tau=tau, sigma=sigma, d=0, d0=-1, n=n)
         hits = 0
         for rep in range(200):
@@ -571,6 +610,33 @@ class TestAdaptiveFit:
             fr = adaptive_fit(y, p, spec)
             hits += fr.k_selected == 2
         assert hits >= 190
+
+    @pytest.mark.parametrize("field,value", [("d", 2), ("d0", 0),
+                                             ("n", 4000)])
+    def test_spec_must_match_params(self, field, value):
+        """The penalty's d, d0 and n are those of the fit, not the spec's
+        own: a mismatched spec is refused."""
+        y = np.random.default_rng(21).standard_normal(40)
+        p = ModelParams(d=1, d0=-1, k=1, n=40)
+        spec = dict(tau=2.5, sigma=1.0, d=1, d0=-1, n=40)
+        spec[field] = value
+        with pytest.raises(ValidationError, match=f"{field}={value}"):
+            adaptive_fit(y, p, PenaltySpec(**spec), k_max=3)
+
+    @pytest.mark.parametrize("solver", ["dp", "exhaustive"])
+    def test_k_max_at_most_n(self, solver):
+        """Past n the penalty k log(en/k) falls, and past e n it is
+        negative, so a fit with k_max = 50 at n = 20 would interpolate."""
+        n = 8
+        y = np.random.default_rng(0).standard_normal(n)
+        p = ModelParams(d=0, d0=-1, k=1, n=n)
+        spec = PenaltySpec(tau=2.5, sigma=1.0, d=0, d0=-1, n=n)
+        for k_max in (0, n + 1, 50):
+            with pytest.raises(ValidationError, match=r"k_max must lie"):
+                adaptive_fit(y, p, spec, k_max=k_max, solver=solver)
+        _, trace = adaptive_fit(y, p, spec, k_max=n, solver=solver,
+                                with_trace=True)
+        assert [row[0] for row in trace] == list(range(1, n + 1))
 
     def test_dp_solver_rejected_for_smooth_classes(self):
         p = ModelParams(d=1, d0=0, k=1, n=8)
@@ -590,7 +656,7 @@ class TestSingleTable:
         rng = np.random.default_rng(40 + d)
         y = {"noise": rng.standard_normal(n), "zero": np.zeros(n),
              "rounded": np.round(rng.standard_normal(n))}[kind]
-        k_max = n // (d + 1) + 2
+        k_max = min(n // (d + 1) + 2, n)
         p = ModelParams(d=d, d0=-1, k=1, n=n)
         spec = PenaltySpec(tau=0.5, sigma=1.0, d=d, d0=-1, n=n)
         fr, trace = adaptive_fit(y, p, spec, k_max=k_max, with_trace=True)
@@ -682,7 +748,7 @@ class TestSingleScreen:
         rng = np.random.default_rng(90 + 3 * d + d0)
         y = {"noise": rng.standard_normal(n), "zero": np.zeros(n),
              "rounded": np.round(rng.standard_normal(n))}[kind]
-        k_max = n // (d + 1) + 2
+        k_max = min(n // (d + 1) + 2, n)
         p = ModelParams(d=d, d0=d0, k=1, n=n)
         spec = PenaltySpec(tau=0.5, sigma=1.0, d=d, d0=d0, n=n)
         fr, trace = adaptive_fit(y, p, spec, k_max=k_max,
