@@ -86,13 +86,22 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class KnotVector:
-    """Validated integer knot vector together with the degree it serves."""
+    """Validated integer knot vector together with the degree it serves.
+
+    Refuses a knot that is not a finite integral value (ValidationError)
+    and a knot below the one before it (KnotOrderError); validate_knots
+    checks the grid's endpoints and gaps as well."""
 
     knots: tuple
     d: int
 
     def __post_init__(self):
-        object.__setattr__(self, "knots", tuple(int(t) for t in self.knots))
+        knots = tuple(_knot_value(t) for t in self.knots)
+        for a, b in zip(knots, knots[1:]):
+            if b < a:
+                raise KnotOrderError(
+                    f"knots must be non-decreasing, got {a} followed by {b}")
+        object.__setattr__(self, "knots", knots)
 
     @property
     def k(self) -> int:
@@ -134,16 +143,13 @@ def validate_knots(knots, d: int, n: int) -> KnotVector:
         raise KnotEndpointError(
             f"knots must start at 0 and end at n={n}, got "
             f"{knots[0]}..{knots[-1]}")
-    for a, b in zip(knots, knots[1:]):
-        if b < a:
-            raise KnotOrderError(
-                f"knots must be non-decreasing, got {a} followed by {b}")
+    kv = KnotVector(tuple(knots), d)
     for a, b in zip(knots, knots[1:]):
         if b != a and b - a < d + 1:
             raise KnotGapError(
                 f"consecutive knots must be equal or >= d+1 = {d + 1} "
                 f"apart, got gap {b - a} between {a} and {b}")
-    return KnotVector(tuple(knots), d)
+    return kv
 
 
 def _knot_value(t) -> int:

@@ -2,11 +2,13 @@
 
 The segment machinery fits degree-d polynomials on index windows using a
 length-normalized power basis, so Gram matrices depend only on the window
-length and can be factored once per length.  The dynamic program solves
-the d0 = -1 problem exactly, in one forward pass that serves every piece
-count up to the one it is built for, for dp_fit and adaptive_fit alike; the
-exhaustive solver covers every smoothness order by enumerating knot
-vectors.  fit_fixed_k is the one place that picks between them.
+length and are factored once per length and degree, for every fit.  The
+dynamic program solves the d0 = -1 problem exactly, in one forward pass
+that serves every piece count up to the one it is built for, for dp_fit
+and adaptive_fit alike; at two pieces it screens the costs of the pieces
+that run to n with the reversed series and costs only the splits near the
+best.  The exhaustive solver covers every smoothness order by enumerating
+knot vectors.  fit_fixed_k is the one place that picks between them.
 """
 
 from __future__ import annotations
@@ -62,6 +64,13 @@ _DP_MAX_DEGREE = 6
 # holds about (d + 2) / 2 complex and d + 4 float arrays of this many
 # entries, each in one kept chunk buffer of _SCREEN_BLOCK doubles
 _DP_BLOCK = 1 << 14
+# the k = 2 pass screens row 1 with the reversed series' costs; their
+# largest gap to the forward ones, as a fraction of ||r||^2 (r the
+# detrended y), is 6.3e-15, 6.3e-15, 4.4e-14, 2.5e-12, 8.9e-11, 2.3e-9 and
+# 1.0e-7 at d = 0..6 on seeded grids of every test_dp_blocks kind at
+# n <= 160 and up to 4096.  tol is this fraction of ||r||^2, per degree,
+# at least 100 times the gap
+_ROW1_TOL = (1e-11, 1e-11, 1e-11, 1e-9, 1e-7, 1e-6, 1e-4)
 
 
 @dataclass(frozen=True)
@@ -115,10 +124,11 @@ def penalty(k: int, spec: PenaltySpec) -> float:
     """Piece-count penalty with the two-regime shape.
 
     tau * sigma^2 times: 1 at k = 1; k * loglog(16n/k) for 2 <= k <= k0;
-    k * log(en/k) above k0.
+    k * log(en/k) above k0.  Refuses k outside [1; n]: past n no fit has
+    more nonempty pieces, and past e n the penalty is negative.
     """
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
+    if not 1 <= k <= spec.n:
+        raise ValidationError(f"k must lie in [1;n] = [1;{spec.n}], got {k}")
     k0 = transition_boundary(spec.d, spec.d0)
     scale = spec.tau * spec.sigma ** 2
     if k == 1:
@@ -164,9 +174,43 @@ def segment_cost(segment, d: int):
     return float(resid @ resid), coef
 
 
+# per degree, the read-only length tables of the largest n built so far
+_length_cache: dict = {}
+
+
+def _length_tables(n: int, d: int) -> tuple:
+    """(ginv, jpow, lpow) for windows of lengths d+1..n: ginv[p, q] the
+    Gram inverse's (p, q) entry over the lengths, jpow[p] = j^p for
+    j = 1..n and lpow[p] = L^p.
+
+    They depend on (n, d) alone, and each entry on its own length or
+    position alone, so one table per degree, built at the largest n seen,
+    serves every smaller n sliced.  The arrays are read-only views."""
+    tables = _length_cache.get(d)
+    if tables is None or tables[1].shape[1] < n:
+        lengths = np.arange(d + 1, n + 1, dtype=float)
+        # power sums S_m(L) = sum_{j<=L} j^m for the Gram entries
+        j = np.arange(1, n + 1, dtype=float)
+        psum = np.stack([np.cumsum(j ** m) for m in range(2 * d + 1)])
+        G = np.empty((lengths.size, d + 1, d + 1))
+        for p in range(d + 1):
+            for q in range(d + 1):
+                G[:, p, q] = psum[p + q, d:] / lengths ** (p + q)
+        # one contiguous row over the lengths per (p, q)
+        tables = (np.linalg.inv(G).transpose(1, 2, 0).copy(),
+                  np.stack([j ** p for p in range(d + 1)]),
+                  lengths ** np.arange(d + 1, dtype=float)[:, None])
+        for table in tables:
+            table.flags.writeable = False
+        _length_cache[d] = tables
+    ginv, jpow, lpow = tables
+    return ginv[:, :, :n - d], jpow[:, :n], lpow[:, :n - d]
+
+
 class _SegmentSweeper:
     """All-segments cost engine: costs of fitting y on (t; s] for a block of
-    consecutive starts t at once, via cached per-length Gram inverses.
+    consecutive starts t at once, via per-length Gram inverses shared by
+    every sweeper of the degree (_length_tables).
 
     A cost is ss - b' Ginv(L) b, with b the length-normalized moments of the
     window.  Each entry takes exactly the floating point steps of costing
@@ -183,18 +227,7 @@ class _SegmentSweeper:
         y = np.asarray(y, dtype=float)
         self.d = d
         self.n = n = y.size
-        lengths = np.arange(d + 1, n + 1, dtype=float)
-        # power sums S_m(L) = sum_{j<=L} j^m for the Gram entries
-        j = np.arange(1, n + 1, dtype=float)
-        psum = np.stack([np.cumsum(j ** m) for m in range(2 * d + 1)])
-        G = np.empty((lengths.size, d + 1, d + 1))
-        for p in range(d + 1):
-            for q in range(d + 1):
-                G[:, p, q] = psum[p + q, d:] / lengths ** (p + q)
-        # one contiguous row over the lengths per (p, q)
-        self._ginv = np.linalg.inv(G).transpose(1, 2, 0).copy()
-        self._jpow = np.stack([j ** p for p in range(d + 1)])
-        self._lpow = lengths ** np.arange(d + 1, dtype=float)[:, None]
+        self._ginv, self._jpow, self._lpow = _length_tables(n, d)
         # y + i y^2 then zeros, so every start in a block has a window of
         # one length: row t is y[t:] and t zeros
         pairs = np.zeros(2 * n, dtype=complex)
@@ -354,6 +387,43 @@ def fit_given_knots(y, params: ModelParams, knots) -> FitResult:
 # global solvers
 # ---------------------------------------------------------------------------
 
+def _screen_row1(sweeper: _SegmentSweeper, r: np.ndarray,
+                 start0: np.ndarray, C: np.ndarray) -> np.ndarray | None:
+    """Fill row 1 of a k = 2 table only at 0 and the splits near its best;
+    returns the starts filled, or None, with C untouched, when the screen
+    overflows or too many splits screen near the best.
+
+    start0[l] is the cost of (0; d+1+l] and r the series the forward
+    sweeper costs.  The reversed series' start 0 sweep costs (n-L; n] for
+    every length L at once, so with start0 it scores every split s by
+    cost(0; s] + C~[1, s] in O(n d^2), within tol of the exact sum.  So
+    the first split of least exact sum scores within 2 tol of the least
+    score, and every split there is costed exactly, each by its own
+    one-start forward block: the add and argmin over row 1 then pick the
+    split the full row would."""
+    d, n = sweeper.d, sweeper.n
+    rev = _SegmentSweeper(r[::-1], d).block(0, 1)[0]
+    if not (np.isfinite(rev).all() and np.isfinite(start0).all()):
+        return None
+    # C~[1, s] at s = d+1..n: +inf where (s; n] is shorter than d + 1,
+    # and 0 at n, where the split leaves one piece
+    approx = np.full(n + 1, np.inf)
+    approx[:n - d] = rev[::-1]
+    approx[n] = 0.0
+    score = approx[d + 1:] + start0
+    tol = _ROW1_TOL[d] * float(r @ r)
+    near = np.flatnonzero(score <= score.min() + 2 * tol) + d + 1
+    # the fold costs about as much as n/16 one-start blocks (n/20 to n/10
+    # measured at d = 0, 2, 6, n = 100..2000); all splits tie on all-zero y
+    if near.size > max(1, n // 32):
+        return None
+    starts = np.append(0, near[near < n])
+    C[1, 0] = C[0, n] + start0[-1]
+    for s in starts[1:].tolist():
+        C[1, s] = C[0, n] + sweeper.block(s, s + 1)[0, -1]
+    return starts
+
+
 # an overflowing cost is refused once the entries are filled
 @np.errstate(over="ignore", invalid="ignore")
 def _dp_table(y: np.ndarray, d: int, k: int) -> tuple:
@@ -372,26 +442,29 @@ def _dp_table(y: np.ndarray, d: int, k: int) -> tuple:
     so the block fills its rows in order with one argmin each.  Row 1 is
     read off the sweep: C[0] is +inf except C[0, n] = 0, so C[1, t] is
     the cost of (t; n], the block's diagonal, and nxt[1, t] is n.  At
-    k = 2 _SegmentSweeper.diagonal gives row 1 without the blocks.
+    k = 2 no block is swept: _backtrack reads row 1 only at 0 and at
+    nxt[2, 0], so _screen_row1 fills it at 0 and at the splits that can
+    be the best, and leaves the rest +inf; when too many splits screen
+    near the best, _SegmentSweeper.diagonal fills it in full.
     C[k, 0] takes start 0's costs, the last block's first row or else a
     one-start block, as a full row would: off the diagonal at k = 1, else
     through the add, argmin and minimum.  The blocks do the
-    O(n^2 (d^2 + k)) work of one start at a time, the fold O(n^2 d) and
-    a one-start block O(n d^2), and every entry is the per-start one,
-    bit for bit.  Refuses y whose costs overflow in any entry filled.
+    O(n^2 (d^2 + k)) work of one start at a time, the screen O(n d^2) a
+    split, the fold O(n^2 d) and a one-start block O(n d^2), and every
+    entry filled is the per-start one, bit for bit.  Refuses y whose costs
+    overflow in any entry filled.
     """
     n = y.size
     # every segment cost is invariant to removing a global degree-d fit,
     # and the sweeper's normal equations lose accuracy with the offset
-    sweeper = _SegmentSweeper(_detrend(y, d)[1], d)
+    r = _detrend(y, d)[1]
+    sweeper = _SegmentSweeper(r, d)
     # columns past n stay +inf for the blocks' ragged right edge
     C = np.full((k + 1, 2 * n + 1), np.inf)
     C[:, n] = 0.0
     nxt = np.full((k + 1, n + 1), n)
     after = sliding_window_view(C, n - d, axis=1)
     # C[0] is +inf but at n: row 1 is the piece (t; n], nxt[1] keeps n
-    if k == 2:
-        np.add(C[0, n], sweeper.diagonal(), out=C[1, :n - d])
     hi = n - d if k > 2 else 0
     while hi > 0:
         # as many starts as keep starts * (n - lo) <= _DP_BLOCK
@@ -413,7 +486,15 @@ def _dp_table(y: np.ndarray, d: int, k: int) -> tuple:
         hi = lo
     # start 0's costs as a full row k takes them: row 1 the piece (0; n],
     # a later row every piece through the add, argmin and min
-    cost = cost[0] if k > 2 else sweeper.block(0, 1)[0]
+    # (a copy: the blocks of the row 1 screen reuse the buffer)
+    cost = cost[0] if k > 2 else sweeper.block(0, 1)[0].copy()
+    filled = np.s_[1:k, :n - d]
+    if k == 2:
+        starts = _screen_row1(sweeper, r, cost, C)
+        if starts is None:
+            np.add(C[0, n], sweeper.diagonal(), out=C[1, :n - d])
+        else:
+            filled = np.s_[1, starts]
     if k == 1:
         C[1, 0] = C[0, n] + cost[-1]
     else:
@@ -425,7 +506,7 @@ def _dp_table(y: np.ndarray, d: int, k: int) -> tuple:
     # row 2 from every other piece and C[k, 0] from every piece from 0, or
     # +inf when its sum of squares overflows, and then that of (0; n] does
     # too, in C[1, 0]
-    if not (np.isfinite(C[1:k, :n - d]).all() and np.isfinite(C[k, 0])):
+    if not (np.isfinite(C[filled]).all() and np.isfinite(C[k, 0])):
         raise ValidationError(_OVERFLOW.format("y"))
     return C[:, :n + 1], nxt
 
@@ -448,12 +529,15 @@ def dp_fit(y, params: ModelParams) -> FitResult:
 
     The forward pass (_dp_table) fills only the table entries the
     backtrack reads: rows 1..k-1 in full and row k at t = 0.  So
-    k = 1 costs one sweep of start 0, O(n d^2).  At k = 2 row 1 is the costs
-    of the pieces ending at n, which folds every start's running sums
-    along its window, O(n^2 d) additions in O(n d) memory, and takes the
-    quadratic form on those n - d windows alone.  From k = 3 on, rows
-    1..k-1 take the blocked pass over every window, O(n^2 (d^2 + k)) work
-    in bounded memory.  Every entry is that of the full table costed one
+    k = 1 costs one sweep of start 0, O(n d^2).  At k = 2 row 1, the
+    costs of the pieces ending at n, is read only at 0 and at the best
+    split: one sweep of the reversed series scores every split, and the
+    few splits scored near the best are costed exactly, O(n d^2) each.
+    When many splits tie (as on all-zero y) row 1 is costed in full,
+    by folding every start's running sums along its window, O(n^2 d)
+    additions in O(n d) memory.  From k = 3 on, rows 1..k-1 take the
+    blocked pass over every window, O(n^2 (d^2 + k)) work in bounded
+    memory.  Every entry filled is that of the full table costed one
     start at a time, bit for bit, so the backtrack sweeps no segment
     again and the knots do not depend on the path.  Ties are resolved
     to the lexicographically smallest knot vector: at each step an empty

@@ -3,7 +3,11 @@
 `_dp_table` costs a block of consecutive starts per numpy call.  Its table
 (C, nxt) must be the one the per-start scan kept verbatim in
 `oracles.dp_table_scan` builds, bit for bit, and so must every knot vector
-read off it, for every degree the dynamic program accepts.
+read off it, for every degree the dynamic program accepts.  At k = 2 the
+pass screens row 1 with the reversed series and fills it only at 0 and
+near the best split (in full when many splits tie); every entry it fills
+must be the scan's.  Every sweeper takes its per-length tables from one
+cache per degree, which must give the bits of tables built at n alone.
 """
 
 import numpy as np
@@ -13,6 +17,7 @@ import oracles as orc
 import l0spline.solvers as solvers
 from l0spline import ModelParams
 from l0spline.errors import ValidationError
+from l0spline.model import _detrend
 from l0spline.solvers import _backtrack, _dp_table, dp_fit, segment_cost
 
 KINDS = ("noise", "zero", "rounded", "offset", "constant", "poly")
@@ -31,14 +36,18 @@ def _assert_tables_match(y, d, k_maxes):
     """Rows 0..k_max of the table built for k_max + 1, for each k_max in
     k_maxes, against the rows of one scan at every start, and its row
     k_max + 1 at t = 0: a scan's row r does not depend on how many rows
-    follow it, and the pass fills its top row only at t = 0."""
+    follow it, and the pass fills its top row only at t = 0.  At
+    k_max = 1 row 1 is compared where the pass filled it (every entry
+    not +inf): the screen fills it only at 0 and near the best split,
+    unless many splits tie."""
     ref = orc.dp_table_scan(y, d, max(k_maxes) + 1)
     for k_max in k_maxes:
         top = k_max + 1
         C, nxt = _dp_table(y, d, top)
         ref_k = (ref[0][:top + 1], ref[1][:top + 1])
         assert C.shape == ref_k[0].shape
-        assert np.array_equal(C[:top], ref_k[0][:top]), k_max
+        filled = C[:top] != np.inf if top == 2 else np.s_[:]
+        assert np.array_equal(C[:top][filled], ref_k[0][:top][filled]), k_max
         assert np.array_equal(nxt[1:top], ref_k[1][1:top]), k_max
         assert C[top, 0] == ref_k[0][top, 0], k_max
         assert nxt[top, 0] == ref_k[1][top, 0], k_max
@@ -49,23 +58,25 @@ def _assert_tables_match(y, d, k_maxes):
 class TestBitIdentical:
     @pytest.mark.parametrize("d", range(7))
     def test_every_n_up_to_160(self, d):
-        """Every kind at every n; k_max = 6 and one of 1-5 in turn."""
+        """Every kind at every n; k_max = 6, 1 and one of 2-5 in turn."""
         rng = np.random.default_rng(8100 + d)
         for n in range(d + 1, 161):
             for i, kind in enumerate(KINDS):
                 _assert_tables_match(_series(kind, n, d, rng), d,
-                                     (6, 1 + (n + i) % 5))
+                                     (6, 1, 2 + (n + i) % 4))
 
     @pytest.mark.parametrize("n", (999, 1000, 1200, 1500, 2000))
     def test_several_blocks(self, n):
         """Several blocks and a partial last one; two kinds per degree,
-        taking the kinds in turn."""
+        taking the kinds in turn, so each degree meets every kind over
+        the five n; k_max = 1 (the k = 2 screen) and one of 2-6."""
         rng = np.random.default_rng(n)
         for d in range(7):
             for i in (0, 3):
                 kind = KINDS[(d + i + n) % len(KINDS)]
-                k_max = 1 + (d + i + n) % 6
-                _assert_tables_match(_series(kind, n, d, rng), d, [k_max])
+                k_max = 2 + (d + i + n) % 5
+                _assert_tables_match(_series(kind, n, d, rng), d,
+                                     [k_max, 1])
 
     @pytest.mark.parametrize("block", [1, 7, 100, 1 << 20])
     def test_block_size_changes_nothing(self, monkeypatch, block):
@@ -119,14 +130,17 @@ def _assert_row1_matches(y, d):
     ref = orc.dp_table_scan(y, d, 1)[0][1, :n - d]
     got = 0.0 + _detrended_sweeper(y, d).diagonal()
     assert got.tobytes() == ref.tobytes(), (d, n)
-    C, _ = _dp_table(y, d, 2)
-    assert C[1, :n - d].tobytes() == ref.tobytes(), (d, n)
+    row = _dp_table(y, d, 2)[0][1, :n - d]
+    filled = row != np.inf
+    assert filled[0], (d, n)
+    assert row[filled].tobytes() == ref[filled].tobytes(), (d, n)
 
 
 class TestDiagonalFold:
     """_SegmentSweeper.diagonal folds each start's running sums along its
-    window instead of costing the blocks; row 1 of a table with k = 2
-    is read off it and must be the per-start scan's, bit for bit."""
+    window instead of costing the blocks; a table with k = 2 reads row 1
+    off it when its screen ties too many splits.  Both must give the
+    per-start scan's entries, bit for bit."""
 
     @pytest.mark.parametrize("d", range(7))
     def test_small_n(self, d):
@@ -172,11 +186,10 @@ class TestDpFitReadsWhatItNeeds:
                     assert fit.knots.knots == orc.dp_backtrack(ref, k), (
                         kind, n, k)
 
-    @pytest.mark.parametrize("k", (1, 2, 3))
+    @pytest.mark.parametrize("k", (1, 3))
     def test_one_sweeper_and_start_0_alone(self, monkeypatch, k):
-        """At k <= 2 no block but start 0's is costed: row 1, when read,
-        comes from the diagonal fold.  From k = 3 on every start is costed
-        once, start 0 for the rows and C[k, 0] alike."""
+        """At k = 1 no block but start 0's is costed.  From k = 3 on every
+        start is costed once, start 0 for the rows and C[k, 0] alike."""
         made, costed = [], []
 
         class Counting(solvers._SegmentSweeper):
@@ -194,7 +207,43 @@ class TestDpFitReadsWhatItNeeds:
         y = np.random.default_rng(8700).standard_normal(n)
         dp_fit(y, ModelParams(d=1, d0=-1, k=k, n=n))
         assert made == [1]
-        assert sorted(costed) == ([0] if k <= 2 else list(range(n - 1)))
+        assert sorted(costed) == ([0] if k == 1 else list(range(n - 1)))
+
+    def test_k_2_costs_start_0_and_a_few_splits(self, monkeypatch):
+        """At k = 2 the forward sweeper costs start 0, then each split
+        screened near the best alone; the reversed series' sweeper costs
+        its start 0 alone.  On seeded noise that is 1 to 3 splits and no
+        fold.  On all-zero y every split ties, so row 1 is the fold's."""
+        logs = []
+
+        class Counting(solvers._SegmentSweeper):
+            def __init__(self, y, d):
+                super().__init__(y, d)
+                self.log = []
+                logs.append(self.log)
+
+            def block(self, lo, hi):
+                self.log.extend(range(lo, hi))
+                return super().block(lo, hi)
+
+            def diagonal(self):
+                self.log.append("fold")
+                return super().diagonal()
+
+        monkeypatch.setattr(solvers, "_SegmentSweeper", Counting)
+        n = 400
+        for d in range(7):
+            for seed in range(5):
+                logs.clear()
+                y = np.random.default_rng(8750 + seed).standard_normal(n)
+                dp_fit(y, ModelParams(d=d, d0=-1, k=2, n=n))
+                forward, reversed_ = logs
+                assert reversed_ == [0], (d, seed)
+                assert forward[0] == 0 and "fold" not in forward, (d, seed)
+                assert 1 <= len(forward) - 1 <= 3, (d, seed, forward)
+            logs.clear()
+            dp_fit(np.zeros(n), ModelParams(d=d, d0=-1, k=2, n=n))
+            assert logs == [[0, "fold"], [0]], d
 
     @pytest.mark.parametrize("scale,overflows",
                              ((1e150, False), (1e154, True), (1e300, True)))
@@ -231,3 +280,46 @@ class TestDpFitReadsWhatItNeeds:
                 for s in splits])
         assert np.isfinite(least)
         assert abs(fit.sse - least) <= 1e-12 * least
+
+
+class TestRow1Screen:
+    """The k = 2 pass scores every split with the reversed series' row 1
+    and costs only the splits near the best; every sweeper takes its
+    length tables from one cache per degree."""
+
+    @pytest.mark.parametrize("d", range(7))
+    def test_reversed_gap_within_a_hundredth_of_tol(self, d):
+        """Every kind at every n <= 160 and at 999, 2000 and 4096: the
+        reversed costs of (t; n] stay within tol / 100 of the forward."""
+        rng = np.random.default_rng(8800 + d)
+        worst = 0.0
+        for n in [*range(d + 1, 161), 999, 2000, 4096]:
+            for kind in KINDS:
+                r = _detrend(_series(kind, n, d, rng), d)[1]
+                forward = solvers._SegmentSweeper(r, d).diagonal()
+                rev = solvers._SegmentSweeper(r[::-1], d).block(0, 1)[0]
+                gap = np.max(np.abs(forward - rev[::-1]))
+                if gap:
+                    worst = max(worst, gap / float(r @ r))
+        assert worst <= solvers._ROW1_TOL[d] / 100
+
+    def test_tables_after_a_larger_n_match_a_fresh_cache(self, monkeypatch):
+        """Tables sliced from a cache grown by a larger fit are the
+        tables built at n alone, and so are the DP tables they give."""
+        rng = np.random.default_rng(8900)
+        for d in range(7):
+            for n in (d + 1, 37, 500):
+                y = rng.standard_normal(n)
+                monkeypatch.setattr(solvers, "_length_cache", {})
+                fresh = solvers._length_tables(n, d)
+                tables = [_dp_table(y, d, k) for k in (2, 3)]
+                dp_fit(rng.standard_normal(1200),
+                       ModelParams(d=d, d0=-1, k=1, n=1200))
+                grown = solvers._length_tables(n, d)
+                for a, b in zip(grown, fresh):
+                    assert not a.flags.writeable
+                    assert a.tobytes() == b.tobytes(), (d, n)
+                for k, (C, nxt) in zip((2, 3), tables):
+                    again = _dp_table(y, d, k)
+                    assert np.array_equal(again[0], C), (d, n, k)
+                    assert np.array_equal(again[1], nxt), (d, n, k)

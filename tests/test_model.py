@@ -106,6 +106,20 @@ class TestValidateKnots:
         with pytest.raises(ValidationError, match="finite integers"):
             validate_knots(knots, d=1, n=10)
 
+    @pytest.mark.parametrize("knots", [(0, 4.7, 10), (0, math.nan, 10)])
+    def test_knot_vector_refuses_non_integral_knots(self, knots):
+        """KnotVector((0, 4.7, 10), 1) read as (0, 4, 10)."""
+        with pytest.raises(ValidationError, match="finite integers"):
+            KnotVector(knots, 1)
+
+    def test_knot_vector_refuses_decreasing_knots(self):
+        """A spline on (0, 7, 5, 10) evaluated with its backwards piece
+        skipped, in silence."""
+        with pytest.raises(KnotOrderError):
+            KnotVector((0, 7, 5, 10), 1)
+        assert KnotVector(np.array([0.0, 5.0, 5.0, 10.0]), 1).knots == (
+            0, 5, 5, 10)
+
     def test_integral_values_of_any_type(self):
         kv = validate_knots(np.array([0.0, 5.0, 10.0]), d=1, n=10)
         assert kv.knots == (0, 5, 10)

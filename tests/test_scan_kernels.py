@@ -120,10 +120,10 @@ class TestDpOverflow:
     @pytest.mark.parametrize("scale,overflows",
                              ((1e150, False), (1e154, True), (1e300, True)))
     def test_refused_where_a_cost_overflows(self, scale, overflows):
-        """Row 1 off the diagonal fold (k = 2) or the blocks (k = 4) gives
-        the one-start scan's rows 0..k-1, and C and nxt of row k at t = 0,
-        wherever the scan is finite; where a cost overflows the table is
-        refused."""
+        """Row 1 off the k = 2 screen, where it fills the row, or the
+        blocks (k = 4) gives the one-start scan's rows 0..k-1, and C and
+        nxt of row k at t = 0, wherever the scan is finite; where a cost
+        overflows the table is refused."""
         rng = np.random.default_rng(9600)
         for d in range(4):
             y = scale * rng.standard_normal(40)
@@ -136,7 +136,8 @@ class TestDpOverflow:
                         _dp_table(y, d, k)
                     continue
                 C, nxt = _dp_table(y, d, k)
-                assert np.array_equal(C[:k], ref[0][:k]), d
+                filled = C[:k] != np.inf if k == 2 else np.s_[:]
+                assert np.array_equal(C[:k][filled], ref[0][:k][filled]), d
                 assert np.array_equal(nxt[:k], ref[1][:k]), d
                 assert C[k, 0] == ref[0][k, 0], d
                 assert nxt[k, 0] == ref[1][k, 0], d

@@ -199,10 +199,12 @@ class TestFitShapeGivenKnots:
     @pytest.mark.parametrize("knots,error", (((0, 5, 3, 8), KnotOrderError),
                                              ((0, 4, 10), KnotEndpointError)))
     def test_knot_vector_checked_like_its_tuple(self, knots, error):
+        """Either form is refused with the same error; a KnotVector with
+        decreasing knots is already refused when it is built."""
         y = np.random.default_rng(7).standard_normal(8)
-        for kv in (knots, KnotVector(knots, 1)):
+        for make in (tuple, lambda t: KnotVector(t, 1)):
             with pytest.raises(error):
-                fit_shape_given_knots(y, 1, kv, 1)
+                fit_shape_given_knots(y, 1, make(knots), 1)
 
 
 class TestShapeLse:

@@ -536,6 +536,15 @@ class TestPenalty:
         spec = PenaltySpec(tau=0.7, sigma=0.3, d=3, d0=1, n=256)
         assert all(penalty(k, spec) > 0 for k in range(1, 257))
 
+    def test_k_past_n_refused(self):
+        """k log(en/k) turns negative past e n: penalty(100) at n = 20
+        was -152.36.  k = n is the largest piece count accepted."""
+        spec = PenaltySpec(tau=2.5, sigma=1.0, d=0, d0=-1, n=20)
+        assert penalty(20, spec) > 0
+        for k in (21, 100):
+            with pytest.raises(ValidationError, match="k must lie in"):
+                penalty(k, spec)
+
     def test_spec_validation(self):
         with pytest.raises(ValidationError):
             PenaltySpec(tau=-1.0, sigma=1.0, d=0, d0=-1, n=16)
@@ -679,19 +688,22 @@ class TestSingleTable:
     def test_one_sweeper_and_no_backtrack_sweeps(self, monkeypatch):
         """One cost engine per table, and no start costed twice across the
         rows and the backtracks, also when the pass takes the starts in
-        several blocks: at k_max <= 2 only start 0 goes through a block,
-        as in dp_fit, and from k_max = 3 on every start does once."""
+        several blocks: at k_max = 1 only start 0 goes through a block, as
+        in dp_fit, at k_max = 2 start 0 and the few splits the row 1
+        screen rescores, with a second engine for the reversed series'
+        start 0, and from k_max = 3 on every start does once."""
         import l0spline.solvers as solvers
 
-        made, costed = [], []
+        logs = []
 
         class Counting(solvers._SegmentSweeper):
             def __init__(self, y, d):
-                made.append(d)
                 super().__init__(y, d)
+                self.costed = []
+                logs.append(self.costed)
 
             def block(self, lo, hi):
-                costed.extend(range(lo, hi))
+                self.costed.extend(range(lo, hi))
                 return super().block(lo, hi)
 
         monkeypatch.setattr(solvers, "_SegmentSweeper", Counting)
@@ -700,14 +712,19 @@ class TestSingleTable:
         y = np.random.default_rng(50).standard_normal(n)
         spec = PenaltySpec(tau=2.5, sigma=1.0, d=1, d0=-1, n=n)
         for k_max in (1, 2, 6):
-            made.clear()
-            costed.clear()
+            logs.clear()
             adaptive_fit(y, ModelParams(d=1, d0=-1, k=1, n=n), spec,
                          k_max=k_max)
-            assert len(made) == 1
+            costed = logs[0]
             assert len(costed) == len(set(costed)) <= n
-            assert sorted(costed) == (
-                [0] if k_max <= 2 else list(range(n - 1))), k_max
+            if k_max == 1:
+                assert logs == [[0]]
+            elif k_max == 2:
+                assert logs[1] == [0] and len(logs) == 2
+                assert costed[0] == 0 and 2 <= len(costed) <= 4
+            else:
+                assert len(logs) == 1
+                assert sorted(costed) == list(range(n - 1))
 
     @pytest.mark.parametrize("d,k,scale,seed",
                              ((2, 1, 1e153, 0), (4, 2, 1e151, 1)))
