@@ -519,11 +519,13 @@ def _rescore(score: np.ndarray, tol: float, cost, key) -> tuple:
     return best[0], best[2]
 
 
-# array entries in one chunk of the knot screen: the deflated candidate
-# blocks of a batch of sibling prefixes, 256 KB of doubles
+# array entries in one kept chunk buffer, 256 KB of doubles: the deflated
+# candidate blocks of a batch of the knot screen's sibling prefixes, or one
+# array of a DP sweeper's block
 _SCREEN_BLOCK = 1 << 15
 # per thread, one chunk buffer per user, kept between calls: each depth of
-# the screen's prefix walk and the shape screen's batched NNLS.  A chunk
+# the screen's prefix walk, the shape screen's batched NNLS, each array of
+# the DP sweeper's blocks and the DP's candidate sums (dp_cand).  A chunk
 # freed at the end of every call would go back to the operating system and
 # cost a page fault per page on the next
 _chunks = threading.local()

@@ -5,10 +5,11 @@ length-normalized power basis, so Gram matrices depend only on the window
 length and are factored once per length and degree, for every fit.  The
 dynamic program solves the d0 = -1 problem exactly, in one forward pass
 that serves every piece count up to the one it is built for, for dp_fit
-and adaptive_fit alike; at two pieces it screens the costs of the pieces
-that run to n with the reversed series and costs only the splits near the
-best.  The exhaustive solver covers every smoothness order by enumerating
-knot vectors.  fit_fixed_k is the one place that picks between them.
+and adaptive_fit alike, with one blocked sweep for every full row; at two
+pieces it screens the costs of the pieces that run to n with the reversed
+series and costs only the splits near the best.  The exhaustive solver
+covers every smoothness order by enumerating knot vectors.  fit_fixed_k is
+the one place that picks between them.
 """
 
 from __future__ import annotations
@@ -286,37 +287,6 @@ class _SegmentSweeper:
                   where=self._past[n - c:n - c + rows, :c])
         return cost
 
-    def diagonal(self) -> np.ndarray:
-        """Costs of the segments (t; n] for starts t = 0..n-d-1: block's
-        entries with t + d + 1 + l = n, bit for bit, in O(n d) memory.
-
-        Each start's running sums are folded along its window one offset
-        at a time, for all starts at once, so every start adds its terms
-        in block's order; the quadratic form runs on these windows alone."""
-        d, n = self.d, self.n
-        m = n - d
-        pairs = self._windows[0]
-        y = pairs.real
-        # y + i y^2 as block pairs them, and row p - 1 of acc j^p y for
-        # p = 1..d, whose weight 1^p at offset 0 is exact
-        sums = pairs[:m].copy()
-        acc = np.tile(y[:m], (d, 1))
-        term = np.empty((d, m))
-        weight = self._jpow[1:, :, None]
-        for j in range(1, n):
-            w = m if j <= d else n - j
-            np.add(sums[:w], pairs[j:j + w], out=sums[:w])
-            if d:
-                np.multiply(weight[:, j], y[j:j + w], out=term[:, :w])
-                np.add(acc[:, :w], term[:, :w], out=acc[:, :w])
-        # by window length from d + 1 up, the order of _ginv and _lpow
-        ss, b = sums.imag[::-1], [sums.real[::-1]]
-        for q in range(1, d + 1):
-            b.append(acc[q - 1, ::-1] / self._lpow[q])
-        quad = self._quad(b, self._ginv, np.empty(m), np.empty(m))
-        quad[0] = self._one_window([bp[0] for bp in b])
-        return (ss - quad)[::-1]
-
     def _quad(self, b, ginv, quad, tmp):
         """b' Ginv b into quad, with tmp as scratch: b[p] the p-th moments
         and ginv[p, q] the Gram inverse's entries over the same lengths.
@@ -391,7 +361,8 @@ def _screen_row1(sweeper: _SegmentSweeper, r: np.ndarray,
                  start0: np.ndarray, C: np.ndarray) -> np.ndarray | None:
     """Fill row 1 of a k = 2 table only at 0 and the splits near its best;
     returns the starts filled, or None, with C untouched, when the screen
-    overflows or too many splits screen near the best.
+    overflows or more splits screen near the best than the blocked pass
+    over row 1 would cost in one-start blocks.
 
     start0[l] is the cost of (0; d+1+l] and r the series the forward
     sweeper costs.  The reversed series' start 0 sweep costs (n-L; n] for
@@ -413,9 +384,11 @@ def _screen_row1(sweeper: _SegmentSweeper, r: np.ndarray,
     score = approx[d + 1:] + start0
     tol = _ROW1_TOL[d] * float(r @ r)
     near = np.flatnonzero(score <= score.min() + 2 * tol) + d + 1
-    # the fold costs about as much as n/16 one-start blocks (n/20 to n/10
-    # measured at d = 0, 2, 6, n = 100..2000); all splits tie on all-zero y
-    if near.size > max(1, n // 32):
+    # the blocked pass over row 1 costs about n/8 one-start blocks: n/15 to
+    # n/22 at n = 100, n/8 at 500 and n/3 at 2000 (d = 0, 2, 6 measured),
+    # so the screen costs at most about 3 times the pass, and the pass at
+    # most about 3 times the screen; every split ties on 1e-300 * noise
+    if near.size > max(1, n // 8):
         return None
     starts = np.append(0, near[near < n])
     C[1, 0] = C[0, n] + start0[-1]
@@ -442,17 +415,17 @@ def _dp_table(y: np.ndarray, d: int, k: int) -> tuple:
     so the block fills its rows in order with one argmin each.  Row 1 is
     read off the sweep: C[0] is +inf except C[0, n] = 0, so C[1, t] is
     the cost of (t; n], the block's diagonal, and nxt[1, t] is n.  At
-    k = 2 no block is swept: _backtrack reads row 1 only at 0 and at
-    nxt[2, 0], so _screen_row1 fills it at 0 and at the splits that can
-    be the best, and leaves the rest +inf; when too many splits screen
-    near the best, _SegmentSweeper.diagonal fills it in full.
-    C[k, 0] takes start 0's costs, the last block's first row or else a
-    one-start block, as a full row would: off the diagonal at k = 1, else
-    through the add, argmin and minimum.  The blocks do the
-    O(n^2 (d^2 + k)) work of one start at a time, the screen O(n d^2) a
-    split, the fold O(n^2 d) and a one-start block O(n d^2), and every
-    entry filled is the per-start one, bit for bit.  Refuses y whose costs
-    overflow in any entry filled.
+    k = 2 _backtrack reads row 1 only at 0 and at nxt[2, 0], so
+    _screen_row1 fills it at 0 and at the splits that can be the best,
+    and leaves the rest +inf; when too many splits screen near the best,
+    the blocks fill it in full.  A detrended y of zeros gives a row 1 of
+    0.0, the cost of zero sums, with no sweep.  C[k, 0] takes start 0's
+    costs, the last block's first row or else a one-start block, as a
+    full row would: off the diagonal at k = 1, else through the add,
+    argmin and minimum.  The blocks do the O(n^2 (d^2 + k)) work of one
+    start at a time, the screen O(n d^2) a split and a one-start block
+    O(n d^2), and every entry filled is the per-start one, bit for bit.
+    Refuses y whose costs overflow in any entry filled.
     """
     n = y.size
     # every segment cost is invariant to removing a global degree-d fit,
@@ -464,8 +437,20 @@ def _dp_table(y: np.ndarray, d: int, k: int) -> tuple:
     C[:, n] = 0.0
     nxt = np.full((k + 1, n + 1), n)
     after = sliding_window_view(C, n - d, axis=1)
-    # C[0] is +inf but at n: row 1 is the piece (t; n], nxt[1] keeps n
+    filled = np.s_[1:k, :n - d]
     hi = n - d if k > 2 else 0
+    if k <= 2:
+        # start 0's costs (a copy: the blocks after it reuse the buffer)
+        start0 = sweeper.block(0, 1)[0].copy()
+    if k == 2:
+        if not r.any():
+            # every cost the sweeper forms from zero sums is 0.0
+            C[1, :n - d] = 0.0
+        elif (starts := _screen_row1(sweeper, r, start0, C)) is None:
+            hi = n - d
+        else:
+            filled = np.s_[1, starts]
+    # C[0] is +inf but at n: row 1 is the piece (t; n], nxt[1] keeps n
     while hi > 0:
         # as many starts as keep starts * (n - lo) <= _DP_BLOCK
         w = n - hi
@@ -486,19 +471,12 @@ def _dp_table(y: np.ndarray, d: int, k: int) -> tuple:
         hi = lo
     # start 0's costs as a full row k takes them: row 1 the piece (0; n],
     # a later row every piece through the add, argmin and min
-    # (a copy: the blocks of the row 1 screen reuse the buffer)
-    cost = cost[0] if k > 2 else sweeper.block(0, 1)[0].copy()
-    filled = np.s_[1:k, :n - d]
-    if k == 2:
-        starts = _screen_row1(sweeper, r, cost, C)
-        if starts is None:
-            np.add(C[0, n], sweeper.diagonal(), out=C[1, :n - d])
-        else:
-            filled = np.s_[1, starts]
+    if k > 2:
+        start0 = cost[0]
     if k == 1:
-        C[1, 0] = C[0, n] + cost[-1]
+        C[1, 0] = C[0, n] + start0[-1]
     else:
-        cand = np.add(C[k - 1, d + 1:n + 1], cost)
+        cand = np.add(C[k - 1, d + 1:n + 1], start0)
         hit = cand.argmin()
         C[k, 0] = np.minimum(C[k - 1, 0], cand[hit])
         nxt[k, 0] = hit + d + 1
@@ -533,13 +511,13 @@ def dp_fit(y, params: ModelParams) -> FitResult:
     costs of the pieces ending at n, is read only at 0 and at the best
     split: one sweep of the reversed series scores every split, and the
     few splits scored near the best are costed exactly, O(n d^2) each.
-    When many splits tie (as on all-zero y) row 1 is costed in full,
-    by folding every start's running sums along its window, O(n^2 d)
-    additions in O(n d) memory.  From k = 3 on, rows 1..k-1 take the
-    blocked pass over every window, O(n^2 (d^2 + k)) work in bounded
-    memory.  Every entry filled is that of the full table costed one
-    start at a time, bit for bit, so the backtrack sweeps no segment
-    again and the knots do not depend on the path.  Ties are resolved
+    When many splits tie, row 1 takes the blocked pass, as it does from
+    k = 3 on, where rows 1..k-1 take it: every window swept,
+    O(n^2 (d^2 + k)) work in bounded memory.  All-zero y, once
+    detrended, costs 0.0 everywhere and sweeps start 0 alone.  Every
+    entry filled is that of the full table costed one start at a time,
+    bit for bit, so the backtrack sweeps no segment again and the knots
+    do not depend on the path.  Ties are resolved
     to the lexicographically smallest knot vector: at each step an empty
     piece first, then the nearest split.  Refuses d0 != -1, and d > 6,
     where the table's costs drift from the refit, and y whose costs

@@ -5,9 +5,10 @@
 `oracles.dp_table_scan` builds, bit for bit, and so must every knot vector
 read off it, for every degree the dynamic program accepts.  At k = 2 the
 pass screens row 1 with the reversed series and fills it only at 0 and
-near the best split (in full when many splits tie); every entry it fills
-must be the scan's.  Every sweeper takes its per-length tables from one
-cache per degree, which must give the bits of tables built at n alone.
+near the best split, or in full by the blocks when many splits tie; every
+entry it fills must be the scan's.  Every sweeper takes its per-length
+tables from one cache per degree, which must give the bits of tables built
+at n alone.
 """
 
 import numpy as np
@@ -39,7 +40,7 @@ def _assert_tables_match(y, d, k_maxes):
     follow it, and the pass fills its top row only at t = 0.  At
     k_max = 1 row 1 is compared where the pass filled it (every entry
     not +inf): the screen fills it only at 0 and near the best split,
-    unless many splits tie."""
+    unless it gives up and the blocks fill it in full."""
     ref = orc.dp_table_scan(y, d, max(k_maxes) + 1)
     for k_max in k_maxes:
         top = k_max + 1
@@ -116,56 +117,77 @@ class TestBitIdentical:
         assert np.all(np.isfinite(cost[ends <= n]))
 
 
-def _detrended_sweeper(y, d):
-    """The sweeper _dp_table costs with: y less its global degree-d fit,
-    removed as oracles.dp_table_scan removes it."""
-    n = y.size
-    i = np.arange(1, n + 1, dtype=float)
-    Q, _ = np.linalg.qr(np.column_stack([(i / n) ** m for m in range(d + 1)]))
-    return solvers._SegmentSweeper(y - Q @ (Q.T @ y), d)
+def _ties(kind, n, rng):
+    """Inputs on which the row 1 screen ties many splits: noise whose
+    squares underflow, so every cost and the tolerance are 0.0, and the
+    alternating 0/1 series."""
+    if kind == "tiny":
+        return 1e-300 * rng.standard_normal(n)
+    return (np.arange(n) % 2).astype(float)
 
 
-def _assert_row1_matches(y, d):
-    n = y.size
-    ref = orc.dp_table_scan(y, d, 1)[0][1, :n - d]
-    got = 0.0 + _detrended_sweeper(y, d).diagonal()
-    assert got.tobytes() == ref.tobytes(), (d, n)
-    row = _dp_table(y, d, 2)[0][1, :n - d]
-    filled = row != np.inf
-    assert filled[0], (d, n)
-    assert row[filled].tobytes() == ref[filled].tobytes(), (d, n)
+@pytest.fixture
+def gave_up(monkeypatch):
+    """Whether each call of _screen_row1 gave up, in order."""
+    calls = []
+    screen = solvers._screen_row1
+
+    def spy(*args):
+        starts = screen(*args)
+        calls.append(starts is None)
+        return starts
+
+    monkeypatch.setattr(solvers, "_screen_row1", spy)
+    return calls
 
 
-class TestDiagonalFold:
-    """_SegmentSweeper.diagonal folds each start's running sums along its
-    window instead of costing the blocks; a table with k = 2 reads row 1
-    off it when its screen ties too many splits.  Both must give the
-    per-start scan's entries, bit for bit."""
+class TestRow1Fallback:
+    """When the k = 2 screen gives up, the blocked pass fills row 1 in
+    full: every entry, C[2, 0] and the knots must be the per-start
+    scan's, bit for bit."""
+
+    @staticmethod
+    def _screen_gave_up(gave_up, y, d):
+        """Check the tables at k_max = 1; whether the screen gave up."""
+        gave_up.clear()
+        _assert_tables_match(y, d, (1,))
+        return gave_up == [True]
 
     @pytest.mark.parametrize("d", range(7))
-    def test_small_n(self, d):
+    def test_small_n(self, gave_up, d):
+        """Every n <= 60: the screen gives up on 1e-300 * noise wherever
+        two splits are open, and on the alternating series at small n."""
         rng = np.random.default_rng(8400 + d)
-        for n in range(d + 1, 41):
-            for kind in KINDS:
-                _assert_row1_matches(_series(kind, n, d, rng), d)
+        alternating = []
+        for n in range(d + 1, 61):
+            tiny = self._screen_gave_up(gave_up, _ties("tiny", n, rng), d)
+            assert tiny == (n >= 2 * (d + 1)), (d, n)
+            alternating.append(self._screen_gave_up(
+                gave_up, _ties("alternating", n, rng), d))
+        assert any(alternating), d
 
     @pytest.mark.parametrize("n", (999, 2000))
-    def test_long_series(self, n):
-        """One kind per degree, taking the kinds in turn."""
+    def test_long_series(self, gave_up, n):
+        """Several blocks at every degree; the screen gives up on
+        1e-300 * noise."""
         rng = np.random.default_rng(8500 + n)
         for d in range(7):
-            _assert_row1_matches(
-                _series(KINDS[(d + n) % len(KINDS)], n, d, rng), d)
+            assert self._screen_gave_up(gave_up, _ties("tiny", n, rng), d), d
+            self._screen_gave_up(gave_up, _ties("alternating", n, rng), d)
 
-    def test_single_window_start_at_degree_1(self):
+    def test_single_window_start_at_degree_1(self, gave_up):
         """The last start's one window is summed in einsum's order, as
-        the blocks sum it."""
+        the per-start scan sums it, also when the screen gives up: on
+        two-level alternating series, C[1, n-2] is not 0.0 on some."""
         hits = 0
         for seed in range(40):
-            y = np.random.default_rng(seed).standard_normal(12)
-            got = 0.0 + _detrended_sweeper(y, 1).diagonal()
+            a, b = np.random.default_rng(seed).standard_normal(2)
+            y = a * (np.arange(12) % 2) + b
+            gave_up.clear()
+            C, _ = _dp_table(y, 1, 2)
+            assert gave_up == [True], seed
             ref, _ = orc.dp_table_scan(y, 1, 1)
-            assert got[10] == ref[1, 10]
+            assert C[1, 10] == ref[1, 10]
             hits += ref[1, 10] != 0.0
         assert hits > 0
 
@@ -212,8 +234,10 @@ class TestDpFitReadsWhatItNeeds:
     def test_k_2_costs_start_0_and_a_few_splits(self, monkeypatch):
         """At k = 2 the forward sweeper costs start 0, then each split
         screened near the best alone; the reversed series' sweeper costs
-        its start 0 alone.  On seeded noise that is 1 to 3 splits and no
-        fold.  On all-zero y every split ties, so row 1 is the fold's."""
+        its start 0 alone.  On seeded noise that is 1 to 3 splits.  On
+        all-zero y every cost is 0.0: start 0 alone is costed and no
+        reversed sweeper is built.  On 1e-300 * noise every split ties,
+        so the blocks cost every start once more."""
         logs = []
 
         class Counting(solvers._SegmentSweeper):
@@ -226,24 +250,28 @@ class TestDpFitReadsWhatItNeeds:
                 self.log.extend(range(lo, hi))
                 return super().block(lo, hi)
 
-            def diagonal(self):
-                self.log.append("fold")
-                return super().diagonal()
-
         monkeypatch.setattr(solvers, "_SegmentSweeper", Counting)
         n = 400
         for d in range(7):
+            params = ModelParams(d=d, d0=-1, k=2, n=n)
             for seed in range(5):
                 logs.clear()
                 y = np.random.default_rng(8750 + seed).standard_normal(n)
-                dp_fit(y, ModelParams(d=d, d0=-1, k=2, n=n))
+                dp_fit(y, params)
                 forward, reversed_ = logs
                 assert reversed_ == [0], (d, seed)
-                assert forward[0] == 0 and "fold" not in forward, (d, seed)
+                assert forward[0] == 0, (d, seed)
                 assert 1 <= len(forward) - 1 <= 3, (d, seed, forward)
             logs.clear()
-            dp_fit(np.zeros(n), ModelParams(d=d, d0=-1, k=2, n=n))
-            assert logs == [[0, "fold"], [0]], d
+            dp_fit(np.zeros(n), params)
+            assert logs == [[0]], d
+            logs.clear()
+            dp_fit(1e-300 * np.random.default_rng(8755).standard_normal(n),
+                   params)
+            forward, reversed_ = logs
+            assert reversed_ == [0], d
+            assert forward[0] == 0, d
+            assert sorted(forward[1:]) == list(range(n - d)), d
 
     @pytest.mark.parametrize("scale,overflows",
                              ((1e150, False), (1e154, True), (1e300, True)))
@@ -295,8 +323,10 @@ class TestRow1Screen:
         worst = 0.0
         for n in [*range(d + 1, 161), 999, 2000, 4096]:
             for kind in KINDS:
-                r = _detrend(_series(kind, n, d, rng), d)[1]
-                forward = solvers._SegmentSweeper(r, d).diagonal()
+                y = _series(kind, n, d, rng)
+                r = _detrend(y, d)[1]
+                # row 1 of the blocked pass: the scan's costs of (t; n]
+                forward = _dp_table(y, d, 3)[0][1, :n - d]
                 rev = solvers._SegmentSweeper(r[::-1], d).block(0, 1)[0]
                 gap = np.max(np.abs(forward - rev[::-1]))
                 if gap:
