@@ -5,11 +5,12 @@ length-normalized power basis, so Gram matrices depend only on the window
 length and are factored once per length and degree, for every fit.  The
 dynamic program solves the d0 = -1 problem exactly, in one forward pass
 that serves every piece count up to the one it is built for, for dp_fit
-and adaptive_fit alike, with one blocked sweep for every full row; at two
-pieces it screens the costs of the pieces that run to n with the reversed
-series and costs only the splits near the best.  The exhaustive solver
-covers every smoothness order by enumerating knot vectors.  fit_fixed_k is
-the one place that picks between them.
+and adaptive_fit alike: start 0 is costed on its own and gives column 0,
+and one blocked sweep costs the other starts the rows need, all of them
+from three pieces on; at two, the reversed series screens the pieces
+that run to n and only the splits near the best are costed.  The
+exhaustive solver covers every smoothness order by enumerating knot
+vectors.  fit_fixed_k is the one place that picks between them.
 """
 
 from __future__ import annotations
@@ -358,20 +359,19 @@ def fit_given_knots(y, params: ModelParams, knots) -> FitResult:
 # ---------------------------------------------------------------------------
 
 def _screen_row1(sweeper: _SegmentSweeper, r: np.ndarray,
-                 start0: np.ndarray, C: np.ndarray) -> np.ndarray | None:
-    """Fill row 1 of a k = 2 table only at 0 and the splits near its best;
-    returns the starts filled, or None, with C untouched, when the screen
-    overflows or more splits screen near the best than the blocked pass
-    over row 1 would cost in one-start blocks.
+                 start0: np.ndarray) -> np.ndarray | None:
+    """The splits at which a k = 2 table needs row 1 besides 0: those
+    whose split can be the best.  None when the screen overflows or more
+    splits screen near the best than the blocked pass over row 1 would
+    cost in one-start blocks.
 
     start0[l] is the cost of (0; d+1+l] and r the series the forward
     sweeper costs.  The reversed series' start 0 sweep costs (n-L; n] for
     every length L at once, so with start0 it scores every split s by
     cost(0; s] + C~[1, s] in O(n d^2), within tol of the exact sum.  So
     the first split of least exact sum scores within 2 tol of the least
-    score, and every split there is costed exactly, each by its own
-    one-start forward block: the add and argmin over row 1 then pick the
-    split the full row would."""
+    score, and once every split there is costed exactly, the add and
+    argmin over row 1 pick the split the full row would."""
     d, n = sweeper.d, sweeper.n
     rev = _SegmentSweeper(r[::-1], d).block(0, 1)[0]
     if not (np.isfinite(rev).all() and np.isfinite(start0).all()):
@@ -390,11 +390,7 @@ def _screen_row1(sweeper: _SegmentSweeper, r: np.ndarray,
     # most about 3 times the screen; every split ties on 1e-300 * noise
     if near.size > max(1, n // 8):
         return None
-    starts = np.append(0, near[near < n])
-    C[1, 0] = C[0, n] + start0[-1]
-    for s in starts[1:].tolist():
-        C[1, s] = C[0, n] + sweeper.block(s, s + 1)[0, -1]
-    return starts
+    return near[near < n]
 
 
 # an overflowing cost is refused once the entries are filled
@@ -409,23 +405,22 @@ def _dp_table(y: np.ndarray, d: int, k: int) -> tuple:
     of a nonempty piece starting at t plus C[r-1] after it.  Row r depends
     only on row r-1, so one table serves _backtrack at every k' <= k.
 
-    The starts are taken in blocks from the right, each costed by one
-    _SegmentSweeper.block call of at most about _DP_BLOCK window entries.
-    Row r of a block needs row r-1 only at and after the block's starts,
-    so the block fills its rows in order with one argmin each.  Row 1 is
-    read off the sweep: C[0] is +inf except C[0, n] = 0, so C[1, t] is
-    the cost of (t; n], the block's diagonal, and nxt[1, t] is n.  At
-    k = 2 _backtrack reads row 1 only at 0 and at nxt[2, 0], so
-    _screen_row1 fills it at 0 and at the splits that can be the best,
-    and leaves the rest +inf; when too many splits screen near the best,
-    the blocks fill it in full.  A detrended y of zeros gives a row 1 of
-    0.0, the cost of zero sums, with no sweep.  C[k, 0] takes start 0's
-    costs, the last block's first row or else a one-start block, as a
-    full row would: off the diagonal at k = 1, else through the add,
-    argmin and minimum.  The blocks do the O(n^2 (d^2 + k)) work of one
-    start at a time, the screen O(n d^2) a split and a one-start block
-    O(n d^2), and every entry filled is the per-start one, bit for bit.
-    Refuses y whose costs overflow in any entry filled.
+    Start 0 is costed first, on its own.  Then one set of starts gets
+    rows 1..k-1: none at k = 1; every start 1..n-d-1 from k = 3 on; at
+    k = 2, where _backtrack reads row 1 only at 0 and at nxt[2, 0], the
+    splits _screen_row1 finds can be the best, or every start when it
+    gives up.  They are taken in blocks from the right within each run
+    of consecutive starts, each costed by one _SegmentSweeper.block call
+    of at most about _DP_BLOCK window entries.  Row r of a block needs
+    row r-1 only after the block's starts, so the block fills its rows in
+    order with one argmin each.  Row 1 is read off the sweep: C[0] is
+    +inf except C[0, n] = 0, so C[1, t] is the cost of (t; n], the
+    block's diagonal, and nxt[1, t] is n.  Column 0 of rows 1..k takes
+    start 0's costs as a block's row would.  A detrended y of zeros costs
+    0.0 everywhere, so it writes rows 1..k-1 with no sweep but start 0's.
+    The blocks do the O(n^2 (d^2 + k)) work of one start at a time, the
+    screen O(n d^2), and every entry filled is the per-start one, bit for
+    bit.  Refuses y whose costs overflow in any entry filled.
     """
     n = y.size
     # every segment cost is invariant to removing a global degree-d fit,
@@ -437,54 +432,58 @@ def _dp_table(y: np.ndarray, d: int, k: int) -> tuple:
     C[:, n] = 0.0
     nxt = np.full((k + 1, n + 1), n)
     after = sliding_window_view(C, n - d, axis=1)
-    filled = np.s_[1:k, :n - d]
-    hi = n - d if k > 2 else 0
-    if k <= 2:
-        # start 0's costs (a copy: the blocks after it reuse the buffer)
-        start0 = sweeper.block(0, 1)[0].copy()
-    if k == 2:
-        if not r.any():
-            # every cost the sweeper forms from zero sums is 0.0
-            C[1, :n - d] = 0.0
-        elif (starts := _screen_row1(sweeper, r, start0, C)) is None:
-            hi = n - d
-        else:
-            filled = np.s_[1, starts]
+    # a copy: the blocks after it reuse the buffer
+    start0 = sweeper.block(0, 1)[0].copy()
+    # the other starts whose rows 1..k-1 are filled: none at k = 1
+    starts = np.arange(1, n - d if k > 1 else 1)
+    if not r.any():
+        # every cost the sweeper forms from zero sums is 0.0, so each
+        # argmin takes the first split whose row before is finite
+        C[1:k, starts] = 0.0
+        split = starts + d + 1
+        nxt[2:k, starts] = np.where(split < n - d, split, n)
+        starts = starts[:0]
+    elif k == 2 and (near := _screen_row1(sweeper, r, start0)) is not None:
+        starts = near
     # C[0] is +inf but at n: row 1 is the piece (t; n], nxt[1] keeps n
-    while hi > 0:
-        # as many starts as keep starts * (n - lo) <= _DP_BLOCK
-        w = n - hi
-        lo = max(0, hi - max(1, (math.isqrt(w * w + 4 * _DP_BLOCK) - w) // 2))
-        cost = sweeper.block(lo, hi)
-        rows = np.arange(hi - lo)
-        first = lo + d + 1
-        np.add(C[0, n], cost[rows, n - first - rows], out=C[1, lo:hi])
-        cand = _chunk_buffer("dp_cand", cost.size).reshape(cost.shape)
-        for r in range(2, k):
-            np.add(after[r - 1, first:hi + d + 1, :cost.shape[1]], cost,
-                   out=cand)
-            hit = cand.argmin(axis=1)
-            # C[r, t] = min(C[r-1, t], best split): the empty-piece option,
-            # which _backtrack prefers on ties
-            np.minimum(C[r - 1, lo:hi], cand[rows, hit], out=C[r, lo:hi])
-            nxt[r, lo:hi] = hit + rows + first
-        hi = lo
-    # start 0's costs as a full row k takes them: row 1 the piece (0; n],
-    # a later row every piece through the add, argmin and min
-    if k > 2:
-        start0 = cost[0]
-    if k == 1:
-        C[1, 0] = C[0, n] + start0[-1]
-    else:
-        cand = np.add(C[k - 1, d + 1:n + 1], start0)
+    runs = np.split(starts, np.flatnonzero(np.diff(starts) != 1) + 1)
+    for run in reversed(runs if starts.size else []):
+        hi = int(run[-1]) + 1
+        while hi > run[0]:
+            # as many starts as keep starts * (n - lo) <= _DP_BLOCK
+            w = n - hi
+            lo = max(int(run[0]), hi - max(
+                1, (math.isqrt(w * w + 4 * _DP_BLOCK) - w) // 2))
+            cost = sweeper.block(lo, hi)
+            rows = np.arange(hi - lo)
+            first = lo + d + 1
+            np.add(C[0, n], cost[rows, n - first - rows], out=C[1, lo:hi])
+            cand = _chunk_buffer("dp_cand", cost.size).reshape(cost.shape)
+            for row in range(2, k):
+                np.add(after[row - 1, first:hi + d + 1, :cost.shape[1]],
+                       cost, out=cand)
+                hit = cand.argmin(axis=1)
+                # C[r, t] = min(C[r-1, t], best split): the empty-piece
+                # option, which _backtrack prefers on ties
+                np.minimum(C[row - 1, lo:hi], cand[rows, hit],
+                           out=C[row, lo:hi])
+                nxt[row, lo:hi] = hit + rows + first
+            hi = lo
+    # column 0 from start 0's costs, as a block's first row takes them:
+    # row 1 the piece (0; n], a later row every piece through the add,
+    # argmin and min
+    C[1, 0] = C[0, n] + start0[-1]
+    for row in range(2, k + 1):
+        cand = np.add(C[row - 1, d + 1:n + 1], start0)
         hit = cand.argmin()
-        C[k, 0] = np.minimum(C[k - 1, 0], cand[hit])
-        nxt[k, 0] = hit + d + 1
+        C[row, 0] = np.minimum(C[row - 1, 0], cand[hit])
+        nxt[row, 0] = hit + d + 1
     # an overflowed cost is -inf or NaN, which row 1 takes off the diagonal,
     # row 2 from every other piece and C[k, 0] from every piece from 0, or
     # +inf when its sum of squares overflows, and then that of (0; n] does
     # too, in C[1, 0]
-    if not (np.isfinite(C[filled]).all() and np.isfinite(C[k, 0])):
+    if not (np.isfinite(C[1:k, starts]).all()
+            and np.isfinite(C[1:k + 1, 0]).all()):
         raise ValidationError(_OVERFLOW.format("y"))
     return C[:, :n + 1], nxt
 
@@ -506,22 +505,21 @@ def dp_fit(y, params: ModelParams) -> FitResult:
     """Exact minimizer over all knot vectors with <= k pieces for d0 = -1.
 
     The forward pass (_dp_table) fills only the table entries the
-    backtrack reads: rows 1..k-1 in full and row k at t = 0.  So
-    k = 1 costs one sweep of start 0, O(n d^2).  At k = 2 row 1, the
-    costs of the pieces ending at n, is read only at 0 and at the best
-    split: one sweep of the reversed series scores every split, and the
-    few splits scored near the best are costed exactly, O(n d^2) each.
-    When many splits tie, row 1 takes the blocked pass, as it does from
-    k = 3 on, where rows 1..k-1 take it: every window swept,
-    O(n^2 (d^2 + k)) work in bounded memory.  All-zero y, once
-    detrended, costs 0.0 everywhere and sweeps start 0 alone.  Every
-    entry filled is that of the full table costed one start at a time,
-    bit for bit, so the backtrack sweeps no segment again and the knots
-    do not depend on the path.  Ties are resolved
-    to the lexicographically smallest knot vector: at each step an empty
-    piece first, then the nearest split.  Refuses d0 != -1, and d > 6,
-    where the table's costs drift from the refit, and y whose costs
-    overflow in any entry the pass fills.
+    backtrack reads: rows 1..k-1 in full and row k at t = 0.  It costs
+    start 0 in one sweep, O(n d^2), which is all k = 1 needs, and every
+    other start in one blocked pass from k = 3 on: every window swept,
+    O(n^2 (d^2 + k)) work in bounded memory.  At k = 2 row 1, the costs
+    of the pieces ending at n, is read only at 0 and at the best split:
+    one sweep of the reversed series scores every split, and the pass
+    costs only the few splits scored near the best, or every start when
+    many tie.  All-zero y, once detrended, costs 0.0 everywhere and
+    sweeps start 0 alone at every k.  Every entry filled is that of the
+    full table costed one start at a time, bit for bit, so the backtrack
+    sweeps no segment again and the knots do not depend on the path.
+    Ties are resolved to the lexicographically smallest knot vector: at
+    each step an empty piece first, then the nearest split.  Refuses
+    d0 != -1, and d > 6, where the table's costs drift from the refit,
+    and y whose costs overflow in any entry the pass fills.
     """
     _solver_for(params, "dp")
     y = _finite(y, "y", params.n)

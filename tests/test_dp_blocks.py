@@ -3,12 +3,13 @@
 `_dp_table` costs a block of consecutive starts per numpy call.  Its table
 (C, nxt) must be the one the per-start scan kept verbatim in
 `oracles.dp_table_scan` builds, bit for bit, and so must every knot vector
-read off it, for every degree the dynamic program accepts.  At k = 2 the
-pass screens row 1 with the reversed series and fills it only at 0 and
-near the best split, or in full by the blocks when many splits tie; every
-entry it fills must be the scan's.  Every sweeper takes its per-length
-tables from one cache per degree, which must give the bits of tables built
-at n alone.
+read off it, for every degree the dynamic program accepts.  The pass costs
+start 0 on its own, for column 0, and one set of other starts in blocks:
+every one from k = 3 on; at k = 2 those the reversed series' screen puts
+near the best split, or every one when many splits tie; none on a
+detrended y of zeros.  Every entry it fills must be the scan's.  Every
+sweeper takes its per-length tables from one cache per degree, which must
+give the bits of tables built at n alone.
 """
 
 import numpy as np
@@ -237,7 +238,7 @@ class TestDpFitReadsWhatItNeeds:
         its start 0 alone.  On seeded noise that is 1 to 3 splits.  On
         all-zero y every cost is 0.0: start 0 alone is costed and no
         reversed sweeper is built.  On 1e-300 * noise every split ties,
-        so the blocks cost every start once more."""
+        so the blocks cost every other start once."""
         logs = []
 
         class Counting(solvers._SegmentSweeper):
@@ -271,7 +272,28 @@ class TestDpFitReadsWhatItNeeds:
             forward, reversed_ = logs
             assert reversed_ == [0], d
             assert forward[0] == 0, d
-            assert sorted(forward[1:]) == list(range(n - d)), d
+            assert sorted(forward[1:]) == list(range(1, n - d)), d
+
+    @pytest.mark.parametrize("d", (0, 2, 6))
+    def test_zero_residual_costs_start_0_alone(self, monkeypatch, d):
+        """All-zero y costs 0.0 in every piece, so at every k the pass
+        costs start 0 alone, and the knots are the per-start scan's."""
+        costed = []
+
+        class Counting(solvers._SegmentSweeper):
+            def block(self, lo, hi):
+                costed.extend(range(lo, hi))
+                return super().block(lo, hi)
+
+        monkeypatch.setattr(solvers, "_SegmentSweeper", Counting)
+        n = 60
+        y = np.zeros(n)
+        ref = orc.dp_table_scan(y, d, 6)
+        for k in range(3, 7):
+            costed.clear()
+            fit = dp_fit(y, ModelParams(d=d, d0=-1, k=k, n=n))
+            assert costed == [0], (d, k)
+            assert fit.knots.knots == orc.dp_backtrack(ref, k), (d, k)
 
     @pytest.mark.parametrize("scale,overflows",
                              ((1e150, False), (1e154, True), (1e300, True)))
