@@ -4,13 +4,15 @@ The segment machinery fits degree-d polynomials on index windows using a
 length-normalized power basis, so Gram matrices depend only on the window
 length and are factored once per length and degree, for every fit.  The
 dynamic program solves the d0 = -1 problem exactly, in one forward pass
-that serves every piece count up to the one it is built for, for dp_fit
-and adaptive_fit alike: start 0 is costed on its own and gives column 0,
-and one blocked sweep costs the other starts the rows need, all of them
-from three pieces on; at two, the reversed series screens the pieces
-that run to n and only the splits near the best are costed.  The
-exhaustive solver covers every smoothness order by enumerating knot
-vectors.  fit_fixed_k is the one place that picks between them.
+that serves every piece count, for dp_fit and adaptive_fit alike; it
+stops at n // (d+1) pieces, the most a knot vector holds.  Start 0 is
+costed on its own, and one blocked sweep costs the other starts the rows
+need, all of them from three pieces on; at two, the reversed series
+screens the pieces that run to n and only the splits near the best are
+costed.  One row step takes each block's costs, and start 0's, to the
+table.  The exhaustive solver covers every smoothness order by
+enumerating knot vectors.  fit_fixed_k is the one place that picks
+between them.
 """
 
 from __future__ import annotations
@@ -236,15 +238,15 @@ class _SegmentSweeper:
         pairs.real[:n] = y
         pairs.imag[:n] = y * y
         self._windows = sliding_window_view(pairs, n)
-        # row n - c + i, column j is i + j >= c: a block's entries past n
-        # in its last c columns
-        self._past = sliding_window_view(np.arange(2 * n) >= n, n)
 
     def block(self, lo: int, hi: int) -> np.ndarray:
         """Costs of the segments (t; t+d+1+l] for starts t = lo..hi-1.
 
-        Row t - lo, column l; entries with t + d + 1 + l > n are +inf.  The
-        result is a view of a kept buffer, which the next call overwrites."""
+        Row t - lo, column l.  An entry with t + d + 1 + l > n is formed
+        from y padded with zeros past n and is no segment's cost: a caller
+        reads it only where it adds +inf (_dp_table's columns past n).
+        The result is a view of a kept buffer, which the next call
+        overwrites."""
         d, n = self.d, self.n
         w = n - lo
         m = w - d
@@ -281,12 +283,7 @@ class _SegmentSweeper:
                           kept("tmp") if d else None)
         if hi == n - d:
             quad[-1, 0] = self._one_window([bp[-1, 0] for bp in b])
-        cost = np.subtract(sums.imag[:, d:], quad, out=quad)
-        # row i runs i columns past n, all in the last rows - 1 columns
-        c = rows - 1
-        np.copyto(cost[:, m - c:], np.inf,
-                  where=self._past[n - c:n - c + rows, :c])
-        return cost
+        return np.subtract(sums.imag[:, d:], quad, out=quad)
 
     def _quad(self, b, ginv, quad, tmp):
         """b' Ginv b into quad, with tmp as scratch: b[p] the p-th moments
@@ -398,7 +395,9 @@ def _screen_row1(sweeper: _SegmentSweeper, r: np.ndarray,
 def _dp_table(y: np.ndarray, d: int, k: int) -> tuple:
     """Segment-neighbourhood forward pass for every piece count up to k,
     filling only the entries _backtrack reads: rows 1..k-1 in full and
-    row k at t = 0.
+    row k at t = 0.  _dp_knots builds it at k <= n // (d+1), the most
+    nonempty pieces a knot vector holds; every row past that repeats the
+    one before it.
 
     Returns (C, nxt).  C[r, t] is the least cost of fitting y on (t; n]
     with at most r pieces; nxt[r, t] is the first split minimizing the cost
@@ -411,13 +410,17 @@ def _dp_table(y: np.ndarray, d: int, k: int) -> tuple:
     splits _screen_row1 finds can be the best, or every start when it
     gives up.  They are taken in blocks from the right within each run
     of consecutive starts, each costed by one _SegmentSweeper.block call
-    of at most about _DP_BLOCK window entries.  Row r of a block needs
-    row r-1 only after the block's starts, so the block fills its rows in
-    order with one argmin each.  Row 1 is read off the sweep: C[0] is
-    +inf except C[0, n] = 0, so C[1, t] is the cost of (t; n], the
-    block's diagonal, and nxt[1, t] is n.  Column 0 of rows 1..k takes
-    start 0's costs as a block's row would.  A detrended y of zeros costs
-    0.0 everywhere, so it writes rows 1..k-1 with no sweep but start 0's.
+    of at most about _DP_BLOCK window entries.  One step (fill) takes a
+    block's costs to its rows 1..k-1, and start 0's, last, to column 0 of
+    rows 1..k.  Row r of a block needs row r-1 only after the block's
+    starts, so the step fills the rows in order with one argmin each.
+    Row 1 is read off the sweep: C[0] is +inf except C[0, n] = 0, so
+    C[1, t] is the cost of (t; n], the block's diagonal, and nxt[1, t] is
+    n.  C's columns n+1..2n are +inf in every row, the one mask of the
+    splits past n: a block's entry for a window past n adds one of them,
+    so it loses every argmin to a split within n.  A detrended y of zeros
+    costs 0.0 everywhere, so it writes rows 1..k-1 with no sweep but
+    start 0's.
     The blocks do the O(n^2 (d^2 + k)) work of one start at a time, the
     screen O(n d^2), and every entry filled is the per-start one, bit for
     bit.  Refuses y whose costs overflow in any entry filled.
@@ -427,11 +430,31 @@ def _dp_table(y: np.ndarray, d: int, k: int) -> tuple:
     # and the sweeper's normal equations lose accuracy with the offset
     r = _detrend(y, d)[1]
     sweeper = _SegmentSweeper(r, d)
-    # columns past n stay +inf for the blocks' ragged right edge
+    # columns past n stay +inf, so every split past n in the blocks'
+    # ragged right edge adds +inf, whatever the sweeper's cost there
     C = np.full((k + 1, 2 * n + 1), np.inf)
     C[:, n] = 0.0
     nxt = np.full((k + 1, n + 1), n)
     after = sliding_window_view(C, n - d, axis=1)
+
+    def fill(lo, hi, cost, top):
+        """Rows 1..top of starts lo..hi-1 from their costs, which need
+        row r-1 only after the block.  C[0] is +inf but at n: row 1 is
+        the piece (t; n] and nxt[1] keeps n."""
+        rows = np.arange(hi - lo)
+        first = lo + d + 1
+        np.add(C[0, n], cost[rows, n - first - rows], out=C[1, lo:hi])
+        cand = _chunk_buffer("dp_cand", cost.size).reshape(cost.shape)
+        for row in range(2, top + 1):
+            np.add(after[row - 1, first:hi + d + 1, :cost.shape[1]], cost,
+                   out=cand)
+            hit = cand.argmin(axis=1)
+            # C[r, t] = min(C[r-1, t], best split): the empty-piece
+            # option, which _backtrack prefers on ties
+            np.minimum(C[row - 1, lo:hi], cand[rows, hit],
+                       out=C[row, lo:hi])
+            nxt[row, lo:hi] = hit + rows + first
+
     # a copy: the blocks after it reuse the buffer
     start0 = sweeper.block(0, 1)[0].copy()
     # the other starts whose rows 1..k-1 are filled: none at k = 1
@@ -445,7 +468,6 @@ def _dp_table(y: np.ndarray, d: int, k: int) -> tuple:
         starts = starts[:0]
     elif k == 2 and (near := _screen_row1(sweeper, r, start0)) is not None:
         starts = near
-    # C[0] is +inf but at n: row 1 is the piece (t; n], nxt[1] keeps n
     runs = np.split(starts, np.flatnonzero(np.diff(starts) != 1) + 1)
     for run in reversed(runs if starts.size else []):
         hi = int(run[-1]) + 1
@@ -454,30 +476,10 @@ def _dp_table(y: np.ndarray, d: int, k: int) -> tuple:
             w = n - hi
             lo = max(int(run[0]), hi - max(
                 1, (math.isqrt(w * w + 4 * _DP_BLOCK) - w) // 2))
-            cost = sweeper.block(lo, hi)
-            rows = np.arange(hi - lo)
-            first = lo + d + 1
-            np.add(C[0, n], cost[rows, n - first - rows], out=C[1, lo:hi])
-            cand = _chunk_buffer("dp_cand", cost.size).reshape(cost.shape)
-            for row in range(2, k):
-                np.add(after[row - 1, first:hi + d + 1, :cost.shape[1]],
-                       cost, out=cand)
-                hit = cand.argmin(axis=1)
-                # C[r, t] = min(C[r-1, t], best split): the empty-piece
-                # option, which _backtrack prefers on ties
-                np.minimum(C[row - 1, lo:hi], cand[rows, hit],
-                           out=C[row, lo:hi])
-                nxt[row, lo:hi] = hit + rows + first
+            fill(lo, hi, sweeper.block(lo, hi), k - 1)
             hi = lo
-    # column 0 from start 0's costs, as a block's first row takes them:
-    # row 1 the piece (0; n], a later row every piece through the add,
-    # argmin and min
-    C[1, 0] = C[0, n] + start0[-1]
-    for row in range(2, k + 1):
-        cand = np.add(C[row - 1, d + 1:n + 1], start0)
-        hit = cand.argmin()
-        C[row, 0] = np.minimum(C[row - 1, 0], cand[hit])
-        nxt[row, 0] = hit + d + 1
+    # column 0 of rows 1..k, after every other start's rows
+    fill(0, 1, start0[None], k)
     # an overflowed cost is -inf or NaN, which row 1 takes off the diagonal,
     # row 2 from every other piece and C[k, 0] from every piece from 0, or
     # +inf when its sum of squares overflows, and then that of (0; n] does
@@ -490,25 +492,38 @@ def _dp_table(y: np.ndarray, d: int, k: int) -> tuple:
 
 def _backtrack(table: tuple, k: int) -> tuple:
     """The lexicographically smallest optimal knot vector with k pieces,
-    read off a _dp_table: an empty piece wherever one attains the cost."""
+    read off a _dp_table: an empty piece wherever one attains the cost.
+    A table built at n // (d+1) rows (_dp_knots) serves every larger k:
+    each row past it would repeat the one before, so the pieces past its
+    top row are empty pieces at 0."""
     C, nxt = table
-    knots = [0]
+    top = min(k, len(C) - 1)
+    knots = [0] * (k - top + 1)
     t = 0
-    for r in range(k, 0, -1):
+    for r in range(top, 0, -1):
         if C[r - 1, t] != C[r, t]:
             t = int(nxt[r, t])
         knots.append(t)
     return tuple(knots)
 
 
+def _dp_knots(y: np.ndarray, d: int, k: int):
+    """_backtrack over one _dp_table for every piece count up to k.  No
+    knot vector has more than n // (d+1) nonempty pieces, so the table
+    stops at that many rows."""
+    return partial(_backtrack, _dp_table(y, d, min(k, y.size // (d + 1))))
+
+
 def dp_fit(y, params: ModelParams) -> FitResult:
     """Exact minimizer over all knot vectors with <= k pieces for d0 = -1.
 
     The forward pass (_dp_table) fills only the table entries the
-    backtrack reads: rows 1..k-1 in full and row k at t = 0.  It costs
-    start 0 in one sweep, O(n d^2), which is all k = 1 needs, and every
-    other start in one blocked pass from k = 3 on: every window swept,
-    O(n^2 (d^2 + k)) work in bounded memory.  At k = 2 row 1, the costs
+    backtrack reads: rows 1..k-1 in full and row k at t = 0, with k at
+    most n // (d+1), the most nonempty pieces a knot vector holds; a
+    larger k adds empty pieces at 0.  It costs start 0 in one sweep,
+    O(n d^2), which is all k = 1 needs, and every other start in one
+    blocked pass from k = 3 on: every window swept, O(n^2 (d^2 + k))
+    work in bounded memory.  At k = 2 row 1, the costs
     of the pieces ending at n, is read only at 0 and at the best split:
     one sweep of the reversed series scores every split, and the pass
     costs only the few splits scored near the best, or every start when
@@ -523,8 +538,7 @@ def dp_fit(y, params: ModelParams) -> FitResult:
     """
     _solver_for(params, "dp")
     y = _finite(y, "y", params.n)
-    k = params.k
-    knots = _backtrack(_dp_table(y, params.d, k), k)
+    knots = _dp_knots(y, params.d, params.k)(params.k)
     return _fit_at(y, params.d, -1, knots)
 
 
@@ -606,11 +620,12 @@ def adaptive_fit(y, params: ModelParams, spec: PenaltySpec,
     Minimizes sse(k) + penalty(k) over k in [1; k_max]; ties go to the
     smallest k.  sse(k) comes from the solver fit_fixed_k would use, with
     its refusals.  That solver's search runs once, to k_max, and serves
-    every k: the dynamic program runs dp_fit's forward pass at k_max
-    (_dp_table), read by _backtrack, so it refuses y only where a cost it
-    fills overflows; the exhaustive solver screens every knot set once
-    (_KnotScreen), read by _KnotScreen.best.  Every k is refit at the
-    knots it reads, exactly as dp_fit or exhaustive_fit at k would be.
+    every k: the dynamic program runs dp_fit's forward pass at k_max, or
+    at n // (d+1) below it (_dp_knots), read by _backtrack, so it refuses
+    y only where a cost it fills overflows; the exhaustive solver screens
+    every knot set once (_KnotScreen), read by _KnotScreen.best.  Every k
+    is refit at the knots it reads, exactly as dp_fit or exhaustive_fit
+    at k would be.
     The exhaustive solver checks the budget at every k in turn before it
     screens, so a refusal names the first count over it.  Refuses a
     penalty that overflows at any k, before any solve; k_max outside
@@ -638,7 +653,7 @@ def adaptive_fit(y, params: ModelParams, spec: PenaltySpec,
                 f"sigma, or k_max")
     d, d0 = params.d, params.d0
     if solver == "dp":
-        knots = partial(_backtrack, _dp_table(y, d, k_max))
+        knots = _dp_knots(y, d, k_max)
     else:
         for k in range(1, k_max + 1):
             _check_budget(count_knot_vectors(params.n, k, d), budget)

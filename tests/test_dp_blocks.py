@@ -17,10 +17,11 @@ import pytest
 
 import oracles as orc
 import l0spline.solvers as solvers
-from l0spline import ModelParams
+from l0spline import ModelParams, PenaltySpec
 from l0spline.errors import ValidationError
 from l0spline.model import _detrend
-from l0spline.solvers import _backtrack, _dp_table, dp_fit, segment_cost
+from l0spline.solvers import (_backtrack, _dp_table, adaptive_fit, dp_fit,
+                              segment_cost)
 
 KINDS = ("noise", "zero", "rounded", "offset", "constant", "poly")
 
@@ -107,15 +108,43 @@ class TestBitIdentical:
         assert hits > 0
 
     def test_block_marks_segments_past_n(self):
-        """A block's rows share one length; entries past n are +inf, so
-        no split beyond the series can win an argmin."""
+        """A block's rows share one length, and every segment within n
+        has a finite cost; the table masks the entries past n (below)."""
         n, d = 30, 1
         y = np.random.default_rng(8300).standard_normal(n)
         cost = solvers._SegmentSweeper(y, d).block(10, 20)
         assert cost.shape == (10, n - 10 - d)
         ends = np.arange(10, 20)[:, None] + d + 1 + np.arange(cost.shape[1])
-        assert np.all(cost[ends > n] == np.inf)
         assert np.all(np.isfinite(cost[ends <= n]))
+
+    @pytest.mark.parametrize("past", (1e300, -1e300))
+    def test_no_split_past_n_wins(self, monkeypatch, past):
+        """The table's +inf columns past n mask every block entry past n:
+        with those entries overwritten, C and nxt keep their bytes, on
+        noise and on the inputs where the k = 2 screen ties."""
+        written = []
+
+        class Past(solvers._SegmentSweeper):
+            def block(self, lo, hi):
+                cost = super().block(lo, hi)
+                ends = (np.arange(lo, hi)[:, None] + self.d + 1
+                        + np.arange(cost.shape[1]))
+                cost[ends > self.n] = past
+                written.append(np.count_nonzero(ends > self.n))
+                return cost
+
+        rng = np.random.default_rng(8310)
+        for d, n in ((0, 40), (1, 61), (3, 300)):
+            for y in (rng.standard_normal(n), _ties("tiny", n, rng),
+                      _ties("alternating", n, rng)):
+                for k in range(2, 6):
+                    ref = _dp_table(y, d, k)
+                    monkeypatch.setattr(solvers, "_SegmentSweeper", Past)
+                    C, nxt = _dp_table(y, d, k)
+                    monkeypatch.undo()
+                    assert C.tobytes() == ref[0].tobytes(), (d, n, k)
+                    assert nxt.tobytes() == ref[1].tobytes(), (d, n, k)
+        assert sum(written) > 0
 
 
 def _ties(kind, n, rng):
@@ -294,6 +323,42 @@ class TestDpFitReadsWhatItNeeds:
             fit = dp_fit(y, ModelParams(d=d, d0=-1, k=k, n=n))
             assert costed == [0], (d, k)
             assert fit.knots.knots == orc.dp_backtrack(ref, k), (d, k)
+
+    @pytest.mark.parametrize("d", (0, 1, 3))
+    def test_table_stops_at_the_pieces_n_holds(self, monkeypatch, d):
+        """No knot vector has more than m = n // (d+1) nonempty pieces, so
+        dp_fit at k = 10 n and adaptive_fit at k_max = n build m + 1 rows
+        at most, and every fit past m is the one at m with leading empty
+        pieces: the same knots after them, SSE and fitted values."""
+        n = 30
+        m = n // (d + 1)
+        rows = []
+        table = solvers._dp_table
+
+        def spy(*args):
+            C, nxt = table(*args)
+            rows.append(len(C))
+            return C, nxt
+
+        monkeypatch.setattr(solvers, "_dp_table", spy)
+        y = np.random.default_rng(8780 + d).standard_normal(n)
+        ref = dp_fit(y, ModelParams(d=d, d0=-1, k=m, n=n))
+        fit = dp_fit(y, ModelParams(d=d, d0=-1, k=10 * n, n=n))
+        assert fit.knots.knots == (0,) * (10 * n - m) + ref.knots.knots
+        assert fit.sse.hex() == ref.sse.hex()
+        assert fit.theta_hat.values.tobytes() == \
+            ref.theta_hat.values.tobytes()
+        params = ModelParams(d=d, d0=-1, k=m, n=n)
+        best, trace = adaptive_fit(
+            y, params, PenaltySpec(tau=0.5, sigma=1.0, d=d, d0=-1, n=n),
+            k_max=n, with_trace=True)
+        assert [sse.hex() for _, sse, _, _ in trace[m - 1:]] == \
+            [ref.sse.hex()] * (n - m + 1)
+        again = dp_fit(y, ModelParams(d=d, d0=-1, k=best.knots.k, n=n))
+        assert best.knots == again.knots
+        assert best.theta_hat.values.tobytes() == \
+            again.theta_hat.values.tobytes()
+        assert max(rows) <= m + 1, rows
 
     @pytest.mark.parametrize("scale,overflows",
                              ((1e150, False), (1e154, True), (1e300, True)))

@@ -3,6 +3,7 @@ refusals are recorded, and the diff lists every key that differs."""
 
 import hashlib
 import importlib.util
+import subprocess
 from pathlib import Path
 
 from l0spline.solvers import _dp_table
@@ -18,6 +19,7 @@ def test_smoke_digests():
     assert identity.differing(first, identity.write(identity.SMOKE)) == []
     assert len(first) == len(identity.SMOKE)
     for (kind, d, n, k), digest in zip(identity.SMOKE, first.values()):
+        assert ("exhaustive" in digest) == (k <= 3 and n <= 40)
         if kind == "huge153":
             assert digest["table"].startswith("ValidationError: ")
             assert digest["dp_fit"].startswith("ValidationError: ")
@@ -28,6 +30,8 @@ def test_smoke_digests():
             C.tobytes() + nxt.tobytes()).hexdigest()
         assert digest["fit"].startswith("exit 0 ")
         assert digest["adapt"].startswith("exit 0 ")
+        # the oracle's knots, SSE and fitted values are the DP's
+        assert digest.get("exhaustive", digest["dp_fit"]) == digest["dp_fit"]
 
     changed = {key: dict(v) for key, v in first.items()}
     key, last = list(first)[0], list(first)[-1]
@@ -35,3 +39,18 @@ def test_smoke_digests():
     del changed[last]
     assert identity.differing(first, changed) == [
         (key, ["adapt"]), (last, ["missing in second"])]
+
+
+def test_rev_extracts_the_committed_tree(tmp_path):
+    """--rev digests the src of git archive REV, not the working tree."""
+    repo, out = tmp_path / "repo", tmp_path / "out"
+    (repo / "src").mkdir(parents=True)
+    (repo / "src" / "m.py").write_text("A = 1\n")
+    git = ["git", "-C", str(repo), "-c", "user.name=t",
+           "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    subprocess.run([*git, "add", "-A"], check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "one"], check=True)
+    (repo / "src" / "m.py").write_text("A = 2\n")
+    identity._extract(str(repo), "HEAD", str(out))
+    assert (out / "src" / "m.py").read_text() == "A = 1\n"

@@ -2,29 +2,39 @@
 
 Usage:
 
-    python tools/identity.py write OUT.json [--src DIR]
+    python tools/identity.py write OUT.json [--src DIR | --rev REV]
     python tools/identity.py diff A.json B.json
 
 `write` imports l0spline from DIR (default: the `src` directory of the
-tree this script is in) and records one digest per key (kind, d, n, k):
+tree this script is in), or with `--rev` from the `src` of `git archive
+REV` of this script's repository, extracted into a temporary directory.
+It records one digest per key (kind, d, n, k):
 
 - `table`: sha256 of the C and nxt bytes of `_dp_table(y, d, k)`;
 - `dp_fit`: its knots, SSE as `float.hex` and sha256 of the theta-hat
   bytes;
+- `exhaustive`, at k <= 3 and n <= 40 only: the same of
+  `exhaustive_fit(y, ModelParams(d, -1, k, n))`, the oracle the dynamic
+  program is tested against;
 - `fit` and `adapt`: the exit code and sha256 of stdout and stderr of
   `l0spline fit --solver dp --k k` and `l0spline adapt --solver dp
   --k-max k --sigma 1`, run in process on the series written as a file.
 
 A call that raises records the error type and message instead.  To
-compare two trees, write one file with each tree's `--src` and `diff`
-them: `diff` lists every key whose digests differ, or that one file
+compare a working tree with its parent commit:
+
+    python tools/identity.py write parent.json --rev HEAD
+    python tools/identity.py write change.json
+    python tools/identity.py diff parent.json change.json
+
+`diff` lists every key whose digests differ, or that one file
 lacks, and exits 1 if there is any.  Digests depend on the numpy and
 BLAS build, so compare only files written on one machine.
 
 The grid: d = 0..6; n = d+1..69, 160, 161, 401 and 999; k = 1, 2, 3, 4
-and 6; ten kinds of series, seeded by (d, n).  That is 24,500 keys; a
-`write` takes a few minutes.  tests/test_identity_tool.py runs the few
-keys of SMOKE.
+and 6; ten kinds of series, seeded by (d, n).  That is 24,500 keys, 7,770
+of them with an `exhaustive` field; a `write` takes a few minutes.
+tests/test_identity_tool.py runs the few keys of SMOKE.
 """
 
 from __future__ import annotations
@@ -35,7 +45,9 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
+import tarfile
 import tempfile
 import warnings
 
@@ -111,9 +123,10 @@ def digest(kind: str, d: int, n: int, k: int, path: str) -> dict:
     """The digests of one key; path is where the series file goes."""
     from l0spline import ModelParams
     from l0spline.cli import main
-    from l0spline.solvers import _dp_table, dp_fit
+    from l0spline.solvers import _dp_table, dp_fit, exhaustive_fit
 
     y = series(kind, d, n)
+    params = ModelParams(d=d, d0=-1, k=k, n=n)
     out = {}
     with np.errstate(all="ignore"):
         try:
@@ -121,12 +134,16 @@ def digest(kind: str, d: int, n: int, k: int, path: str) -> dict:
             out["table"] = _sha(C.tobytes(), nxt.tobytes())
         except Exception as exc:   # a refusal is part of the digest
             out["table"] = _refusal(exc)
-        try:
-            fit = dp_fit(y, ModelParams(d=d, d0=-1, k=k, n=n))
-            out["dp_fit"] = (f"{fit.knots.knots} {float(fit.sse).hex()} "
+        solvers = {"dp_fit": dp_fit}
+        if k <= 3 and n <= 40:
+            solvers["exhaustive"] = exhaustive_fit
+        for name, solve in solvers.items():
+            try:
+                fit = solve(y, params)
+                out[name] = (f"{fit.knots.knots} {float(fit.sse).hex()} "
                              f"{_sha(fit.theta_hat.values.tobytes())}")
-        except Exception as exc:
-            out["dp_fit"] = _refusal(exc)
+            except Exception as exc:
+                out[name] = _refusal(exc)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(f"{v!r}\n" for v in y.tolist()))
     common = ["--input", path, "--d", str(d), "--d0", "-1", "--solver", "dp"]
@@ -162,20 +179,36 @@ def differing(a: dict, b: dict) -> list:
     return rows
 
 
+def _extract(repo: str, rev: str, into: str) -> None:
+    """Extract `git archive rev` of the repository at repo into a
+    directory."""
+    tar = subprocess.run(["git", "-C", repo, "archive", "--format=tar", rev],
+                         check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(into)
+
+
 def _main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
     w = sub.add_parser("write", help="write the digests of the grid")
     w.add_argument("out")
-    w.add_argument("--src", default=os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+    tree = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    where = w.add_mutually_exclusive_group()
+    where.add_argument("--src", default=os.path.join(tree, "src"))
+    where.add_argument("--rev", help="digest the src of this commit")
     df = sub.add_parser("diff", help="list the keys that differ")
     df.add_argument("first")
     df.add_argument("second")
     args = parser.parse_args(argv)
     if args.cmd == "write":
-        sys.path.insert(0, os.path.abspath(args.src))
-        digests = write(grid())
+        with tempfile.TemporaryDirectory() as tmp:
+            src = os.path.abspath(args.src)
+            if args.rev is not None:
+                _extract(tree, args.rev, tmp)
+                src = os.path.join(tmp, "src")
+            sys.path.insert(0, src)
+            digests = write(grid())
         refused = sum(": " in v["table"] for v in digests.values())
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump({"numpy": np.__version__, "keys": digests}, fh,
