@@ -525,24 +525,26 @@ def _rescore(score: np.ndarray, tol: float, cost, key) -> tuple:
 _SCREEN_BLOCK = 1 << 15
 # per thread, one chunk buffer per user, kept between calls: each depth of
 # the screen's prefix walk, the shape screen's batched NNLS, each array of
-# the DP sweeper's blocks and the DP's candidate sums (dp_cand).  A chunk
-# freed at the end of every call would go back to the operating system and
-# cost a page fault per page on the next
+# the DP sweeper's blocks, its stacked moments and the DP's candidate sums
+# (dp_cand).  A chunk freed at the end of every call would go back to the
+# operating system and cost a page fault per page on the next
 _chunks = threading.local()
 
 
-def _chunk_buffer(key, size: int) -> np.ndarray:
+def _chunk_buffer(key, size: int, cap: int | None = None) -> np.ndarray:
     """size doubles for the chunk named key (a depth of the screen's walk,
-    or another kernel's name), from the kept buffer when size fits in
-    _SCREEN_BLOCK entries.  The contents are whatever the last chunk left."""
-    if size > _SCREEN_BLOCK:
+    or another kernel's name), from the kept buffer when size fits in cap
+    entries (default _SCREEN_BLOCK).  The contents are whatever the last
+    chunk left."""
+    cap = _SCREEN_BLOCK if cap is None else cap
+    if size > cap:
         return np.empty(size)
     kept = getattr(_chunks, "buffers", None)
     if kept is None:
         kept = _chunks.buffers = {}
     buf = kept.get(key)
     if buf is None or buf.size < size:
-        buf = kept[key] = np.empty(_SCREEN_BLOCK)
+        buf = kept[key] = np.empty(cap)
     return buf[:size]
 
 

@@ -65,8 +65,9 @@ _RCOND = 1e-10
 # without an offset of 1e4, is 1.6e-8 at d=6, 2.9e-7 at d=7, 7.2e-5 at d=8
 _DP_MAX_DEGREE = 6
 # window entries per block of starts in the DP's forward pass; a block
-# holds about (d + 2) / 2 complex and d + 4 float arrays of this many
-# entries, each in one kept chunk buffer of _SCREEN_BLOCK doubles
+# holds about (d + 2) / 2 complex and two float arrays of this many
+# entries, each in one kept chunk buffer of _SCREEN_BLOCK doubles, and its
+# d + 1 moments stacked in one kept buffer of (d + 1) * _DP_BLOCK doubles
 _DP_BLOCK = 1 << 14
 # the k = 2 pass screens row 1 with the reversed series' costs; their
 # largest gap to the forward ones, as a fraction of ||r||^2 (r the
@@ -183,9 +184,10 @@ _length_cache: dict = {}
 
 
 def _length_tables(n: int, d: int) -> tuple:
-    """(ginv, jpow, lpow) for windows of lengths d+1..n: ginv[p, q] the
-    Gram inverse's (p, q) entry over the lengths, jpow[p] = j^p for
-    j = 1..n and lpow[p] = L^p.
+    """(ginv, jpow, jpair, lpow) for windows of lengths d+1..n: ginv[p, q]
+    the Gram inverse's (p, q) entry over the lengths, jpow[p] = j^p for
+    j = 1..n, jpair[i] = j^p + i j^(p+1) at p = 2i + 1 < d, and
+    lpow[p] = L^p.
 
     They depend on (n, d) alone, and each entry on its own length or
     position alone, so one table per degree, built at the largest n seen,
@@ -200,15 +202,18 @@ def _length_tables(n: int, d: int) -> tuple:
         for p in range(d + 1):
             for q in range(d + 1):
                 G[:, p, q] = psum[p + q, d:] / lengths ** (p + q)
+        jpow = np.stack([j ** p for p in range(d + 1)])
+        jpair = np.empty((d // 2, n), dtype=complex)
+        jpair.real = jpow[1:d:2]
+        jpair.imag = jpow[2::2]
         # one contiguous row over the lengths per (p, q)
-        tables = (np.linalg.inv(G).transpose(1, 2, 0).copy(),
-                  np.stack([j ** p for p in range(d + 1)]),
+        tables = (np.linalg.inv(G).transpose(1, 2, 0).copy(), jpow, jpair,
                   lengths ** np.arange(d + 1, dtype=float)[:, None])
         for table in tables:
             table.flags.writeable = False
         _length_cache[d] = tables
-    ginv, jpow, lpow = tables
-    return ginv[:, :, :n - d], jpow[:, :n], lpow[:, :n - d]
+    ginv, jpow, jpair, lpow = tables
+    return ginv[:, :, :n - d], jpow[:, :n], jpair[:, :n], lpow[:, :n - d]
 
 
 class _SegmentSweeper:
@@ -219,19 +224,26 @@ class _SegmentSweeper:
     A cost is ss - b' Ginv(L) b, with b the length-normalized moments of the
     window.  Each entry takes exactly the floating point steps of costing
     one start alone, in the same order, so the costs do not depend on how
-    the starts are blocked.
+    the starts are blocked: from d = 1 on, b' Ginv b is the per-start
+    einsum run over the whole block at once.
 
     The running sums go two to a complex cumsum: numpy adds complex numbers
     one IEEE add per part, so each part holds the bits of a float cumsum of
     that part alone, for about the time of one.  y and y^2 pair, and so do
-    j^p y and j^(p+1) y for p = 1, 3, ...; an odd one out runs as a float
-    cumsum.  The blocks' arrays are kept between calls (_chunk_buffer)."""
+    j^p y and j^(p+1) y for p = 1, 3, ...: one product of the complex
+    weights j^p + i j^(p+1) (_length_tables) with the real window forms
+    both parts, each the bits of its float product but that a -0.0 turns
+    +0.0, which the quadratic form's sum from 0.0 cannot tell.  An odd
+    one out runs as a float cumsum.  The blocks' arrays are kept between
+    calls (_chunk_buffer), the d + 1 moments stacked in one buffer the
+    sweeper obtains once."""
 
     def __init__(self, y, d: int):
         y = np.asarray(y, dtype=float)
         self.d = d
         self.n = n = y.size
-        self._ginv, self._jpow, self._lpow = _length_tables(n, d)
+        self._ginv, self._jpow, self._jpair, self._lpow = _length_tables(n, d)
+        self._stack = np.empty(0)
         # y + i y^2 then zeros, so every start in a block has a window of
         # one length: row t is y[t:] and t zeros
         pairs = np.zeros(2 * n, dtype=complex)
@@ -245,8 +257,9 @@ class _SegmentSweeper:
         Row t - lo, column l.  An entry with t + d + 1 + l > n is formed
         from y padded with zeros past n and is no segment's cost: a caller
         reads it only where it adds +inf (_dp_table's columns past n).
-        The result is a view of a kept buffer, which the next call
-        overwrites."""
+        The moments of row t - lo, column l, are b[:, t - lo, l], stacked
+        in one buffer kept between blocks.  The result is a view of a kept
+        buffer, which the next call overwrites."""
         d, n = self.d, self.n
         w = n - lo
         m = w - d
@@ -261,46 +274,42 @@ class _SegmentSweeper:
         windows = self._windows[lo:hi, :w]
         sums = np.cumsum(windows, axis=1, out=kept("sums", complex, w))
         win = windows.real
-        # the moments, divided into contiguous rows; p = 0 skips the
-        # product and the quotient by 1.0, both exact
-        b = [kept(0)]
+        # the moments, stacked in one buffer sized once for every block
+        # of at most _DP_BLOCK entries; p = 0 skips the product and the
+        # quotient by 1.0, both exact
+        size = (d + 1) * rows * m
+        if self._stack.size < size:
+            cap = (d + 1) * _DP_BLOCK
+            self._stack = _chunk_buffer(("sweep", "moments"),
+                                        max(size, cap), cap)
+        b = self._stack[:size].reshape(d + 1, rows, m)
         np.copyto(b[0], sums.real[:, d:])
         for p in range(1, d + 1, 2):
-            if p < d:   # j^p y and j^(p+1) y in one cumsum
-                z = kept(("sums", p), complex, w)
-                np.multiply(self._jpow[p, :w], win, out=z.real)
-                np.multiply(self._jpow[p + 1, :w], win, out=z.imag)
+            if p < d:   # j^p y and j^(p+1) y in one product and cumsum
+                z = np.multiply(self._jpair[p // 2, :w], win,
+                                out=kept(("sums", p), complex, w))
                 np.cumsum(z, axis=1, out=z)
                 parts = (z.real, z.imag)
             else:
-                z = kept(("sums", p), cols=w)
-                np.multiply(self._jpow[p, :w], win, out=z)
+                z = np.multiply(self._jpow[p, :w], win,
+                                out=kept(("sums", p), cols=w))
                 parts = (np.cumsum(z, axis=1, out=z),)
             for q, part in enumerate(parts, start=p):
-                b.append(np.divide(part[:, d:], self._lpow[q, :m],
-                                   out=kept(q)))
-        quad = self._quad(b, self._ginv[:, :, :m], kept("quad"),
-                          kept("tmp") if d else None)
+                np.divide(part[:, d:], self._lpow[q, :m], out=b[q])
+        # b' Ginv b in the order of einsum("lp,lpq,lq->l") on one start:
+        # p-major, q inner, one running sum from 0.0, which can only turn a
+        # -0.0 into +0.0 and leaves ss - quad unchanged.  At d = 0 two
+        # products are faster and give the same bits
+        quad = kept("quad")
+        if d:
+            np.einsum("prm,pqm,qrm->rm", b, self._ginv[:, :, :m], b,
+                      out=quad)
+        else:
+            np.multiply(b[0], self._ginv[0, 0, :m], out=quad)
+            quad *= b[0]
         if hi == n - d:
-            quad[-1, 0] = self._one_window([bp[-1, 0] for bp in b])
+            quad[-1, 0] = self._one_window(b[:, -1, 0])
         return np.subtract(sums.imag[:, d:], quad, out=quad)
-
-    def _quad(self, b, ginv, quad, tmp):
-        """b' Ginv b into quad, with tmp as scratch: b[p] the p-th moments
-        and ginv[p, q] the Gram inverse's entries over the same lengths.
-
-        The order of einsum("lp,lpq,lq->l") on one start: p-major, q inner,
-        one running sum.  einsum starts the sum at 0.0, which can only turn
-        a -0.0 into +0.0 and leaves ss - quad unchanged."""
-        np.multiply(b[0], ginv[0, 0], out=quad)
-        quad *= b[0]
-        for p in range(self.d + 1):
-            for q in range(self.d + 1):
-                if p or q:
-                    np.multiply(b[p], ginv[p, q], out=tmp)
-                    tmp *= b[q]
-                    quad += tmp
-        return quad
 
     def _one_window(self, b1):
         """b' Ginv b of a start's one window, of length d + 1, with its
@@ -441,9 +450,14 @@ def _dp_table(y: np.ndarray, d: int, k: int) -> tuple:
         """Rows 1..top of starts lo..hi-1 from their costs, which need
         row r-1 only after the block.  C[0] is +inf but at n: row 1 is
         the piece (t; n] and nxt[1] keeps n."""
+        # row t - lo's piece (t; n] is its column n - t - d - 1, the
+        # block's antidiagonal from its top right
+        np.add(C[0, n], cost[:, ::-1].diagonal(), out=C[1, lo:hi])
+        if top < 2:
+            return
         rows = np.arange(hi - lo)
         first = lo + d + 1
-        np.add(C[0, n], cost[rows, n - first - rows], out=C[1, lo:hi])
+        ends = rows + first
         cand = _chunk_buffer("dp_cand", cost.size).reshape(cost.shape)
         for row in range(2, top + 1):
             np.add(after[row - 1, first:hi + d + 1, :cost.shape[1]], cost,
@@ -453,7 +467,7 @@ def _dp_table(y: np.ndarray, d: int, k: int) -> tuple:
             # option, which _backtrack prefers on ties
             np.minimum(C[row - 1, lo:hi], cand[rows, hit],
                        out=C[row, lo:hi])
-            nxt[row, lo:hi] = hit + rows + first
+            np.add(hit, ends, out=nxt[row, lo:hi])
 
     # a copy: the blocks after it reuse the buffer
     start0 = sweeper.block(0, 1)[0].copy()

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
+import l0spline.model as model
 import l0spline.solvers as solvers
 from l0spline import ModelParams, PenaltySpec
 from l0spline.errors import ValidationError
@@ -83,9 +84,11 @@ class TestBitIdentical:
 
     @pytest.mark.parametrize("block", [1, 7, 100, 1 << 20])
     def test_block_size_changes_nothing(self, monkeypatch, block):
-        """One row per block, ragged blocks, one block for the table."""
+        """One row per block, ragged blocks, one block for the table, at
+        every degree."""
         rng = np.random.default_rng(8200)
-        for d, n in ((0, 57), (1, 90), (2, 64), (4, 33)):
+        for d, n in ((0, 57), (1, 90), (2, 64), (4, 33), (3, 71), (5, 48),
+                     (6, 52)):
             y = rng.standard_normal(n)
             ref = _dp_table(y, d, 4)
             monkeypatch.setattr(solvers, "_DP_BLOCK", block)
@@ -93,6 +96,26 @@ class TestBitIdentical:
             monkeypatch.undo()
             assert np.array_equal(C, ref[0])
             assert np.array_equal(nxt, ref[1])
+
+    @pytest.mark.parametrize("d", range(7))
+    def test_block_rows_are_the_per_start_sweeps(self, d):
+        """Each row of a block is the per-start sweep of its start, bit for
+        bit, up to n: the last start's 1 x 1 block, one-row blocks, and
+        blocks of many rows that end at the last start."""
+        rng = np.random.default_rng(8250 + d)
+        for n, offset in ((d + 2, 0.0), (40, 0.0), (40, 1e4), (301, 0.0)):
+            y = offset + rng.standard_normal(n)
+            sweeper = solvers._SegmentSweeper(y, d)
+            scan = orc._ScanSweeper(y, d)
+            last, mid = n - d - 1, (n - d - 1) // 2
+            for lo, hi in ((last, last + 1), (0, 1), (mid, mid + 1),
+                           (0, last + 1), (last // 3, last + 1)):
+                cost = sweeper.block(lo, hi)
+                assert cost.shape == (hi - lo, n - lo - d)
+                for t in range(lo, hi):
+                    row = cost[t - lo, :n - t - d]
+                    assert row.tobytes() == scan.sweep(t).tobytes(), (
+                        n, lo, hi, t)
 
     def test_single_window_start_at_degree_1(self):
         """The last start has one window, which einsum sums in another
@@ -145,6 +168,52 @@ class TestBitIdentical:
                     assert C.tobytes() == ref[0].tobytes(), (d, n, k)
                     assert nxt.tobytes() == ref[1].tobytes(), (d, n, k)
         assert sum(written) > 0
+
+
+class TestKeptMoments:
+    """The sweeper stacks a block's d + 1 moments in one buffer kept
+    between blocks, sized once for every block of _DP_BLOCK entries, past
+    the _SCREEN_BLOCK doubles of the other kept arrays from d = 2 on."""
+
+    @pytest.mark.parametrize("d", (2, 6))
+    def test_consecutive_blocks_share_the_moments(self, monkeypatch, d):
+        stacks = []
+        einsum = np.einsum
+
+        def spy(spec, *operands, **kw):
+            stacks.append(operands[0])
+            return einsum(spec, *operands, **kw)
+
+        monkeypatch.setattr(np, "einsum", spy)
+        n = 999
+        y = np.random.default_rng(8260).standard_normal(n)
+        sweeper = solvers._SegmentSweeper(y, d)
+        # as the forward pass takes them: rows * (n - lo) <= _DP_BLOCK
+        for lo, hi in ((880, 990), (800, 880)):
+            assert (hi - lo) * (n - lo) <= solvers._DP_BLOCK
+            sweeper.block(lo, hi)
+        first, second = stacks
+        assert first.shape == (d + 1, 110, 119 - d)
+        assert second.shape == (d + 1, 80, 199 - d)
+        assert min(first.size, second.size) > model._SCREEN_BLOCK
+        assert np.shares_memory(first, second)
+
+    @pytest.mark.parametrize("d", (0, 2, 6))
+    def test_one_table_obtains_the_moments_once(self, monkeypatch, d):
+        keys = []
+        chunk = solvers._chunk_buffer
+
+        def counting_chunk(*a, **kw):
+            keys.append(a[0])
+            return chunk(*a, **kw)
+
+        monkeypatch.setattr(solvers, "_chunk_buffer", counting_chunk)
+        n = 999
+        y = np.random.default_rng(8270).standard_normal(n)
+        _dp_table(y, d, 3)
+        assert keys.count(("sweep", "moments")) == 1
+        # every start's block: more than one
+        assert keys.count("dp_cand") > 1
 
 
 def _ties(kind, n, rng):

@@ -57,9 +57,10 @@ KINDS = ("noise", "zero", "rounded", "offset", "constant", "poly", "tiny",
          "alternating", "huge151", "huge153")
 KS = (1, 2, 3, 4, 6)
 # one key per path of the forward pass: the k = 2 screen, the blocks, the
-# zero residual, the screen giving up and a refusal
+# zero residual, the screen giving up, a refusal, and several blocks
+# through the einsum and the complex moment pairs (d >= 2)
 SMOKE = (("noise", 1, 40, 2), ("noise", 2, 30, 3), ("zero", 2, 30, 4),
-         ("tiny", 0, 24, 2), ("huge153", 2, 40, 3))
+         ("tiny", 0, 24, 2), ("huge153", 2, 40, 3), ("noise", 3, 161, 3))
 
 
 def grid():
