@@ -114,38 +114,44 @@ class ShapeFitResult(FitResult):
     canonical: MonotoneCanonical
 
 
-def _left_hinge(i: np.ndarray, knot: int, n: int, d: int) -> np.ndarray:
+def _left_hinge(i: np.ndarray, knot, n: int, d: int) -> np.ndarray:
     u = (knot - i) / n
     if d == 0:
         return (u >= 0).astype(float)
     return np.where(u > 0, u, 0.0) ** d
 
 
-class _Grid:
-    """Columns on the grid i = 1..n at degree d, each built on first use:
-    the monomials (i/n)^l and the left and right hinges at a knot."""
+def _hinge_block(n: int, d: int, knots) -> np.ndarray:
+    """The sign-flipped left hinges, then the right hinges, at each of the
+    given knots, on the grid i = 1..n: n x 2 len(knots)."""
+    i = np.arange(1, n + 1, dtype=float)[:, None]
+    knots = np.asarray(knots, dtype=float)
+    return np.hstack([(-1.0) ** (d + 1) * _left_hinge(i, knots, n, d),
+                      _knot_columns(n, d, d - 1, knots)[:, :, 0]])
 
-    def __init__(self, n: int, d: int):
-        self.n, self.d = n, d
-        self.i = np.arange(1, n + 1, dtype=float)
-        self._cols = {}
 
-    def _col(self, key, make):
-        col = self._cols.get(key)
-        if col is None:
-            col = self._cols[key] = make()
-        return col
+def _pair_block(n: int, d: int, knots, j_star: int) -> np.ndarray:
+    """The k hinge columns of one (knots, pivot) pair, C-contiguous."""
+    k = len(knots) - 1
+    idx = _pair_columns(np.arange(k + 1)[None], k)[j_star]
+    return np.take(_hinge_block(n, d, knots), idx, axis=1)
 
-    def power(self, ell: int) -> np.ndarray:
-        return self._col(("x", ell), lambda: (self.i / self.n) ** ell)
 
-    def left(self, knot: int) -> np.ndarray:
-        return self._col(("l", knot), lambda: _left_hinge(
-            self.i, knot, self.n, self.d))
+def _powers(n: int, d: int) -> list:
+    """The monomials (i/n)^l, l < d, on the grid i = 1..n."""
+    x = np.arange(1, n + 1, dtype=float) / n
+    return [x ** ell for ell in range(d)]
 
-    def right(self, knot: int) -> np.ndarray:
-        return self._col(("r", knot), lambda: _knot_columns(
-            self.n, self.d, self.d - 1, (knot,))[:, 0, 0])
+
+def _evaluate(powers: list, c, F: np.ndarray, g) -> np.ndarray:
+    """sum_l c_l/l! (i/n)^l + sum_j g_j F_j, accumulated in that order:
+    the fitted values of free coefficients c and hinge weights g."""
+    out = np.zeros(F.shape[0])
+    for ell, col in enumerate(powers):
+        out += c[ell] / math.factorial(ell) * col
+    for j in range(F.shape[1]):
+        out += g[j] * F[:, j]
+    return out
 
 
 def canonical_evaluate(rep: MonotoneCanonical, n: int | None = None) -> np.ndarray:
@@ -156,19 +162,10 @@ def canonical_evaluate(rep: MonotoneCanonical, n: int | None = None) -> np.ndarr
     if kv.n != n:
         raise ValidationError(
             f"representation lives on grid {kv.n}, asked for {n}")
-    return _evaluate(rep, _Grid(n, kv.d))
-
-
-def _evaluate(rep: MonotoneCanonical, grid: _Grid) -> np.ndarray:
-    kv = rep.knots
-    out = np.zeros(grid.n)
-    for ell in range(kv.d):
-        out += rep.c[ell] / math.factorial(ell) * grid.power(ell)
-    for jx, aj in enumerate(rep.a, start=1):
-        out += aj * grid.left(kv.knots[jx])
-    for jx, bj in enumerate(rep.b, start=rep.j_star):
-        out += bj * grid.right(kv.knots[jx])
-    return out
+    sign = (-1.0) ** (kv.d + 1)
+    return _evaluate(_powers(n, kv.d), rep.c,
+                     _pair_block(n, kv.d, kv.knots, rep.j_star),
+                     [sign * v for v in rep.a] + list(rep.b))
 
 
 def _check_degree(d: int) -> None:
@@ -240,14 +237,7 @@ def nnls_activeset(A: np.ndarray, y: np.ndarray,
         w = A.T @ resid
 
 
-def _dual_tols(F: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """_DUAL_TOL * ||y|| * ||F_j|| for every column j of F: the KKT
-    tolerance of nnls_activeset, per column, for _nnls_screen."""
-    return _DUAL_TOL * float(np.linalg.norm(y)) * np.linalg.norm(F, axis=0)
-
-
 def _nnls_screen(F: np.ndarray, y: np.ndarray, idx: np.ndarray,
-                 dual_tol: np.ndarray,
                  max_iter: int | None = None) -> np.ndarray:
     """min ||y - F[:, idx[p]] g||^2 over g >= 0, for every row p of idx.
 
@@ -258,10 +248,11 @@ def _nnls_screen(F: np.ndarray, y: np.ndarray, idx: np.ndarray,
     per row, with the same rules: the largest dual enters first, ties go
     to the smallest index, an infeasible step moves to the boundary and
     drops the zeroed variables, and a row stops when every inactive dual
-    is <= the largest dual_tol (_dual_tols(F, y)) over its columns.  The
-    masked normal equations R_A' R_A z = R_A' c are solved batched; the
-    score ||c - R g||^2 is computed directly, so an error in z enters it
-    only at second order.  Raises NonConvergenceError when a row needs
+    is <= _DUAL_TOL * ||y|| * (the largest norm of its gathered columns),
+    the KKT tolerance nnls_activeset takes on those columns.  The masked
+    normal equations R_A' R_A z = R_A' c are solved batched; the score
+    ||c - R g||^2 is computed directly, so an error in z enters it only
+    at second order.  Raises NonConvergenceError when a row needs
     more than max_iter (default 100 k) solves.
     """
     n = y.size
@@ -278,11 +269,12 @@ def _nnls_screen(F: np.ndarray, y: np.ndarray, idx: np.ndarray,
     cols[:, :k, :n] = F.T[idx]
     cols[:, k, :n] = y
     cols[:, :, n:] = 0.0
+    tol = _DUAL_TOL * math.sqrt(float(y @ y)) * np.sqrt(np.einsum(
+        "pjn,pjn->pj", cols[:, :k], cols[:, :k]).max(axis=1))
     Ra = np.linalg.qr(cols.transpose(0, 2, 1), mode="r")
     R, c = Ra[:, :k, :k], Ra[:, :k, k]
     RT = R.transpose(0, 2, 1)
     G, b = RT @ R, _matvec(RT, c)
-    tol = np.max(dual_tol[idx], axis=1, initial=0.0)
 
     eye = np.eye(k, dtype=bool)
     g = np.zeros((pairs, k))
@@ -343,17 +335,15 @@ def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 class _ConeProblem:
     """What every cone fit of one y shares, whatever its knots and pivot:
-    the free polynomial block C, its QR, y projected onto the orthogonal
-    complement of span(C), and the hinge columns built so far."""
+    the monomials, the free polynomial block C, its QR and y projected
+    onto the orthogonal complement of span(C)."""
 
     def __init__(self, y: np.ndarray, d: int):
-        n = y.size
         self.y, self.d, self.y_perp = y, d, y
-        self.grid = _Grid(n, d)
+        self.powers = _powers(y.size, d)
         if d:
-            C = np.column_stack(
-                [self.grid.power(ell) / math.factorial(ell)
-                 for ell in range(d)])
+            C = np.column_stack([col / math.factorial(ell)
+                                 for ell, col in enumerate(self.powers)])
             self.Q, self.R = np.linalg.qr(C)
             self.y_perp = self.project(y)
 
@@ -361,46 +351,34 @@ class _ConeProblem:
         """F projected onto the orthogonal complement of span(C)."""
         return F - self.Q @ (self.Q.T @ F) if self.d else F
 
-    def hinges(self) -> np.ndarray:
-        """The projected sign-flipped left hinges at knots 0..n, then the
-        projected right hinges at knots 0..n: every pair's columns."""
-        n, d = self.y.size, self.d
-        i = self.grid.i[:, None]
-        pos = np.arange(n + 1, dtype=float)
-        return self.project(np.hstack([
-            (-1.0) ** (d + 1) * _left_hinge(i, pos, n, d),
-            _knot_columns(n, d, d - 1, pos)[:, :, 0]]))
-
-    def set_cone(self, F: np.ndarray):
+    def set_cone(self):
         """Columns and target of the one cone of a knot set.  With the
-        free block, the right hinge at 0 (column n + 1 of F, from
-        hinges()) is the monomial of degree d, which the set's cone
-        leaves free, so the right hinges at knots 0..n and y_perp are
-        projected off it too.  Column t is then the right hinge at t off
-        every polynomial of degree <= d; column n is zero."""
-        n = self.y.size
-        H = F[:, n + 1:]
+        free block, the right hinge at 0 is the monomial of degree d,
+        which the set's cone leaves free, so the right hinges at knots
+        0..n and y_perp are projected off C and off it (q) too.  Column t
+        is then the right hinge at t off every polynomial of degree <= d;
+        column n is zero."""
+        n, d = self.y.size, self.d
+        H = self.project(_knot_columns(n, d, d - 1, np.arange(n + 1))[:, :, 0])
         q = H[:, 0] / np.linalg.norm(H[:, 0])
         return H - np.outer(q, q @ H), self.y_perp - q * (q @ self.y_perp)
 
-    def fit(self, kv: KnotVector, j_star: int):
+    def fit(self, kv: KnotVector, j_star: int, F: np.ndarray):
         """Canonical representation, fitted values and SSE of the cone
-        least squares fit at fixed knots and pivot.  The constrained block
-        F holds the sign-flipped left hinges, then the right hinges; the
-        free block is eliminated by projection and its coefficients are
-        recovered afterwards by back substitution."""
+        least squares fit at fixed knots and pivot.  F holds the pair's
+        constrained columns, unprojected and C-contiguous: the
+        sign-flipped left hinges, then the right hinges.  The free block
+        is eliminated by projection and its coefficients are recovered
+        afterwards by back substitution."""
         y, d = self.y, self.d
         sign = (-1.0) ** (d + 1)
-        F = np.column_stack(
-            [sign * self.grid.left(t) for t in kv.knots[1:j_star + 1]]
-            + [self.grid.right(t) for t in kv.knots[j_star:kv.k]])
         g = nnls_activeset(self.project(F), self.y_perp)
         c = (np.linalg.solve(self.R, self.Q.T @ (y - F @ g)) if d
              else np.zeros(0))
         a = tuple(sign * v for v in g[:j_star])
         b = tuple(g[j_star:])
         rep = MonotoneCanonical(j_star, a, b, tuple(c), kv)
-        theta = _evaluate(rep, self.grid)
+        theta = _evaluate(self.powers, c, F, g)
         resid = y - theta
         return rep, theta, float(resid @ resid)
 
@@ -462,7 +440,8 @@ def fit_shape_given_knots(y, d: int, knots, j_star: int) -> ShapeFitResult:
     if not (0 <= j_star <= kv.k):
         raise ValidationError(
             f"pivot must lie in [0;{kv.k}], got {j_star}")
-    return _shape_result(*_ConeProblem(y, d).fit(kv, j_star))
+    return _shape_result(*_ConeProblem(y, d).fit(
+        kv, j_star, _pair_block(n, d, kv.knots, j_star)))
 
 
 def _isotonic_blocks(y: np.ndarray):
@@ -486,29 +465,23 @@ def _isotonic_blocks(y: np.ndarray):
 
 
 def _canonical_from_nondecreasing(theta: np.ndarray, k: int) -> MonotoneCanonical:
-    """Exact canonical form of a nondecreasing step sequence using the full
-    grid of knots (0,1,...,n), padded with leading empties up to k pieces."""
+    """Exact canonical form of a nondecreasing step sequence with k > its
+    jump count m: k - m leading empty pieces, then pieces ending at its
+    jumps, the lexicographically smallest knot vector that holds it,
+    and the smallest pivot whose cone does: the count p of its step
+    values v_0 < ... < v_m below 0, past the empty pieces."""
     n = theta.size
-    grid = tuple(range(n + 1))
-    knots = (0,) * (k - n) + grid if k > n else grid
-    kv = KnotVector(knots, 0)
-    pad = len(knots) - 1 - n  # leading empty pieces
-    jumps = np.diff(theta)
-    if theta[0] >= 0:
-        j_star = 0
-        b = [0.0] * pad + [float(theta[0])] + [max(float(x), 0.0) for x in jumps]
-        a = []
-    elif theta[-1] <= 0:
-        j_star = kv.k
-        a = [0.0] * pad + [-max(float(x), 0.0) for x in jumps] + [float(theta[-1])]
-        b = []
-    else:
-        p_star = int(np.nonzero(theta < 0)[0][-1]) + 1  # last negative point
-        j_star = pad + p_star
-        a = [0.0] * pad + [-float(x) for x in jumps[:p_star - 1]] \
-            + [float(theta[p_star - 1])]
-        b = [float(theta[p_star])] + [float(x) for x in jumps[p_star:]]
-    return MonotoneCanonical(j_star, tuple(a), tuple(b), (), kv)
+    jumps = np.flatnonzero(np.diff(theta) > 0) + 1
+    v = [float(x) for x in theta[np.r_[0, jumps]]]
+    m, p = jumps.size, sum(x < 0 for x in v)
+    rises = [hi - lo for lo, hi in zip(v, v[1:])]
+    kv = KnotVector((0,) * (k - m) + tuple(jumps.tolist()) + (n,), 0)
+    if not p:
+        return MonotoneCanonical(
+            0, (), (0.0,) * (k - m - 1) + (v[0],) + tuple(rises), (), kv)
+    a = (0.0,) * (k - m - 1) + tuple(-r for r in rises[:p - 1]) + (v[p - 1],)
+    b = tuple(v[p:p + 1] + rises[p:])
+    return MonotoneCanonical(k - m - 1 + p, a, b, (), kv)
 
 
 def shape_lse(y, d: int, k: int,
@@ -518,7 +491,8 @@ def shape_lse(y, d: int, k: int,
 
     Enumerates knot vectors and pivots; ties go to the lexicographically
     smallest knot vector, then the smallest pivot.  For d = 0 with k >= n
-    the problem is plain isotonic regression and is solved by pooling.
+    the problem is plain isotonic regression and is solved by pooling;
+    the pooled fit keeps the same tie rule (_canonical_from_nondecreasing).
 
     Otherwise the search runs over knot sets.  A sign-flipped left hinge
     at t is the right hinge at t less a polynomial of degree d, so the
@@ -530,10 +504,13 @@ def shape_lse(y, d: int, k: int,
     cones are screened (_nnls_screen) in increasing score,
     _PAIR_CHUNK // (k + 1) sets per chunk, until a chunk's least score
     exceeds the least cone cost so far (the incumbent) by more than
-    tol = _SCREEN_TOL * ||y||^2.  Each set whose cone screens within tol
-    of the incumbent expands into every knot vector that realizes it
-    times every pivot; those pairs are screened, and _rescore refits the
-    ones scored near the best.
+    tol = _SCREEN_TOL * ||y||^2.  The sets' cones read one block of
+    right hinges at knots 0..n, projected once per call.  Each set whose
+    cone screens within tol of the incumbent expands into every knot
+    vector that realizes it times every pivot; those pairs are screened
+    on one hinge block (_hinge_block) built at the distinct knots of the
+    expanded vectors alone, and _rescore refits the ones scored near the
+    best, each on its k columns gathered from that block.
 
     The pruning is exact.  With eps the screens' rounding (about
     1e-12 ||y||^2 at d <= 3), the winning pair costs the least cone cost
@@ -561,12 +538,9 @@ def shape_lse(y, d: int, k: int,
 
     _check_budget(count_knot_vectors(n, k, d) * (k + 1), budget,
                   "configuration/pivot pairs")
-    # y, the hinges and their dual tolerances do not depend on the pair
     cone = _ConeProblem(y, d)
-    F, y_perp = cone.hinges(), cone.y_perp
-    H, y_set = cone.set_cone(F)
+    H, y_set = cone.set_cone()
     screen = _KnotScreen(y, d, d - 1, k)
-    set_tol = _dual_tols(H, y_set)
     order = np.argsort(screen.score, kind="stable")
     step = max(1, _PAIR_CHUNK // (k + 1))
     cost = np.full(order.size, np.inf)
@@ -575,22 +549,28 @@ def shape_lse(y, d: int, k: int,
         chunk = order[s:s + step]
         if screen.score[chunk[0]] > incumbent + tol:
             break
-        cost[chunk] = _nnls_screen(H, y_set, screen.sets[chunk], set_tol)
+        cost[chunk] = _nnls_screen(H, y_set, screen.sets[chunk])
         incumbent = min(incumbent, float(cost[chunk].min()))
 
-    # every pair of the sets near the incumbent, keyed in scan order
+    # every pair of the sets near the incumbent, keyed in scan order, on
+    # the hinges at the distinct knots u of their vectors
     vectors = sorted(v for j in np.flatnonzero(cost <= incumbent + tol)
                      for v in _realizations(screen.distinct(j), k))
     knots = np.array(vectors, dtype=np.intp)
-    dual_tol = _dual_tols(F, y_perp)
+    u, local = np.unique(knots, return_inverse=True)
+    raw = _hinge_block(n, d, u)
+    F = cone.project(raw)
+    pairs = _pair_columns(local.reshape(knots.shape), u.size - 1)
+    rows = step * (k + 1)
     score = np.concatenate([
-        _nnls_screen(F, y_perp, _pair_columns(knots[s:s + step], n),
-                     dual_tol) for s in range(0, len(vectors), step)])
+        _nnls_screen(F, cone.y_perp, pairs[s:s + rows])
+        for s in range(0, pairs.shape[0], rows)])
     fits = {}
 
     def sse(p):
         v, j_star = divmod(p, k + 1)
-        fits[p] = cone.fit(KnotVector(vectors[v], d), j_star)
+        fits[p] = cone.fit(KnotVector(vectors[v], d), j_star,
+                           np.take(raw, pairs[p], axis=1))
         return fits[p][2]
 
     _, best = _rescore(score, tol, sse, lambda p: p)
@@ -613,9 +593,10 @@ def _realizations(distinct: tuple, k: int):
 
 
 def _pair_columns(knots: np.ndarray, n: int) -> np.ndarray:
-    """Columns of every (knots, pivot) pair in the hinge block
-    [left hinges at 0..n | right hinges at 0..n], one row per pair,
-    knot vectors in the given order, pivots 0..k within each."""
+    """Columns of every (knots, pivot) pair in a hinge block
+    [left hinges at 0..n | right hinges at 0..n] (_hinge_block), with
+    knots given as positions 0..n in it: one row per pair, knot vectors
+    in the given order, pivots 0..k within each."""
     v, k = knots.shape[0], knots.shape[1] - 1
     idx = np.empty((v, k + 1, k), dtype=np.intp)
     for j_star in range(k + 1):

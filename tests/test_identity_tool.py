@@ -6,6 +6,7 @@ import importlib.util
 import subprocess
 from pathlib import Path
 
+import oracles as orc
 from l0spline.solvers import _dp_table
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "identity.py"
@@ -20,11 +21,14 @@ def test_smoke_digests():
     assert len(first) == len(identity.SMOKE)
     for (kind, d, n, k), digest in zip(identity.SMOKE, first.values()):
         assert ("exhaustive" in digest) == (k <= 3 and n <= 40)
+        assert ("shape" in digest) == (d <= 3 and k <= 3 and n <= 40)
         if kind == "huge153":
             assert digest["table"].startswith("ValidationError: ")
             assert digest["dp_fit"].startswith("ValidationError: ")
             assert digest["fit"].startswith("exit 1 ")
             continue
+        if "shape" in digest:
+            assert "; shapefit exit 0 " in digest["shape"]
         C, nxt = _dp_table(identity.series(kind, d, n), d, k)
         assert digest["table"] == hashlib.sha256(
             C.tobytes() + nxt.tobytes()).hexdigest()
@@ -32,6 +36,11 @@ def test_smoke_digests():
         assert digest["adapt"].startswith("exit 0 ")
         # the oracle's knots, SSE and fitted values are the DP's
         assert digest.get("exhaustive", digest["dp_fit"]) == digest["dp_fit"]
+        if d == 0 and k >= n:
+            # the pooling path takes the scan's knots and pivot
+            ref = orc.shape_pair_scan(identity.series(kind, d, n), d, k)
+            assert digest["shape"].startswith(
+                f"{ref.knots.knots} {ref.canonical.j_star} ")
 
     changed = {key: dict(v) for key, v in first.items()}
     key, last = list(first)[0], list(first)[-1]

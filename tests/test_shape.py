@@ -277,6 +277,38 @@ class TestShapeLse:
         with pytest.raises(ValidationError, match="d <= 3"):
             shape_lse(np.random.default_rng(d).normal(size=40), d=d, k=2)
 
+    def test_pooling_takes_the_smallest_knots_and_pivot(self):
+        """At d = 0 and k >= n, shape_lse pools; its knot vector is the
+        scan's, the lexicographically smallest: leading empty pieces,
+        then one piece per step of the pooled fit.  On [3, 2, 1] the full
+        grid (0, 1, 2, 3) with zero-weight hinges was returned instead."""
+        for case in range(12):
+            rng = np.random.default_rng([77, case])
+            n = int(rng.integers(2, 6))
+            y = rng.normal(size=n)
+            kind = ("noise", "rounded", "decreasing", "constant")[case % 4]
+            if kind == "rounded":
+                y = np.round(y)
+            elif kind == "decreasing":
+                y = np.sort(y)[::-1].copy()
+            elif kind == "constant":
+                y = np.full(n, y[0])
+            for k in (n, n + 1):
+                fit = shape_lse(y, 0, k)
+                assert fit.knots == orc.shape_pair_scan(y, 0, k).knots
+                np.testing.assert_allclose(
+                    canonical_evaluate(fit.canonical), fit.theta_hat.values,
+                    rtol=0, atol=1e-12 * max(1.0, np.abs(y).max()))
+        for y, k, knots, j_star in (([3.0, 2.0, 1.0], 3, (0, 0, 0, 3), 0),
+                                    ([-1.0, -1.0, 2.0, 5.0], 4,
+                                     (0, 0, 2, 3, 4), 2)):
+            fit = shape_lse(np.array(y), 0, k)
+            ref = orc.shape_pair_scan(np.array(y), 0, k)
+            assert fit.knots.knots == ref.knots.knots == knots
+            assert fit.canonical.j_star == ref.canonical.j_star == j_star
+            assert np.array_equal(canonical_evaluate(fit.canonical),
+                                  fit.theta_hat.values)
+
     def test_budget_guard(self):
         from l0spline.errors import BudgetExceededError
 
@@ -338,9 +370,9 @@ class TestShapeScreen:
         refits, solves = [], []
         fit, nnls = shape._ConeProblem.fit, shape.nnls_activeset
 
-        def counting_fit(self, kv, j_star):
+        def counting_fit(self, kv, j_star, F):
             refits.append((kv.knots, j_star))
-            return fit(self, kv, j_star)
+            return fit(self, kv, j_star, F)
 
         def counting_nnls(*a, **kw):
             solves.append(a)
@@ -384,15 +416,15 @@ class TestNnlsScreen:
 
     @staticmethod
     def _screen(y, d, k):
-        """The screen's arguments for every pair: hinge block, projected
-        y, pair columns and per-column dual tolerances."""
-        from l0spline.shape import _ConeProblem, _dual_tols, _pair_columns
+        """The screen's arguments for every pair: the projected hinge
+        block at knots 0..n, projected y and the pair columns."""
+        from l0spline.shape import _ConeProblem, _hinge_block, _pair_columns
 
+        n = y.size
         cone = _ConeProblem(y, d)
-        F = cone.hinges()
-        knots = np.array(list(iter_knot_vectors(y.size, k, d)))
-        return (F, cone.y_perp, _pair_columns(knots, y.size),
-                _dual_tols(F, cone.y_perp))
+        F = cone.project(_hinge_block(n, d, np.arange(n + 1)))
+        knots = np.array(list(iter_knot_vectors(n, k, d)))
+        return F, cone.y_perp, _pair_columns(knots, n)
 
     def test_scores_match_scipy_nnls(self):
         from scipy.optimize import nnls as scipy_nnls
@@ -401,8 +433,8 @@ class TestNnlsScreen:
 
         checked = 0
         for y, d, k in self._cases(60):
-            F, y_perp, idx, dual_tol = self._screen(y, d, k)
-            score = _nnls_screen(F, y_perp, idx, dual_tol)
+            F, y_perp, idx = self._screen(y, d, k)
+            score = _nnls_screen(F, y_perp, idx)
             assert score.shape == (idx.shape[0],)
             for p, cols in enumerate(idx):
                 # scipy's nnls misreports rank-deficient problems, so it
@@ -425,8 +457,7 @@ class TestNnlsScreen:
 
         rng = np.random.default_rng(95)
         F, y = np.abs(rng.normal(size=(3, 6))), rng.normal(size=3)
-        cases = [(F, y, rng.integers(0, 6, size=(40, 4)),
-                  shape._dual_tols(F, y))]
+        cases = [(F, y, rng.integers(0, 6, size=(40, 4)))]
         cases += [self._screen(y, d, k) for y, d, k in self._cases(20)]
         scores = []
         for args in cases:
@@ -475,11 +506,11 @@ class TestNnlsScreen:
     def test_iteration_cap_raises(self):
         from l0spline.shape import _nnls_screen
 
-        F, y_perp, idx, dual_tol = self._screen(
+        F, y_perp, idx = self._screen(
             np.random.default_rng(4).normal(size=9), 1, 2)
         with pytest.raises(NonConvergenceError):
-            _nnls_screen(F, y_perp, idx, dual_tol, max_iter=0)
-        _nnls_screen(F, y_perp, idx, dual_tol, max_iter=2)
+            _nnls_screen(F, y_perp, idx, max_iter=0)
+        _nnls_screen(F, y_perp, idx, max_iter=2)
 
 
 class TestOneCone:
@@ -553,17 +584,17 @@ class TestShapePruning:
         distinct inner knots, the (d, d - 1) spline cost there, and
         neither v's set cone nor any pivot of v screens below it."""
         from l0spline.model import _KnotScreen
-        from l0spline.shape import _ConeProblem, _dual_tols, _nnls_screen
+        from l0spline.shape import _ConeProblem, _nnls_screen
 
         checked = 0
         for y, d, k in TestNnlsScreen._cases(60):
             n, yy = y.size, float(y @ y)
-            F, y_perp, idx, dual_tol = TestNnlsScreen._screen(y, d, k)
-            score = _nnls_screen(F, y_perp, idx, dual_tol).reshape(-1, k + 1)
+            F, y_perp, idx = TestNnlsScreen._screen(y, d, k)
+            score = _nnls_screen(F, y_perp, idx).reshape(-1, k + 1)
             screen = _KnotScreen(y, d, d - 1, k)
             sets = screen.sets
-            H, y_set = _ConeProblem(y, d).set_cone(F)
-            cone = _nnls_screen(H, y_set, sets, _dual_tols(H, y_set))
+            H, y_set = _ConeProblem(y, d).set_cone()
+            cone = _nnls_screen(H, y_set, sets)
             assert np.all(cone >= screen.score - 1e-12 * yy)
             bound = {tuple(t for t in row if t < n): s
                      for row, s in zip(sets.tolist(), screen.score)}
@@ -577,22 +608,54 @@ class TestShapePruning:
                 checked += 1
         assert checked > 2_000
 
+    def test_left_hinges_only_at_expanded_knots(self, monkeypatch):
+        """The set screen reads right hinges alone, so left hinges are
+        built only at the knots of the vectors the pair stage expands,
+        not at all n + 1 knots."""
+        import l0spline.shape as shape
+
+        built, expanded = [], set()
+        left_hinge, realizations = shape._left_hinge, shape._realizations
+
+        def recording_left(i, knot, n, d):
+            built.extend(np.atleast_1d(knot).tolist())
+            return left_hinge(i, knot, n, d)
+
+        def recording_realizations(distinct, k):
+            for v in realizations(distinct, k):
+                expanded.update(v)
+                yield v
+
+        monkeypatch.setattr(shape, "_left_hinge", recording_left)
+        monkeypatch.setattr(shape, "_realizations", recording_realizations)
+        y = np.random.default_rng(77).normal(size=400)
+        shape_lse(y, 1, 2)
+        assert sorted(built) == sorted(expanded)
+        assert len(built) < 401 // 10
+
     def test_prunes_most_pairs(self, monkeypatch):
         """On a convex member with noise, fewer than a quarter of the 408
         knot sets reach the screen, and fewer than 2 % of the 1872 pairs;
-        the winner's set and pair are among them."""
+        the winner's set and pair are among them.  The pairs index the
+        hinge block at the distinct knots of their vectors."""
         import l0spline.shape as shape
 
-        sets, pairs = [], []
-        screen = shape._nnls_screen
+        sets, pairs, blocks = [], [], []
+        screen, hinge_block = shape._nnls_screen, shape._hinge_block
 
         def counting(F, y, idx, *args, **kwargs):
-            # a set's cone has n + 1 columns, the pairs' block 2 (n + 1)
+            # a set's cone has n + 1 columns, the pairs' block two per
+            # distinct knot
             (sets if F.shape[1] == 33 else pairs).extend(
                 map(tuple, idx.tolist()))
             return screen(F, y, idx, *args, **kwargs)
 
+        def recording(n, d, knots):
+            blocks.append(np.asarray(knots).tolist())
+            return hinge_block(n, d, knots)
+
         monkeypatch.setattr(shape, "_nnls_screen", counting)
+        monkeypatch.setattr(shape, "_hinge_block", recording)
         rng = np.random.default_rng(76)
         member, _, _ = sample_shape_member(rng, 1, 3, 32)
         fit = shape_lse(10.0 * member + rng.normal(size=32), 1, 3)
@@ -603,7 +666,9 @@ class TestShapePruning:
         knots = fit.knots.knots
         inner = sorted({t for t in knots if 0 < t < 32})
         assert tuple(inner + [32] * (2 - len(inner))) in sets
-        cols = shape._pair_columns(np.array([knots]), 32)
+        u = blocks[-1]
+        local = np.array([[u.index(t) for t in knots]])
+        cols = shape._pair_columns(local, len(u) - 1)
         assert tuple(cols[fit.canonical.j_star].tolist()) in pairs
 
 

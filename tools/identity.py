@@ -1,4 +1,4 @@
-"""Byte-identity digests of the d0 = -1 dynamic program over a seeded grid.
+"""Byte-identity digests of the d0 = -1 DP and shape fit over a seeded grid.
 
 Usage:
 
@@ -18,7 +18,11 @@ It records one digest per key (kind, d, n, k):
   program is tested against;
 - `fit` and `adapt`: the exit code and sha256 of stdout and stderr of
   `l0spline fit --solver dp --k k` and `l0spline adapt --solver dp
-  --k-max k --sigma 1`, run in process on the series written as a file.
+  --k-max k --sigma 1`, run in process on the series written as a file;
+- `shape`, at d <= 3, k <= 3 and n <= 40 only: the knots, pivot, SSE as
+  `float.hex`, sha256 of the theta-hat bytes and sha256 of the canonical
+  a, b, c and local coefficients of `shape_lse(y, d, k)`, then the same
+  exit code and digests of `l0spline shapefit --k k`.
 
 A call that raises records the error type and message instead.  To
 compare a working tree with its parent commit:
@@ -33,7 +37,8 @@ BLAS build, so compare only files written on one machine.
 
 The grid: d = 0..6; n = d+1..69, 160, 161, 401 and 999; k = 1, 2, 3, 4
 and 6; ten kinds of series, seeded by (d, n).  That is 24,500 keys, 7,770
-of them with an `exhaustive` field; a `write` takes a few minutes.
+of them with an `exhaustive` field and 4,620 with a `shape` field; a
+`write` takes about 4 minutes on one core.
 tests/test_identity_tool.py runs the few keys of SMOKE.
 """
 
@@ -58,9 +63,11 @@ KINDS = ("noise", "zero", "rounded", "offset", "constant", "poly", "tiny",
 KS = (1, 2, 3, 4, 6)
 # one key per path of the forward pass: the k = 2 screen, the blocks, the
 # zero residual, the screen giving up, a refusal, and several blocks
-# through the einsum and the complex moment pairs (d >= 2)
+# through the einsum and the complex moment pairs (d >= 2); and the
+# shape fit's pooling path (d = 0, k >= n)
 SMOKE = (("noise", 1, 40, 2), ("noise", 2, 30, 3), ("zero", 2, 30, 4),
-         ("tiny", 0, 24, 2), ("huge153", 2, 40, 3), ("noise", 3, 161, 3))
+         ("tiny", 0, 24, 2), ("huge153", 2, 40, 3), ("noise", 3, 161, 3),
+         ("constant", 0, 3, 3))
 
 
 def grid():
@@ -124,6 +131,7 @@ def digest(kind: str, d: int, n: int, k: int, path: str) -> dict:
     """The digests of one key; path is where the series file goes."""
     from l0spline import ModelParams
     from l0spline.cli import main
+    from l0spline.shape import shape_lse
     from l0spline.solvers import _dp_table, dp_fit, exhaustive_fit
 
     y = series(kind, d, n)
@@ -145,12 +153,26 @@ def digest(kind: str, d: int, n: int, k: int, path: str) -> dict:
                              f"{_sha(fit.theta_hat.values.tobytes())}")
             except Exception as exc:
                 out[name] = _refusal(exc)
+        shaped = d <= 3 and k <= 3 and n <= 40
+        if shaped:
+            try:
+                fit = shape_lse(y, d, k)
+                rep = fit.canonical
+                terms = repr((rep.a, rep.b, rep.c, fit.coeffs)).encode()
+                out["shape"] = (
+                    f"{fit.knots.knots} {rep.j_star} {float(fit.sse).hex()} "
+                    f"{_sha(fit.theta_hat.values.tobytes())} {_sha(terms)}")
+            except Exception as exc:
+                out["shape"] = _refusal(exc)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(f"{v!r}\n" for v in y.tolist()))
     common = ["--input", path, "--d", str(d), "--d0", "-1", "--solver", "dp"]
     out["fit"] = _cli(main, ["fit", *common, "--k", str(k)])
     out["adapt"] = _cli(main, ["adapt", *common, "--k-max", str(k),
                                "--sigma", "1"])
+    if shaped:
+        out["shape"] += "; shapefit " + _cli(
+            main, ["shapefit", "--input", path, "--d", str(d), "--k", str(k)])
     return out
 
 
