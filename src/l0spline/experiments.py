@@ -23,7 +23,8 @@ from .model import (
     _check_budget,
     _finite,
     _rescore,
-    _sum_of_squares,
+    _scaled,
+    _unit,
     count_knot_vectors,
     raw_basis,
 )
@@ -455,14 +456,15 @@ def complexity_width(eps, params: ModelParams,
     bound (`_width_k3_bound`, whose only slack is one ulp on the head
     term) and the result is bit-identical to the full O(n^2) scan.
     Every other case enumerates knot vectors and refuses when the
-    configuration count exceeds the budget.  Refuses NaN and inf
-    entries, and eps whose sum of squares overflows.
+    configuration count exceeds the budget.  Both run on the unit series
+    (_unit), and the width is scaled back by 4^e.  Refuses NaN and inf
+    entries, and a width that overflows.
     """
-    eps = _finite(eps, "eps", params.n)
-    ss = _sum_of_squares(eps, "eps")
+    eps, e = _unit(_finite(eps, "eps", params.n))
     n, d, d0, k = params.n, params.d, params.d0, params.k
     if d == 0 and d0 == -1 and k in (2, 3):
-        return _width_const_k2(eps) if k == 2 else _width_const_k3(eps)
+        width = _width_const_k2(eps) if k == 2 else _width_const_k3(eps)
+        return float(_scaled(width, 2 * e, "eps"))
     _check_budget(count_knot_vectors(n, k, d), budget)
 
     def proj_sq(knots):
@@ -474,9 +476,9 @@ def complexity_width(eps, params: ModelParams,
     # the largest projection leaves the least SSE: rank the sets by minus
     # the projection, which the screened SSE minus ||eps||^2 estimates
     screen = _KnotScreen(eps, d, d0, k)
-    least, _ = _rescore(screen.score - ss, screen.tol,
+    least, _ = _rescore(screen.score - float(eps @ eps), screen.tol,
                         lambda j: -proj_sq(screen.distinct(j)), screen.knots)
-    return -least
+    return float(_scaled(-least, 2 * e, "eps"))
 
 
 def width_curve(d: int, d0: int, k: int, n_grid, reps: int,

@@ -450,18 +450,28 @@ def _finite(values, what: str, n: int | None = None) -> np.ndarray:
     return a
 
 
-_OVERFLOW = ("least squares costs of {0} overflow; rescale {0} to a"
-             " smaller magnitude")
+def _unit(y: np.ndarray) -> tuple:
+    """(y 2^-e, e) with max |y 2^-e| in [1/2, 1), and e = 0 for zeros.
+
+    Every least squares class here is closed under scaling, and scaling
+    by a power of two is exact for normal floats, so each cost of the
+    unit series is 4^-e times that of y, bit for bit, and no argmin moves.
+    The solvers search on it, where no cost overflows and only negligible
+    ones underflow, and take their results back with _scaled."""
+    e = math.frexp(float(np.abs(y).max(initial=0.0)))[1]
+    return np.ldexp(y, -e), e
 
 
-def _sum_of_squares(y: np.ndarray, what: str = "y") -> float:
-    """||y||^2, an upper bound on the least squares costs of y; refused,
-    naming y as what, when it overflows, since those costs can too."""
-    with np.errstate(over="ignore"):
-        ss = float(y @ y)
-    if not math.isfinite(ss):
-        raise ValidationError(_OVERFLOW.format(what))
-    return ss
+def _scaled(x, e: int = 0, what: str = "y"):
+    """x 2^e elementwise, exact, refused, naming the input as what, where
+    it overflows: a fit's values and weights at e, its SSE or a width at
+    2 e.  The one refusal of a result that overflows.  The check comes
+    first, on the largest magnitude's exponent, so no scaling overflows."""
+    top = float(np.abs(x).max(initial=0.0))
+    if not (top == 0.0 or top < math.inf and math.frexp(top)[1] + e <= 1024):
+        raise ValidationError(f"least squares costs of {what} overflow; "
+                              f"rescale {what} to a smaller magnitude")
+    return np.ldexp(x, e)
 
 
 def check_membership(theta, params: ModelParams, tol: float = 1e-8,
@@ -472,19 +482,22 @@ def check_membership(theta, params: ModelParams, tol: float = 1e-8,
     each set whose screened cost admits a hit, and accepts on the first
     configuration in lexicographic order reproducing theta to within tol
     in every coordinate.  Returns (True, witness spline) or
-    (False, None).  Refuses NaN and inf entries, and theta whose sum of
-    squares overflows.  Raises
-    BudgetExceededError when the enumeration would visit more
+    (False, None).  Refuses NaN and inf entries.
+    Raises BudgetExceededError when the enumeration would visit more
     configurations than the budget allows.
     """
     theta = _finite(theta, "theta", params.n)
-    _sum_of_squares(theta, "theta")
     n, d, d0, k = params.n, params.d, params.d0, params.k
     _check_budget(count_knot_vectors(n, k, d), budget)
-    # a sup-norm hit has SSE <= n tol^2, so only sets screened below that
-    # can reproduce theta; they are tried in the order of the knot scan
-    screen = _KnotScreen(theta, d, d0, k)
-    for knots in screen.within(n * tol ** 2 + screen.tol):
+    # a sup-norm hit has SSE <= n tol^2, so only sets screened below that,
+    # on the unit series, can reproduce theta; they are tried in the order
+    # of the knot scan
+    unit, e = _unit(theta)
+    screen = _KnotScreen(unit, d, d0, k)
+    # tol at unit scale: inf, so every set, where theta is tiny beside tol
+    with np.errstate(over="ignore"):
+        t = float(np.ldexp(tol, -e))
+    for knots in screen.within(n * t * t + screen.tol):
         kv = KnotVector(knots, d)
         X = raw_basis(n, d, d0, kv.distinct())
         coef, _, _, _ = np.linalg.lstsq(X, theta, rcond=None)
@@ -575,16 +588,16 @@ class _KnotScreen:
     The scores match the per-set least squares costs up to rounding only,
     so callers rescore the sets near the best with their own arithmetic
     (_rescore; best does it for the least-cost knot vector at any piece
-    count up to k).  Refuses y whose sum of squares overflows, for every
-    caller: their costs could overflow too.  Set j is row j of sets, an
-    (S, k - 1) integer array: its inner knots in increasing order, padded
-    with n; score[j] is its screened cost.
+    count up to k).  Every caller screens the unit series (_unit), whose
+    costs cannot overflow.  Set j is row j of sets, an (S, k - 1) integer
+    array: its inner knots in increasing order, padded with n; score[j]
+    is its screened cost.
     """
 
     def __init__(self, y: np.ndarray, d: int, d0: int, k: int):
         n = y.size
         self.n, self.k = n, k
-        self.tol = _SCREEN_TOL * _sum_of_squares(y)
+        self.tol = _SCREEN_TOL * float(y @ y)
         self._gap = d + 1
         self._ts = np.arange(d + 1, n - d)   # every inner knot
         Q, r = _detrend(y, d)

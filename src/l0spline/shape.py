@@ -26,7 +26,8 @@ from .model import (
     _finite,
     _knot_columns,
     _rescore,
-    _sum_of_squares,
+    _scaled,
+    _unit,
     _KnotScreen,
     KnotVector,
     ModelParams,
@@ -189,15 +190,20 @@ def nnls_activeset(A: np.ndarray, y: np.ndarray,
                    max_iter: int | None = None) -> np.ndarray:
     """min ||y - A g||^2 subject to g >= 0.
 
-    Classic active-set iteration.  Terminates when every inactive dual
-    coordinate is <= _DUAL_TOL * ||y|| * max_j ||A_j||, a bound that scales
-    with the data, so rescaling y rescales g and nothing else; raises
-    NonConvergenceError after 100 * n_variables iterations.
+    Classic active-set iteration (Lawson & Hanson 1974).  An infeasible
+    solve steps to the boundary: the active variables whose step ratio
+    attains the step (the blockers) leave the active set, and every other
+    stays while it is positive.  Terminates when every inactive dual
+    coordinate is <= _DUAL_TOL * ||y|| * max_j ||A_j||.  No threshold is
+    absolute, so rescaling y by a power of two rescales g and nothing
+    else, as long as ||y||^2 neither overflows nor underflows (shape_lse
+    solves on the unit series, _unit); raises NonConvergenceError after
+    100 * n_variables iterations.
     """
     n, m = A.shape
     if max_iter is None:
         max_iter = 100 * max(m, 1)
-    dual_tol = _DUAL_TOL * math.sqrt(float(y @ y) * float(
+    dual_tol = _DUAL_TOL * math.sqrt(float(y @ y)) * math.sqrt(float(
         np.einsum("ij,ij->j", A, A).max(initial=0.0)))
     g = np.zeros(m)
     active: list = []
@@ -222,16 +228,17 @@ def nnls_activeset(A: np.ndarray, y: np.ndarray,
                 g = np.zeros(m)
                 g[active] = z
                 break
-            # step to the boundary, drop newly zeroed variables
+            # step to the boundary: the blockers, whose step ratio is the
+            # least, leave, and so does any variable the step rounds to 0
             gp = g[active]
-            mask = z <= 0
-            denom = gp[mask] - z[mask]
+            denom = gp - z
             with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(denom > 0, gp[mask] / denom, 0.0)
+                ratios = np.where(z <= 0, np.where(denom > 0, gp / denom, 0.0),
+                                  np.inf)
             alpha = float(np.min(ratios))
             gp = gp + alpha * (z - gp)
             g = np.zeros(m)
-            g[active] = np.where(gp > 1e-14, gp, 0.0)
+            g[active] = np.where((ratios > alpha) & (gp > 0.0), gp, 0.0)
             active = [j for j in active if g[j] > 0]
         resid = y - A @ g
         w = A.T @ resid
@@ -247,9 +254,10 @@ def _nnls_screen(F: np.ndarray, y: np.ndarray, idx: np.ndarray,
     nnls_activeset then runs on every row in lockstep, one boolean mask
     per row, with the same rules: the largest dual enters first, ties go
     to the smallest index, an infeasible step moves to the boundary and
-    drops the zeroed variables, and a row stops when every inactive dual
-    is <= _DUAL_TOL * ||y|| * (the largest norm of its gathered columns),
-    the KKT tolerance nnls_activeset takes on those columns.  The masked
+    drops the blockers and every variable it leaves at zero or below,
+    and a row stops when every inactive dual is <= _DUAL_TOL * ||y|| *
+    (the largest norm of its gathered columns), the KKT tolerance
+    nnls_activeset takes on those columns.  The masked
     normal equations R_A' R_A z = R_A' c are solved batched; the score
     ||c - R g||^2 is computed directly, so an error in z enters it only
     at second order.  Raises NonConvergenceError when a row needs
@@ -307,18 +315,19 @@ def _nnls_screen(F: np.ndarray, y: np.ndarray, idx: np.ndarray,
         done = live[feasible]
         g[done] = np.where(A[feasible], z[feasible], 0.0)
         solving[done] = False
-        # step to the boundary, drop newly zeroed variables
+        # step to the boundary: the blockers, whose step ratio is the
+        # least, leave, and so does any variable the step rounds to 0
         bad = ~feasible
         if bad.any():
             stepped = live[bad]
             gp, zb, Ab = g[stepped], z[bad], A[bad]
             denom = gp - zb
             with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(denom > 0, gp / denom, 0.0)
-            alpha = np.min(ratios, axis=1, where=Ab & (zb <= 0),
-                           initial=np.inf)
-            gp = gp + alpha[:, None] * (zb - gp)
-            g[stepped] = np.where(Ab & (gp > 1e-14), gp, 0.0)
+                ratios = np.where(Ab & (zb <= 0), np.where(
+                    denom > 0, gp / denom, 0.0), np.inf)
+            alpha = ratios.min(axis=1)[:, None]
+            gp = gp + alpha * (zb - gp)
+            g[stepped] = np.where((ratios > alpha) & (gp > 0.0), gp, 0.0)
             active[stepped] = g[stepped] > 0
     r = c - _matvec(R, g)
     return np.einsum("pi,pi->p", r, r) + Ra[:, k, k] ** 2
@@ -383,11 +392,16 @@ class _ConeProblem:
         return rep, theta, float(resid @ resid)
 
 
-def _shape_result(rep: MonotoneCanonical, theta: np.ndarray,
-                  sse: float) -> ShapeFitResult:
-    return ShapeFitResult(
-        theta_hat=SignalVector(theta), knots=rep.knots,
-        coeffs=_local_coeffs_from_canonical(rep), sse=sse, canonical=rep)
+def _shape_result(rep: MonotoneCanonical, theta: np.ndarray, sse: float,
+                  e: int) -> ShapeFitResult:
+    """The fit of y from that of its unit series y 2^-e (_unit): weights
+    and fitted values times 2^e, the SSE times 4^e, refused where one of
+    them overflows (_scaled)."""
+    rep = MonotoneCanonical(rep.j_star, *(
+        _scaled(v, e) for v in (rep.a, rep.b, rep.c)), rep.knots)
+    return ShapeFitResult(SignalVector(_scaled(theta, e)), rep.knots,
+                          _local_coeffs_from_canonical(rep),
+                          float(_scaled(sse, 2 * e)), rep)
 
 
 def _local_coeffs_from_canonical(rep: MonotoneCanonical) -> tuple:
@@ -431,9 +445,10 @@ def _local_coeffs_from_canonical(rep: MonotoneCanonical) -> tuple:
 
 
 def fit_shape_given_knots(y, d: int, knots, j_star: int) -> ShapeFitResult:
-    """Least squares over the canonical cone at fixed knots and pivot.
-    Refuses NaN and inf in y."""
-    y = _finite(y, "y")
+    """Least squares over the canonical cone at fixed knots and pivot,
+    solved on the unit series (_unit) and scaled back.  Refuses NaN and
+    inf in y, and a fit that overflows."""
+    y, e = _unit(_finite(y, "y"))
     n = y.size
     _check_degree(d)
     kv = validate_knots(knots, d, n)
@@ -441,7 +456,7 @@ def fit_shape_given_knots(y, d: int, knots, j_star: int) -> ShapeFitResult:
         raise ValidationError(
             f"pivot must lie in [0;{kv.k}], got {j_star}")
     return _shape_result(*_ConeProblem(y, d).fit(
-        kv, j_star, _pair_block(n, d, kv.knots, j_star)))
+        kv, j_star, _pair_block(n, d, kv.knots, j_star)), e)
 
 
 def _isotonic_blocks(y: np.ndarray):
@@ -517,10 +532,11 @@ def shape_lse(y, d: int, k: int,
     up to eps, and its set's cone costs no more, so the set scores below
     incumbent + tol, is screened within tol of the incumbent and is
     expanded.  Results are bit-identical to fitting every pair; the
-    budget counts every pair.  Refuses NaN and inf in y, and y whose sum
-    of squares overflows.
+    budget counts every pair.  Everything runs on the unit series
+    (_unit), and the fit is scaled back.  Refuses NaN and inf in y, and a
+    fit that overflows.
     """
-    y = _finite(y, "y")
+    y, e = _unit(_finite(y, "y"))
     n = y.size
     _check_degree(d)
     _check_envelope(d)
@@ -529,12 +545,12 @@ def shape_lse(y, d: int, k: int,
     if n < d + 1:
         raise ValidationError(
             f"need n >= d+1 = {d + 1} points for a degree-{d} fit, got {n}")
-    tol = _SCREEN_TOL * _sum_of_squares(y)
+    tol = _SCREEN_TOL * float(y @ y)
     if d == 0 and k >= n:
         theta = _isotonic_blocks(y)
         resid = y - theta
         return _shape_result(_canonical_from_nondecreasing(theta, k), theta,
-                             float(resid @ resid))
+                             float(resid @ resid), e)
 
     _check_budget(count_knot_vectors(n, k, d) * (k + 1), budget,
                   "configuration/pivot pairs")
@@ -574,7 +590,7 @@ def shape_lse(y, d: int, k: int,
         return fits[p][2]
 
     _, best = _rescore(score, tol, sse, lambda p: p)
-    return _shape_result(*fits[best])
+    return _shape_result(*fits[best], e)
 
 
 def _check_envelope(d: int) -> None:
@@ -615,20 +631,13 @@ def coef_bound_statistic(theta_star, d: int, k: int, knots=None,
     When the member's knots are known they can be passed to skip the
     knot scan; the refit then only searches over pivots, which matches
     the scan result whenever every hinge weight at those knots is active.
-    An input whose plain norm overflows, or underflows to 0, is scaled by
-    its largest magnitude first.  Refuses NaN and inf entries.
+    The norm is taken on the unit series (_unit), where it neither
+    overflows nor underflows.  Refuses NaN and inf entries.
     """
-    theta = _finite(theta_star, "theta_star")
-    n = theta.size
-    with np.errstate(over="ignore"):
-        nrm = float(np.linalg.norm(theta))
-    if not 0 < nrm < math.inf:
-        if not theta.any():
-            return 0.0
-        # the squares overflowed or all underflowed: scale max|theta| to 1
-        theta = theta / np.max(np.abs(theta))
-        nrm = float(np.linalg.norm(theta))
-    unit = theta / nrm
+    theta = _unit(_finite(theta_star, "theta_star"))[0]
+    if not theta.any():
+        return 0.0
+    unit = theta / np.linalg.norm(theta)
     fits = ([shape_lse(unit, d, k)] if knots is None
             else (fit_shape_given_knots(unit, d, knots, j_star)
                   for j_star in range(0, k + 1)))
@@ -639,7 +648,7 @@ def coef_bound_statistic(theta_star, d: int, k: int, knots=None,
             "input is not a class member: refit cannot reproduce it")
     if d == 0:
         return 0.0
-    return float(np.sqrt(n) * np.max(np.abs(fit.canonical.c)))
+    return float(np.sqrt(unit.size) * np.max(np.abs(fit.canonical.c)))
 
 
 def sample_shape_member(rng, d: int, k: int, n: int):

@@ -32,12 +32,13 @@ from .model import (
     PiecewiseSpline,
     SignalVector,
     _KnotScreen,
-    _OVERFLOW,
     _check_budget,
     _chunk_buffer,
     _detrend,
     _finite,
     _on_pieces,
+    _scaled,
+    _unit,
     count_knot_vectors,
     evaluate_spline,
     local_coefficients_from_truncated_power,
@@ -323,9 +324,11 @@ class _SegmentSweeper:
 # fitting at fixed knots
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")
 def _fit_at(y: np.ndarray, d: int, d0: int, knots) -> FitResult:
     """Least squares fit at one knot vector, with coeffs in per-piece local
-    storage aligned to the given vector."""
+    storage aligned to the given vector.  Refuses a fit whose SSE
+    overflows (_scaled), as it does where the fitted values do."""
     n = y.size
     kv = KnotVector(tuple(knots), d)
     distinct = kv.distinct()
@@ -346,12 +349,13 @@ def _fit_at(y: np.ndarray, d: int, d0: int, knots) -> FitResult:
         spline = _on_pieces(kv, local_coefficients_from_truncated_power(
             KnotVector(distinct, d), d0, coef).coeffs)
     resid = y - theta
-    return FitResult(SignalVector(theta), kv, spline.coeffs,
-                     float(resid @ resid))
+    sse = float(_scaled(resid @ resid))
+    return FitResult(SignalVector(theta), kv, spline.coeffs, sse)
 
 
 def fit_given_knots(y, params: ModelParams, knots) -> FitResult:
-    """Project y onto the span of the class members with these knots."""
+    """Project y onto the span of the class members with these knots.
+    Refuses a fit whose SSE overflows."""
     y = _finite(y, "y", params.n)
     kv = validate_knots(knots, params.d, params.n)
     if kv.k != params.k:
@@ -367,9 +371,8 @@ def fit_given_knots(y, params: ModelParams, knots) -> FitResult:
 def _screen_row1(sweeper: _SegmentSweeper, r: np.ndarray,
                  start0: np.ndarray) -> np.ndarray | None:
     """The splits at which a k = 2 table needs row 1 besides 0: those
-    whose split can be the best.  None when the screen overflows or more
-    splits screen near the best than the blocked pass over row 1 would
-    cost in one-start blocks.
+    whose split can be the best.  None when more splits screen near the
+    best than the blocked pass over row 1 would cost in one-start blocks.
 
     start0[l] is the cost of (0; d+1+l] and r the series the forward
     sweeper costs.  The reversed series' start 0 sweep costs (n-L; n] for
@@ -380,8 +383,6 @@ def _screen_row1(sweeper: _SegmentSweeper, r: np.ndarray,
     argmin over row 1 pick the split the full row would."""
     d, n = sweeper.d, sweeper.n
     rev = _SegmentSweeper(r[::-1], d).block(0, 1)[0]
-    if not (np.isfinite(rev).all() and np.isfinite(start0).all()):
-        return None
     # C~[1, s] at s = d+1..n: +inf where (s; n] is shorter than d + 1,
     # and 0 at n, where the split leaves one piece
     approx = np.full(n + 1, np.inf)
@@ -393,14 +394,13 @@ def _screen_row1(sweeper: _SegmentSweeper, r: np.ndarray,
     # the blocked pass over row 1 costs about n/8 one-start blocks: n/15 to
     # n/22 at n = 100, n/8 at 500 and n/3 at 2000 (d = 0, 2, 6 measured),
     # so the screen costs at most about 3 times the pass, and the pass at
-    # most about 3 times the screen; every split ties on 1e-300 * noise
+    # most about 3 times the screen; most splits tie on the alternating
+    # 0/1 series at small n
     if near.size > max(1, n // 8):
         return None
     return near[near < n]
 
 
-# an overflowing cost is refused once the entries are filled
-@np.errstate(over="ignore", invalid="ignore")
 def _dp_table(y: np.ndarray, d: int, k: int) -> tuple:
     """Segment-neighbourhood forward pass for every piece count up to k,
     filling only the entries _backtrack reads: rows 1..k-1 in full and
@@ -432,7 +432,8 @@ def _dp_table(y: np.ndarray, d: int, k: int) -> tuple:
     start 0's.
     The blocks do the O(n^2 (d^2 + k)) work of one start at a time, the
     screen O(n d^2), and every entry filled is the per-start one, bit for
-    bit.  Refuses y whose costs overflow in any entry filled.
+    bit.  _dp_knots builds it on the unit series (_unit), where no cost
+    overflows.
     """
     n = y.size
     # every segment cost is invariant to removing a global degree-d fit,
@@ -494,13 +495,6 @@ def _dp_table(y: np.ndarray, d: int, k: int) -> tuple:
             hi = lo
     # column 0 of rows 1..k, after every other start's rows
     fill(0, 1, start0[None], k)
-    # an overflowed cost is -inf or NaN, which row 1 takes off the diagonal,
-    # row 2 from every other piece and C[k, 0] from every piece from 0, or
-    # +inf when its sum of squares overflows, and then that of (0; n] does
-    # too, in C[1, 0]
-    if not (np.isfinite(C[1:k, starts]).all()
-            and np.isfinite(C[1:k + 1, 0]).all()):
-        raise ValidationError(_OVERFLOW.format("y"))
     return C[:, :n + 1], nxt
 
 
@@ -522,10 +516,11 @@ def _backtrack(table: tuple, k: int) -> tuple:
 
 
 def _dp_knots(y: np.ndarray, d: int, k: int):
-    """_backtrack over one _dp_table for every piece count up to k.  No
-    knot vector has more than n // (d+1) nonempty pieces, so the table
-    stops at that many rows."""
-    return partial(_backtrack, _dp_table(y, d, min(k, y.size // (d + 1))))
+    """_backtrack over one _dp_table of the unit series (_unit) for every
+    piece count up to k.  No knot vector has more than n // (d+1)
+    nonempty pieces, so the table stops at that many rows."""
+    return partial(_backtrack, _dp_table(_unit(y)[0], d,
+                                         min(k, y.size // (d + 1))))
 
 
 def dp_fit(y, params: ModelParams) -> FitResult:
@@ -546,9 +541,10 @@ def dp_fit(y, params: ModelParams) -> FitResult:
     full table costed one start at a time, bit for bit, so the backtrack
     sweeps no segment again and the knots do not depend on the path.
     Ties are resolved to the lexicographically smallest knot vector: at
-    each step an empty piece first, then the nearest split.  Refuses
-    d0 != -1, and d > 6, where the table's costs drift from the refit,
-    and y whose costs overflow in any entry the pass fills.
+    each step an empty piece first, then the nearest split.  The search
+    runs on the unit series (_unit) and the refit on y, so the knots do
+    not depend on the scale of y.  Refuses d0 != -1, and d > 6, where the
+    table's costs drift from the refit, and a fit whose SSE overflows.
     """
     _solver_for(params, "dp")
     y = _finite(y, "y", params.n)
@@ -585,13 +581,15 @@ def exhaustive_fit(y, params: ModelParams,
     The first strictly best configuration in lexicographic order wins, so
     ties go to the lexicographically smallest knot vector.  Every distinct
     knot set is screened once (_KnotScreen) and only the sets near the
-    best are costed one by one (_KnotScreen.best, _knot_cost).  Refuses
-    y whose sum of squares overflows, like the dynamic program.
+    best are costed one by one (_KnotScreen.best, _knot_cost), both on the
+    unit series (_unit); the refit is on y.  Refuses a fit whose SSE
+    overflows, like the dynamic program.
     """
     y = _finite(y, "y", params.n)
     n, d, d0, k = params.n, params.d, params.d0, params.k
     _check_budget(count_knot_vectors(n, k, d), budget)
-    knots = _KnotScreen(y, d, d0, k).best(_knot_cost(y, d, d0), k)
+    unit = _unit(y)[0]
+    knots = _KnotScreen(unit, d, d0, k).best(_knot_cost(unit, d, d0), k)
     return _fit_at(y, d, d0, knots)
 
 
@@ -635,11 +633,11 @@ def adaptive_fit(y, params: ModelParams, spec: PenaltySpec,
     smallest k.  sse(k) comes from the solver fit_fixed_k would use, with
     its refusals.  That solver's search runs once, to k_max, and serves
     every k: the dynamic program runs dp_fit's forward pass at k_max, or
-    at n // (d+1) below it (_dp_knots), read by _backtrack, so it refuses
-    y only where a cost it fills overflows; the exhaustive solver screens
-    every knot set once (_KnotScreen), read by _KnotScreen.best.  Every k
-    is refit at the knots it reads, exactly as dp_fit or exhaustive_fit
-    at k would be.
+    at n // (d+1) below it (_dp_knots), read by _backtrack; the
+    exhaustive solver screens every knot set once (_KnotScreen), read by
+    _KnotScreen.best, both on the unit series (_unit).  Every k is refit
+    on y at the knots it reads, exactly as dp_fit or exhaustive_fit at k
+    would be, and refused where its SSE overflows.
     The exhaustive solver checks the budget at every k in turn before it
     screens, so a refusal names the first count over it.  Refuses a
     penalty that overflows at any k, before any solve; k_max outside
@@ -671,8 +669,9 @@ def adaptive_fit(y, params: ModelParams, spec: PenaltySpec,
     else:
         for k in range(1, k_max + 1):
             _check_budget(count_knot_vectors(params.n, k, d), budget)
-        knots = partial(_KnotScreen(y, d, d0, k_max).best,
-                        _knot_cost(y, d, d0))
+        unit = _unit(y)[0]
+        knots = partial(_KnotScreen(unit, d, d0, k_max).best,
+                        _knot_cost(unit, d, d0))
     fits, trace = [], []
     for k, pen in enumerate(pens, start=1):
         fits.append(_fit_at(y, d, d0, knots(k)))

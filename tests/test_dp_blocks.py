@@ -333,10 +333,11 @@ class TestDpFitReadsWhatItNeeds:
     def test_k_2_costs_start_0_and_a_few_splits(self, monkeypatch):
         """At k = 2 the forward sweeper costs start 0, then each split
         screened near the best alone; the reversed series' sweeper costs
-        its start 0 alone.  On seeded noise that is 1 to 3 splits.  On
-        all-zero y every cost is 0.0: start 0 alone is costed and no
-        reversed sweeper is built.  On 1e-300 * noise every split ties,
-        so the blocks cost every other start once."""
+        its start 0 alone.  On seeded noise that is 1 to 3 splits, and on
+        1e-300 * noise too, whose unit series is noise.  On all-zero y
+        every cost is 0.0: start 0 alone is costed and no reversed sweeper
+        is built.  On the constant 3.7 at d = 6 most splits tie on
+        rounding, so the blocks cost every other start once."""
         logs = []
 
         class Counting(solvers._SegmentSweeper):
@@ -353,10 +354,11 @@ class TestDpFitReadsWhatItNeeds:
         n = 400
         for d in range(7):
             params = ModelParams(d=d, d0=-1, k=2, n=n)
-            for seed in range(5):
+            for seed in range(6):
                 logs.clear()
                 y = np.random.default_rng(8750 + seed).standard_normal(n)
-                dp_fit(y, params)
+                # seed 8755 once as 1e-300 * noise, whose squares underflow
+                dp_fit(1e-300 * y if seed == 5 else y, params)
                 forward, reversed_ = logs
                 assert reversed_ == [0], (d, seed)
                 assert forward[0] == 0, (d, seed)
@@ -364,13 +366,12 @@ class TestDpFitReadsWhatItNeeds:
             logs.clear()
             dp_fit(np.zeros(n), params)
             assert logs == [[0]], d
-            logs.clear()
-            dp_fit(1e-300 * np.random.default_rng(8755).standard_normal(n),
-                   params)
-            forward, reversed_ = logs
-            assert reversed_ == [0], d
-            assert forward[0] == 0, d
-            assert sorted(forward[1:]) == list(range(1, n - d)), d
+        logs.clear()
+        dp_fit(np.full(n, 3.7), ModelParams(d=6, d0=-1, k=2, n=n))
+        forward, reversed_ = logs
+        assert reversed_ == [0]
+        assert forward[0] == 0
+        assert sorted(forward[1:]) == list(range(1, n - 6))
 
     @pytest.mark.parametrize("d", (0, 2, 6))
     def test_zero_residual_costs_start_0_alone(self, monkeypatch, d):
@@ -449,14 +450,19 @@ class TestDpFitReadsWhatItNeeds:
     @pytest.mark.parametrize("d,k,scale,seed",
                              ((2, 1, 1e153, 0), (4, 2, 1e151, 1)))
     def test_unread_overflow_is_not_refused(self, d, k, scale, seed):
-        """A cost that overflows only in pieces no k-piece vector has
-        refuses the table that fills row k in full, built for k + 1, but
-        not dp_fit, whose fit has the least SSE over every split."""
+        """Costs of y overflow, to NaN or -inf, in the table of y that
+        fills row k in full, built for k + 1; dp_fit searches the unit
+        series instead, so it takes the knots of the noise unscaled, and
+        its fit has the least SSE over every split."""
         n = 40
-        y = scale * np.random.default_rng(seed).standard_normal(n)
-        with pytest.raises(ValidationError, match="overflow"):
-            _dp_table(y, d, k + 1)
-        fit = dp_fit(y, ModelParams(d=d, d0=-1, k=k, n=n))
+        noise = np.random.default_rng(seed).standard_normal(n)
+        y = scale * noise
+        with np.errstate(all="ignore"):
+            C, _ = _dp_table(y, d, k + 1)
+        assert (np.isnan(C) | (C == -np.inf)).any()
+        params = ModelParams(d=d, d0=-1, k=k, n=n)
+        fit = dp_fit(y, params)
+        assert fit.knots == dp_fit(noise, params).knots
         splits = range(d + 1, n - d) if k == 2 else ()
         with np.errstate(all="ignore"):
             least = min([segment_cost(y, d)[0]] + [

@@ -5,7 +5,8 @@ the forms they replaced, bit for bit.
 in place by one square-root table, and `_pruned_max` sorts only the rows
 that can still be visited.  Their earlier forms, with a copy per band, a
 divisor per band and a full sort, are kept verbatim in `oracles`.  The
-DP reads row 1 off the sweep's diagonal and refuses overflowing costs.
+DP reads row 1 off the sweep's diagonal, and dp_fit searches the unit
+series where the costs of y overflow.
 """
 
 import math
@@ -14,9 +15,10 @@ import numpy as np
 import pytest
 
 import oracles as orc
-from l0spline import experiments
+from l0spline import ModelParams, experiments
 from l0spline.errors import ValidationError
-from l0spline.solvers import _dp_table
+from l0spline.model import _unit
+from l0spline.solvers import _dp_knots, _dp_table, dp_fit
 from test_pruned_scans import _adversarial
 
 
@@ -122,19 +124,26 @@ class TestDpOverflow:
     def test_refused_where_a_cost_overflows(self, scale, overflows):
         """Row 1 off the k = 2 screen, where it fills the row, or the
         blocks (k = 4) gives the one-start scan's rows 0..k-1, and C and
-        nxt of row k at t = 0, wherever the scan is finite; where a cost
-        overflows the table is refused."""
+        nxt of row k at t = 0, wherever the scan is finite.  Where a cost
+        of y overflows, dp_fit searches the unit series, whose table is
+        that scan's and whose knots are its backtrack's, and the fit is
+        refused, since its SSE overflows too."""
         rng = np.random.default_rng(9600)
         for d in range(4):
             y = scale * rng.standard_normal(40)
             with np.errstate(all="ignore"):
                 ref = orc.dp_table_scan(y, d, 4)
             assert np.isfinite(ref[0][1:4, :40 - d]).all() != overflows, d
+            huge = y
+            if overflows:
+                y = _unit(huge)[0]
+                ref = orc.dp_table_scan(y, d, 4)
             for k in (2, 4):
                 if overflows:
+                    assert _dp_knots(huge, d, k)(k) == \
+                        orc.dp_backtrack(ref, k), d
                     with pytest.raises(ValidationError, match="overflow"):
-                        _dp_table(y, d, k)
-                    continue
+                        dp_fit(huge, ModelParams(d=d, d0=-1, k=k, n=40))
                 C, nxt = _dp_table(y, d, k)
                 filled = C[:k] != np.inf if k == 2 else np.s_[:]
                 assert np.array_equal(C[:k][filled], ref[0][:k][filled]), d

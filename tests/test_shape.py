@@ -79,6 +79,38 @@ class TestNnlsActiveset:
         with pytest.raises(NonConvergenceError):
             nnls_activeset(A, y, max_iter=0)
 
+    @pytest.mark.parametrize("e", (600, -600, 1016))
+    def test_power_of_two_rescales_g_alone(self, monkeypatch, e):
+        """nnls_activeset(A, x 2^e) = nnls_activeset(A, x) 2^e, bit for
+        bit, with x = y 2^-(e/2): no threshold is absolute, and the
+        blockers of a step to the boundary leave by rule, not by
+        rounding.  A holds centred convex hinges, on which some solves
+        take such steps; the absolute cut of small weights made each of
+        those cycle at this scale.  At 2^508, ||x 2^e||^2 max_j ||A_j||^2
+        overflows, and a tolerance formed from it let no variable enter."""
+        solves = []
+        lstsq = np.linalg.lstsq
+
+        def counting(*args, **kwargs):
+            solves[-1] += 1
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        i = np.arange(12.0)[:, None]
+        A = np.maximum(i - np.arange(0, 12, 2), 0.0)
+        A -= A.mean(axis=0)
+        rng = np.random.default_rng(44)
+        stepped = 0
+        for _ in range(40):
+            x = np.ldexp(rng.normal(size=12), -(e // 2))
+            solves.append(0)
+            g = nnls_activeset(A, x)
+            # one solve per variable that entered, and one per step
+            stepped += solves[-1] > np.count_nonzero(g)
+            assert nnls_activeset(A, np.ldexp(x, e)).tobytes() == \
+                np.ldexp(g, e).tobytes()
+        assert stepped >= 5
+
 
 class TestMonotoneCanonical:
     def test_length_validation(self):
@@ -308,6 +340,18 @@ class TestShapeLse:
             assert fit.canonical.j_star == ref.canonical.j_star == j_star
             assert np.array_equal(canonical_evaluate(fit.canonical),
                                   fit.theta_hat.values)
+
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    @pytest.mark.parametrize("k", (2, 3))
+    def test_exact_members_converge(self, d, k):
+        """The constant 3.7 and a degree-d polynomial lie in every class;
+        their fits leave rounding alone, where the NNLS's absolute cut of
+        small weights kept some from converging."""
+        x = np.arange(1, 21) / 20
+        for y in (np.full(20, 3.7),
+                  sum((m + 1.5) * x ** m for m in range(d + 1))):
+            fit = shape_lse(y, d, k)
+            assert fit.sse <= 1e-20 * float(y @ y), (d, k)
 
     def test_budget_guard(self):
         from l0spline.errors import BudgetExceededError
@@ -673,10 +717,11 @@ class TestShapePruning:
 
 
 class TestShapeScaleInvariance:
-    """Rescaling y rescales the fit and nothing else: the NNLS dual
-    tolerance is relative, so small-scale data are not stopped early."""
+    """Rescaling y rescales the fit and nothing else: the fit runs on the
+    unit series and no NNLS threshold is absolute, so small-scale data are
+    not stopped early."""
 
-    @pytest.mark.parametrize("factor", [1e-8, 1e6])
+    @pytest.mark.parametrize("factor", [1e-8, 1e6, 1e-15, 1e-20, 1e-100])
     def test_same_knots_and_pivot(self, factor):
         for seed in range(30):
             y = np.random.default_rng(seed).normal(size=20)

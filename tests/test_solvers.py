@@ -894,8 +894,8 @@ class TestNonFiniteInput:
 
 
 class TestOverflowRefused:
-    """Every solver behind the knot screen refuses y whose squares
-    overflow, as the dynamic program does, where it returned knots
+    """Every solver behind the knot screen refuses y whose fit's SSE
+    overflows, as the dynamic program does, where it returned knots
     (0, 0, 0, n) with SSE inf; y a little smaller still fits."""
 
     @staticmethod
@@ -923,14 +923,32 @@ class TestOverflowRefused:
                            solver=solver)
         assert math.isfinite(fit.sse)
 
+    def test_fit_given_knots(self):
+        """The SSE of 1e154 * noise overflows: refused, where it was inf."""
+        params = ModelParams(d=1, d0=-1, k=2, n=50)
+        with pytest.raises(ValidationError, match="overflow"):
+            fit_given_knots(self._huge(1e154), params, (0, 20, 50))
+        fit = fit_given_knots(self._huge(1e150), params, (0, 20, 50))
+        assert math.isfinite(fit.sse) and fit.sse > 0
+
     @pytest.mark.parametrize("d, d0, k", [(1, 0, 3), (0, -1, 4),
                                           (0, -1, 3)])
     def test_complexity_width(self, d, d0, k):
-        """The enumeration path and the d = 0 prefix-sum scans; the
-        refusal names the width's argument, eps."""
+        """The enumeration path and the d = 0 prefix-sum scans run on the
+        unit series.  At the largest power of two 2^f at which the width
+        stays finite the squares overflow, and the width is the unscaled
+        one times 4^f; at 2^(f+1) it is refused, naming the width's
+        argument, eps."""
         params = ModelParams(d=d, d0=d0, k=k, n=50)
+        eps = self._huge(1.0)
+        width = complexity_width(eps, params)
+        f = (1024 - math.frexp(width)[1]) // 2
+        huge = np.ldexp(eps, f)
+        with np.errstate(over="ignore"):
+            assert float(huge @ huge) == math.inf
+        assert complexity_width(huge, params) == math.ldexp(width, 2 * f)
         with pytest.raises(ValidationError, match="costs of eps overflow"):
-            complexity_width(self._huge(1e154), params)
+            complexity_width(np.ldexp(eps, f + 1), params)
         assert math.isfinite(complexity_width(self._huge(1e150), params))
 
     @pytest.mark.parametrize("d, k", [(1, 2), (0, 2), (0, 40)])
@@ -941,12 +959,33 @@ class TestOverflowRefused:
         assert math.isfinite(shape_lse(self._huge(1e150, 30), d, k).sse)
 
     def test_check_membership(self):
-        """The refusal names the argument, theta."""
-        for theta in (self._huge(1e154), 1e200 * np.ones(20)):
+        """Membership screens the unit series, so a member whose squares
+        overflow, or underflow, is still found at a tolerance of its
+        scale, with the same knots and coefficients to rounding; noise
+        stays out."""
+        i = np.arange(1, 21) / 20
+        member = 0.3 + i + 2.0 * np.maximum(i - 0.5, 0.0)
+        params = ModelParams(d=1, d0=0, k=2, n=20)
+        ok, ref = check_membership(member, params)
+        assert ok and ref.knots.knots == (0, 10, 20)
+        for e in (600, 540, -540, -600):
+            ok, got = check_membership(np.ldexp(member, e), params,
+                                       tol=math.ldexp(1e-8, e))
+            assert ok and got.knots == ref.knots, e
+            for c, c0 in zip(got.coeffs, ref.coeffs):
+                np.testing.assert_allclose(np.ldexp(c, -e), c0, rtol=1e-12,
+                                           atol=1e-12)
+        for theta in (self._huge(1e154), 1e200 * self._huge(1.0, 20)):
             params = ModelParams(d=1, d0=0, k=2, n=theta.size)
-            with pytest.raises(ValidationError,
-                               match="costs of theta overflow; rescale theta"):
-                check_membership(theta, params)
+            assert check_membership(theta, params) == (False, None)
+        # noise far below tol lies within tol of the zero member, also
+        # where (tol 2^-e)^2, or tol 2^-e itself, overflows
+        noise, params = self._huge(1.0, 20), ModelParams(d=1, d0=0, k=2, n=20)
+        for theta, tol in ((1e-200 * noise, 1e-8), (1e-300 * noise, 1e-8),
+                           (1e-300 * noise, 1e10)):
+            ok, got = check_membership(theta, params, tol=tol)
+            assert ok and got.knots.knots[-1] == 20
+            assert np.max(np.abs(evaluate_spline(got) - theta)) <= tol
 
 
 class TestSweeperBuffers:
@@ -1099,6 +1138,100 @@ class TestInvariance:
     @pytest.mark.parametrize("k", [2, 3])
     def test_exhaustive_fit(self, d, d0, k):
         _invariance_cases(exhaustive_fit, d, d0, k, 36, range(5))
+
+
+def _same_fit(fit, ref, e):
+    """fit is ref on y 2^e: the same knots, the SSE times 4^e and the
+    fitted values times 2^e, bit for bit."""
+    assert fit.knots == ref.knots
+    assert fit.sse == math.ldexp(ref.sse, 2 * e)
+    assert fit.theta_hat.values.tobytes() == \
+        np.ldexp(ref.theta_hat.values, e).tobytes()
+
+
+# powers of two past which the squares of y ~ 1 overflow (+) or underflow
+# (-), so that every cost the search compares did too
+_EXPONENTS = (540, -540, 600, -600)
+
+
+class TestPowerOfTwoScale:
+    """Every solver searches on the unit series y 2^-e (model._unit), so
+    the fit of x 2^e is that of x scaled (_same_fit), with x = y 2^-(e/2)
+    so that both fits are representable.  On y itself the knots found
+    do not move, and a fit is refused only where its SSE overflows."""
+
+    @staticmethod
+    def _pair(y, e):
+        x = np.ldexp(y, -(e // 2))
+        return x, np.ldexp(x, e)
+
+    @pytest.mark.parametrize("e", _EXPONENTS)
+    @pytest.mark.parametrize("d, k", [(0, 3), (1, 3), (2, 2), (3, 4)])
+    def test_dp_fit(self, e, d, k):
+        p = ModelParams(d=d, d0=-1, k=k, n=40)
+        for seed in range(3):
+            y = _jump_noise(40, seed)
+            x, xe = self._pair(y, e)
+            _same_fit(dp_fit(xe, p), dp_fit(x, p), e)
+            if e > 0:
+                with pytest.raises(ValidationError, match="overflow"):
+                    dp_fit(np.ldexp(y, e), p)
+            else:
+                assert dp_fit(np.ldexp(y, e), p).knots == dp_fit(y, p).knots
+
+    @pytest.mark.parametrize("e", _EXPONENTS)
+    @pytest.mark.parametrize("d, d0", [(1, 0), (2, 1), (1, -1)])
+    def test_exhaustive_fit(self, e, d, d0):
+        p = ModelParams(d=d, d0=d0, k=3, n=30)
+        for seed in range(2):
+            y = _jump_noise(30, seed)
+            x, xe = self._pair(y, e)
+            _same_fit(exhaustive_fit(xe, p), exhaustive_fit(x, p), e)
+            if e < 0:
+                assert exhaustive_fit(np.ldexp(y, e), p).knots == \
+                    exhaustive_fit(y, p).knots
+
+    @pytest.mark.parametrize("e", _EXPONENTS)
+    @pytest.mark.parametrize("d0, solver", [(-1, "dp"), (-1, "exhaustive"),
+                                            (0, None)])
+    def test_adaptive_fit(self, e, d0, solver):
+        """sigma scales with y, so every penalty scales by 4^e too."""
+        n = 30
+        params = ModelParams(d=1, d0=d0, k=1, n=n)
+        y = _jump_noise(n, 7)
+        x, xe = self._pair(y, e)
+        fits = []
+        for v, sigma in ((x, math.ldexp(1.0, -(e // 2))),
+                         (xe, math.ldexp(1.0, e - e // 2))):
+            spec = PenaltySpec(tau=1.0, sigma=sigma, d=1, d0=d0, n=n)
+            fits.append(adaptive_fit(v, params, spec, k_max=4,
+                                     solver=solver, with_trace=True))
+        (ref, ref_trace), (fit, trace) = fits
+        _same_fit(fit, ref, e)
+        assert [row[1] for row in trace] == [
+            math.ldexp(row[1], 2 * e) for row in ref_trace]
+
+    @pytest.mark.parametrize("e", _EXPONENTS)
+    @pytest.mark.parametrize("d, d0, k", [(0, -1, 2), (0, -1, 3),
+                                          (1, 0, 3), (0, -1, 4)])
+    def test_complexity_width(self, e, d, d0, k):
+        """The d = 0 prefix-sum scans (k = 2, 3) and the enumeration."""
+        p = ModelParams(d=d, d0=d0, k=k, n=40)
+        for seed in range(3):
+            x, xe = self._pair(
+                np.random.default_rng(seed).standard_normal(40), e)
+            assert complexity_width(xe, p) == math.ldexp(
+                complexity_width(x, p), 2 * e)
+
+    @pytest.mark.parametrize("e", _EXPONENTS)
+    def test_shape_lse(self, e):
+        for seed in range(3):
+            x, xe = self._pair(_jump_noise(20, seed), e)
+            fit, ref = shape_lse(xe, 1, 3), shape_lse(x, 1, 3)
+            _same_fit(fit, ref, e)
+            assert fit.canonical.j_star == ref.canonical.j_star
+            assert fit.canonical.b == tuple(
+                np.ldexp(ref.canonical.b, e).tolist())
 
 
 class TestFitResultInvariants:

@@ -32,8 +32,11 @@ compare a working tree with its parent commit:
     python tools/identity.py diff parent.json change.json
 
 `diff` lists every key whose digests differ, or that one file
-lacks, and exits 1 if there is any.  Digests depend on the numpy and
-BLAS build, so compare only files written on one machine.
+lacks, then counts them by kind and, within a kind, by field: the seven
+normal-range kinds first, then the extreme ones (EXTREME), whose
+squares underflow or overflow.  It exits 1 if any key differs.  Digests
+depend on the numpy and BLAS build, so compare only files written on one
+machine.
 
 The grid: d = 0..6; n = d+1..69, 160, 161, 401 and 999; k = 1, 2, 3, 4
 and 6; ten kinds of series, seeded by (d, n).  That is 24,500 keys, 7,770
@@ -45,6 +48,7 @@ tests/test_identity_tool.py runs the few keys of SMOKE.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import io
@@ -60,9 +64,11 @@ import numpy as np
 
 KINDS = ("noise", "zero", "rounded", "offset", "constant", "poly", "tiny",
          "alternating", "huge151", "huge153")
+# the kinds whose squares underflow or overflow
+EXTREME = ("tiny", "huge151", "huge153")
 KS = (1, 2, 3, 4, 6)
 # one key per path of the forward pass: the k = 2 screen, the blocks, the
-# zero residual, the screen giving up, a refusal, and several blocks
+# zero residual, the screen giving up, overflowing costs, and several blocks
 # through the einsum and the complex moment pairs (d >= 2); and the
 # shape fit's pooling path (d = 0, k >= n)
 SMOKE = (("noise", 1, 40, 2), ("noise", 2, 30, 3), ("zero", 2, 30, 4),
@@ -202,6 +208,28 @@ def differing(a: dict, b: dict) -> list:
     return rows
 
 
+def summary(rows) -> list:
+    """Lines counting the keys of rows (from differing) by kind, each with
+    its count per field: the normal-range kinds, then EXTREME."""
+    keys, fields = collections.Counter(), collections.defaultdict(
+        collections.Counter)
+    for key, names in rows:
+        kind = key.split("/")[0]
+        keys[kind] += 1
+        fields[kind].update(names)
+    lines = []
+    normal = [kind for kind in KINDS if kind not in EXTREME]
+    for title, kinds in (("normal-range", normal), ("extreme", EXTREME)):
+        lines.append(f"{title} kinds: {sum(keys[k] for k in kinds)} keys "
+                     f"differ")
+        for kind in kinds:
+            counts = ", ".join(f"{name} {count}" for name, count
+                               in sorted(fields[kind].items()))
+            lines.append(f"  {kind}: {keys[kind]}"
+                         + (f" ({counts})" if counts else ""))
+    return lines
+
+
 def _extract(repo: str, rev: str, into: str) -> None:
     """Extract `git archive rev` of the repository at repo into a
     directory."""
@@ -232,11 +260,11 @@ def _main(argv=None) -> int:
                 src = os.path.join(tmp, "src")
             sys.path.insert(0, src)
             digests = write(grid())
-        refused = sum(": " in v["table"] for v in digests.values())
+        refused = sum(": " in v["dp_fit"] for v in digests.values())
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump({"numpy": np.__version__, "keys": digests}, fh,
                       indent=0)
-        print(f"{len(digests)} keys, {refused} tables refused -> {args.out}")
+        print(f"{len(digests)} keys, {refused} dp fits refused -> {args.out}")
         return 0
     with open(args.first, encoding="utf-8") as fh:
         a = json.load(fh)["keys"]
@@ -245,6 +273,7 @@ def _main(argv=None) -> int:
     rows = differing(a, b)
     for key, fields in rows:
         print(f"{key}: {', '.join(fields)}")
+    print(*summary(rows), sep="\n")
     print(f"{len(rows)} of {len({*a, *b})} keys differ")
     return 1 if rows else 0
 
