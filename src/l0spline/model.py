@@ -456,22 +456,26 @@ def _unit(y: np.ndarray) -> tuple:
     Every least squares class here is closed under scaling, and scaling
     by a power of two is exact for normal floats, so each cost of the
     unit series is 4^-e times that of y, bit for bit, and no argmin moves.
-    The solvers search on it, where no cost overflows and only negligible
-    ones underflow, and take their results back with _scaled."""
+    Every solver computes on it, where no cost overflows and only
+    negligible ones underflow, and takes its results back once with
+    _scaled."""
     e = math.frexp(float(np.abs(y).max(initial=0.0)))[1]
     return np.ldexp(y, -e), e
 
 
-def _scaled(x, e: int = 0, what: str = "y"):
+def _scaled(x, e: int, what: str = "y"):
     """x 2^e elementwise, exact, refused, naming the input as what, where
-    it overflows: a fit's values and weights at e, its SSE or a width at
-    2 e.  The one refusal of a result that overflows.  The check comes
-    first, on the largest magnitude's exponent, so no scaling overflows."""
-    top = float(np.abs(x).max(initial=0.0))
+    it overflows: a fit's values, coefficients and weights at e, its SSE
+    or a width at 2 e.  The one refusal of a result that overflows.  The
+    check comes first, on the largest magnitude's exponent, so no
+    scaling overflows.  A float takes math's ldexp, the same C ldexp
+    without numpy's scalar overhead, a few microseconds per SSE."""
+    scalar = isinstance(x, float)
+    top = abs(x) if scalar else float(np.abs(x).max(initial=0.0))
     if not (top == 0.0 or top < math.inf and math.frexp(top)[1] + e <= 1024):
         raise ValidationError(f"least squares costs of {what} overflow; "
                               f"rescale {what} to a smaller magnitude")
-    return np.ldexp(x, e)
+    return math.ldexp(x, e) if scalar else np.ldexp(x, e)
 
 
 def check_membership(theta, params: ModelParams, tol: float = 1e-8,
@@ -482,7 +486,9 @@ def check_membership(theta, params: ModelParams, tol: float = 1e-8,
     each set whose screened cost admits a hit, and accepts on the first
     configuration in lexicographic order reproducing theta to within tol
     in every coordinate.  Returns (True, witness spline) or
-    (False, None).  Refuses NaN and inf entries.
+    (False, None).  Every solve is on the unit series (_unit), against
+    tol at its scale, and the witness is scaled back (_scaled).  Refuses
+    NaN and inf entries.
     Raises BudgetExceededError when the enumeration would visit more
     configurations than the budget allows.
     """
@@ -500,12 +506,12 @@ def check_membership(theta, params: ModelParams, tol: float = 1e-8,
     for knots in screen.within(n * t * t + screen.tol):
         kv = KnotVector(knots, d)
         X = raw_basis(n, d, d0, kv.distinct())
-        coef, _, _, _ = np.linalg.lstsq(X, theta, rcond=None)
-        fit = X @ coef
-        if np.max(np.abs(fit - theta)) <= tol:
+        coef, _, _, _ = np.linalg.lstsq(X, unit, rcond=None)
+        if np.max(np.abs(X @ coef - unit)) <= t:
             local = local_coefficients_from_truncated_power(
                 KnotVector(kv.distinct(), d), d0, coef)
-            return True, _on_pieces(kv, local.coeffs)
+            return True, _on_pieces(kv, _scaled(np.array(local.coeffs), e,
+                                                "theta"))
     return False, None
 
 

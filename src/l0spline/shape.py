@@ -20,7 +20,6 @@ import numpy as np
 from .errors import NonConvergenceError, ValidationError
 from .model import (
     DEFAULT_BUDGET,
-    _SCREEN_TOL,
     _check_budget,
     _chunk_buffer,
     _finite,
@@ -191,14 +190,14 @@ def nnls_activeset(A: np.ndarray, y: np.ndarray,
     """min ||y - A g||^2 subject to g >= 0.
 
     Classic active-set iteration (Lawson & Hanson 1974).  An infeasible
-    solve steps to the boundary: the active variables whose step ratio
-    attains the step (the blockers) leave the active set, and every other
-    stays while it is positive.  Terminates when every inactive dual
-    coordinate is <= _DUAL_TOL * ||y|| * max_j ||A_j||.  No threshold is
-    absolute, so rescaling y by a power of two rescales g and nothing
-    else, as long as ||y||^2 neither overflows nor underflows (shape_lse
-    solves on the unit series, _unit); raises NonConvergenceError after
-    100 * n_variables iterations.
+    solve steps to the boundary (_boundary_step): the active variables
+    whose step ratio attains the step (the blockers) leave the active
+    set, and every other stays while it is positive.  Terminates when
+    every inactive dual coordinate is <= _DUAL_TOL * ||y|| * max_j
+    ||A_j||.  No threshold is absolute, so rescaling y by a power of two
+    rescales g and nothing else, as long as ||y||^2 neither overflows
+    nor underflows (shape_lse solves on the unit series, _unit); raises
+    NonConvergenceError after 100 * n_variables iterations.
     """
     n, m = A.shape
     if max_iter is None:
@@ -228,17 +227,8 @@ def nnls_activeset(A: np.ndarray, y: np.ndarray,
                 g = np.zeros(m)
                 g[active] = z
                 break
-            # step to the boundary: the blockers, whose step ratio is the
-            # least, leave, and so does any variable the step rounds to 0
-            gp = g[active]
-            denom = gp - z
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(z <= 0, np.where(denom > 0, gp / denom, 0.0),
-                                  np.inf)
-            alpha = float(np.min(ratios))
-            gp = gp + alpha * (z - gp)
-            g = np.zeros(m)
-            g[active] = np.where((ratios > alpha) & (gp > 0.0), gp, 0.0)
+            # g is zero off the active set
+            g[active] = _boundary_step(g[active], z)
             active = [j for j in active if g[j] > 0]
         resid = y - A @ g
         w = A.T @ resid
@@ -254,14 +244,14 @@ def _nnls_screen(F: np.ndarray, y: np.ndarray, idx: np.ndarray,
     nnls_activeset then runs on every row in lockstep, one boolean mask
     per row, with the same rules: the largest dual enters first, ties go
     to the smallest index, an infeasible step moves to the boundary and
-    drops the blockers and every variable it leaves at zero or below,
-    and a row stops when every inactive dual is <= _DUAL_TOL * ||y|| *
-    (the largest norm of its gathered columns), the KKT tolerance
-    nnls_activeset takes on those columns.  The masked
+    drops the blockers and every variable it leaves at zero or below
+    (_boundary_step), and a row stops when every inactive dual is
+    <= _DUAL_TOL * ||y|| * (the largest norm of its gathered columns),
+    the KKT tolerance nnls_activeset takes on those columns.  The masked
     normal equations R_A' R_A z = R_A' c are solved batched; the score
     ||c - R g||^2 is computed directly, so an error in z enters it only
-    at second order.  Raises NonConvergenceError when a row needs
-    more than max_iter (default 100 k) solves.
+    at second order.  Raises NonConvergenceError when a row needs more
+    than max_iter (default 100 k) solves.
     """
     n = y.size
     pairs, k = idx.shape
@@ -315,22 +305,28 @@ def _nnls_screen(F: np.ndarray, y: np.ndarray, idx: np.ndarray,
         done = live[feasible]
         g[done] = np.where(A[feasible], z[feasible], 0.0)
         solving[done] = False
-        # step to the boundary: the blockers, whose step ratio is the
-        # least, leave, and so does any variable the step rounds to 0
         bad = ~feasible
         if bad.any():
             stepped = live[bad]
-            gp, zb, Ab = g[stepped], z[bad], A[bad]
-            denom = gp - zb
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(Ab & (zb <= 0), np.where(
-                    denom > 0, gp / denom, 0.0), np.inf)
-            alpha = ratios.min(axis=1)[:, None]
-            gp = gp + alpha * (zb - gp)
-            g[stepped] = np.where((ratios > alpha) & (gp > 0.0), gp, 0.0)
+            g[stepped] = _boundary_step(g[stepped], z[bad], A[bad])
             active[stepped] = g[stepped] > 0
     r = c - _matvec(R, g)
     return np.einsum("pi,pi->p", r, r) + Ra[:, k, k] ** 2
+
+
+def _boundary_step(g: np.ndarray, z: np.ndarray, solved=True) -> np.ndarray:
+    """Lawson and Hanson's step from the feasible g toward the solve z,
+    infeasible on the variables solved (a mask; default every one), over
+    the last axis: to the boundary, where the blockers, whose step ratio
+    is the least, leave, and every other variable stays while positive.
+    Returns the new g, zero wherever it left."""
+    denom = g - z
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(solved & (z <= 0),
+                          np.where(denom > 0, g / denom, 0.0), np.inf)
+    alpha = ratios.min(axis=-1, keepdims=True)
+    g = g + alpha * (z - g)
+    return np.where((ratios > alpha) & (g > 0.0), g, 0.0)
 
 
 def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -518,14 +514,14 @@ def shape_lse(y, d: int, k: int,
     spline cost, its _KnotScreen score, bounds it from below.  The sets'
     cones are screened (_nnls_screen) in increasing score,
     _PAIR_CHUNK // (k + 1) sets per chunk, until a chunk's least score
-    exceeds the least cone cost so far (the incumbent) by more than
-    tol = _SCREEN_TOL * ||y||^2.  The sets' cones read one block of
-    right hinges at knots 0..n, projected once per call.  Each set whose
-    cone screens within tol of the incumbent expands into every knot
-    vector that realizes it times every pivot; those pairs are screened
-    on one hinge block (_hinge_block) built at the distinct knots of the
-    expanded vectors alone, and _rescore refits the ones scored near the
-    best, each on its k columns gathered from that block.
+    exceeds the least cone cost so far (the incumbent) by more than the
+    screen's tol = _SCREEN_TOL * ||y||^2.  The sets' cones read one
+    block of right hinges at knots 0..n, projected once per call.  Each
+    set whose cone screens within tol of the incumbent expands into
+    every knot vector that realizes it times every pivot; those pairs
+    are screened on one hinge block (_hinge_block) built at the distinct
+    knots of the expanded vectors alone, and _rescore refits the ones
+    scored near the best, each on its k columns gathered from that block.
 
     The pruning is exact.  With eps the screens' rounding (about
     1e-12 ||y||^2 at d <= 3), the winning pair costs the least cone cost
@@ -545,7 +541,6 @@ def shape_lse(y, d: int, k: int,
     if n < d + 1:
         raise ValidationError(
             f"need n >= d+1 = {d + 1} points for a degree-{d} fit, got {n}")
-    tol = _SCREEN_TOL * float(y @ y)
     if d == 0 and k >= n:
         theta = _isotonic_blocks(y)
         resid = y - theta
@@ -557,6 +552,7 @@ def shape_lse(y, d: int, k: int,
     cone = _ConeProblem(y, d)
     H, y_set = cone.set_cone()
     screen = _KnotScreen(y, d, d - 1, k)
+    tol = screen.tol
     order = np.argsort(screen.score, kind="stable")
     step = max(1, _PAIR_CHUNK // (k + 1))
     cost = np.full(order.size, np.inf)

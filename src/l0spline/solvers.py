@@ -324,44 +324,48 @@ class _SegmentSweeper:
 # fitting at fixed knots
 # ---------------------------------------------------------------------------
 
-@np.errstate(over="ignore", invalid="ignore")
-def _fit_at(y: np.ndarray, d: int, d0: int, knots) -> FitResult:
-    """Least squares fit at one knot vector, with coeffs in per-piece local
-    storage aligned to the given vector.  Refuses a fit whose SSE
-    overflows (_scaled), as it does where the fitted values do."""
-    n = y.size
+def _fit_at(unit: np.ndarray, e: int, d: int, d0: int, knots) -> FitResult:
+    """Least squares fit of y at one knot vector, with coeffs in per-piece
+    local storage aligned to the given vector, from its unit series
+    unit = y 2^-e (_unit): the fit there, with the fitted values and
+    coefficients times 2^e and the SSE times 4^e, refused where one of
+    them overflows (_scaled)."""
+    n = unit.size
     kv = KnotVector(tuple(knots), d)
     distinct = kv.distinct()
     if d0 == -1:
         # each piece in its own well-conditioned (j/L)^l basis, rescaled to
         # local storage on (j/n)^l
-        spline = _on_pieces(kv, [
-            segment_cost(y[lo:hi], d)[1] * (n / (hi - lo)) ** np.arange(d + 1)
-            for lo, hi in zip(distinct, distinct[1:])])
-        theta = evaluate_spline(spline)
+        coeffs = np.array([segment_cost(unit[lo:hi], d)[1]
+                           * (n / (hi - lo)) ** np.arange(d + 1)
+                           for lo, hi in zip(distinct, distinct[1:])])
+        theta = evaluate_spline(_on_pieces(kv, coeffs.tolist()))
     else:
         X = raw_basis(n, d, d0, distinct)
-        coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=_RCOND)
+        coef, _, rank, _ = np.linalg.lstsq(X, unit, rcond=_RCOND)
         if rank < X.shape[1]:
             raise DegenerateSystemError(
                 f"design with knots {distinct} has rank {rank} < {X.shape[1]}")
         theta = X @ coef
-        spline = _on_pieces(kv, local_coefficients_from_truncated_power(
-            KnotVector(distinct, d), d0, coef).coeffs)
-    resid = y - theta
-    sse = float(_scaled(resid @ resid))
-    return FitResult(SignalVector(theta), kv, spline.coeffs, sse)
+        coeffs = local_coefficients_from_truncated_power(
+            KnotVector(distinct, d), d0, coef).coeffs
+    resid = unit - theta
+    # rows as lists here and above: a spline takes Python floats faster
+    # than numpy's
+    spline = _on_pieces(kv, _scaled(np.array(coeffs), e).tolist())
+    return FitResult(SignalVector(_scaled(theta, e)), kv, spline.coeffs,
+                     float(_scaled(resid @ resid, 2 * e)))
 
 
 def fit_given_knots(y, params: ModelParams, knots) -> FitResult:
     """Project y onto the span of the class members with these knots.
     Refuses a fit whose SSE overflows."""
-    y = _finite(y, "y", params.n)
+    unit, e = _unit(_finite(y, "y", params.n))
     kv = validate_knots(knots, params.d, params.n)
     if kv.k != params.k:
         raise ValidationError(
             f"knot vector has {kv.k} pieces, params expect {params.k}")
-    return _fit_at(y, params.d, params.d0, kv.knots)
+    return _fit_at(unit, e, params.d, params.d0, kv.knots)
 
 
 # ---------------------------------------------------------------------------
@@ -515,12 +519,12 @@ def _backtrack(table: tuple, k: int) -> tuple:
     return tuple(knots)
 
 
-def _dp_knots(y: np.ndarray, d: int, k: int):
+def _dp_knots(unit: np.ndarray, d: int, k: int):
     """_backtrack over one _dp_table of the unit series (_unit) for every
     piece count up to k.  No knot vector has more than n // (d+1)
     nonempty pieces, so the table stops at that many rows."""
-    return partial(_backtrack, _dp_table(_unit(y)[0], d,
-                                         min(k, y.size // (d + 1))))
+    return partial(_backtrack, _dp_table(unit, d,
+                                         min(k, unit.size // (d + 1))))
 
 
 def dp_fit(y, params: ModelParams) -> FitResult:
@@ -542,14 +546,15 @@ def dp_fit(y, params: ModelParams) -> FitResult:
     sweeps no segment again and the knots do not depend on the path.
     Ties are resolved to the lexicographically smallest knot vector: at
     each step an empty piece first, then the nearest split.  The search
-    runs on the unit series (_unit) and the refit on y, so the knots do
-    not depend on the scale of y.  Refuses d0 != -1, and d > 6, where the
-    table's costs drift from the refit, and a fit whose SSE overflows.
+    and the refit run on the unit series (_unit), and the fit is scaled
+    back once (_fit_at), so the knots do not depend on the scale of y.
+    Refuses d0 != -1, and d > 6, where the table's costs drift from the
+    refit, and a fit whose SSE overflows.
     """
     _solver_for(params, "dp")
-    y = _finite(y, "y", params.n)
-    knots = _dp_knots(y, params.d, params.k)(params.k)
-    return _fit_at(y, params.d, -1, knots)
+    unit, e = _unit(_finite(y, "y", params.n))
+    knots = _dp_knots(unit, params.d, params.k)(params.k)
+    return _fit_at(unit, e, params.d, -1, knots)
 
 
 def _knot_cost(y: np.ndarray, d: int, d0: int):
@@ -581,16 +586,16 @@ def exhaustive_fit(y, params: ModelParams,
     The first strictly best configuration in lexicographic order wins, so
     ties go to the lexicographically smallest knot vector.  Every distinct
     knot set is screened once (_KnotScreen) and only the sets near the
-    best are costed one by one (_KnotScreen.best, _knot_cost), both on the
-    unit series (_unit); the refit is on y.  Refuses a fit whose SSE
-    overflows, like the dynamic program.
+    best are costed one by one (_KnotScreen.best, _knot_cost), and the
+    winner is refit, all on the unit series (_unit); the fit is scaled
+    back once (_fit_at).  Refuses a fit whose SSE overflows, like the
+    dynamic program.
     """
-    y = _finite(y, "y", params.n)
+    unit, e = _unit(_finite(y, "y", params.n))
     n, d, d0, k = params.n, params.d, params.d0, params.k
     _check_budget(count_knot_vectors(n, k, d), budget)
-    unit = _unit(y)[0]
     knots = _KnotScreen(unit, d, d0, k).best(_knot_cost(unit, d, d0), k)
-    return _fit_at(y, d, d0, knots)
+    return _fit_at(unit, e, d, d0, knots)
 
 
 def _solver_for(params: ModelParams, solver: str | None) -> str:
@@ -636,8 +641,9 @@ def adaptive_fit(y, params: ModelParams, spec: PenaltySpec,
     at n // (d+1) below it (_dp_knots), read by _backtrack; the
     exhaustive solver screens every knot set once (_KnotScreen), read by
     _KnotScreen.best, both on the unit series (_unit).  Every k is refit
-    on y at the knots it reads, exactly as dp_fit or exhaustive_fit at k
-    would be, and refused where its SSE overflows.
+    there at the knots it reads and scaled back (_fit_at), exactly as
+    dp_fit or exhaustive_fit at k would be, and refused where its SSE
+    overflows.
     The exhaustive solver checks the budget at every k in turn before it
     screens, so a refusal names the first count over it.  Refuses a
     penalty that overflows at any k, before any solve; k_max outside
@@ -656,7 +662,7 @@ def adaptive_fit(y, params: ModelParams, spec: PenaltySpec,
                 f"have {name}={getattr(params, name)}")
     solver = _solver_for(params, solver)
 
-    y = _finite(y, "y", params.n)
+    unit, e = _unit(_finite(y, "y", params.n))
     pens = [penalty(k, spec) for k in range(1, k_max + 1)]
     for k, pen in enumerate(pens, start=1):
         if not math.isfinite(pen):
@@ -665,16 +671,15 @@ def adaptive_fit(y, params: ModelParams, spec: PenaltySpec,
                 f"sigma, or k_max")
     d, d0 = params.d, params.d0
     if solver == "dp":
-        knots = _dp_knots(y, d, k_max)
+        knots = _dp_knots(unit, d, k_max)
     else:
         for k in range(1, k_max + 1):
             _check_budget(count_knot_vectors(params.n, k, d), budget)
-        unit = _unit(y)[0]
         knots = partial(_KnotScreen(unit, d, d0, k_max).best,
                         _knot_cost(unit, d, d0))
     fits, trace = [], []
     for k, pen in enumerate(pens, start=1):
-        fits.append(_fit_at(y, d, d0, knots(k)))
+        fits.append(_fit_at(unit, e, d, d0, knots(k)))
         trace.append((k, fits[-1].sse, pen, fits[-1].sse + pen))
     # the first least objective: ties go to the smallest k
     best = fits[min(range(k_max), key=lambda i: trace[i][3])]

@@ -1,6 +1,7 @@
 """tools/identity.py on its smoke keys: the digests are reproducible,
-refusals are recorded, and the diff lists every key that differs and
-counts them by kind and field."""
+refusals are recorded, the d0 >= 0 refit is digested at the dynamic
+program's knots, and the diff lists every key that differs and counts
+them by kind and field."""
 
 import hashlib
 import importlib.util
@@ -25,6 +26,13 @@ def test_smoke_digests():
     for (kind, d, n, k), digest in zip(identity.SMOKE, first.values()):
         assert ("exhaustive" in digest) == (k <= 3 and n <= 40)
         assert ("shape" in digest) == (d <= 3 and k <= 3 and n <= 40)
+        assert ("given" in digest) == (d >= 1)
+        if d:
+            # the d0 = d - 1 refit at the dynamic program's knots: it
+            # joins the pieces of noise, and zeros fit in one piece
+            knots = digest["dp_fit"].split(")")[0] + ")"
+            assert digest["given"].startswith(knots + " ")
+            assert (digest["given"] == digest["dp_fit"]) == (kind == "zero")
         if kind == "huge153":
             # the costs of y overflow in the table of y, but the fit
             # searches the unit series: the knots of the noise unscaled
@@ -69,6 +77,14 @@ def test_smoke_digests():
     assert identity.summary(huge)[-4:] == [
         "extreme kinds: 3 keys differ", "  tiny: 1 (dp_fit 1, shape 1)",
         "  huge151: 0", "  huge153: 2 (dp_fit 1, table 2)"]
+
+
+def test_given_records_the_dp_fit_refusal(tmp_path):
+    """The SSE of 1e153 * noise at n = 401 overflows: dp_fit refuses, and
+    given records its refusal."""
+    digest = identity.digest("huge153", 1, 401, 2, str(tmp_path / "y.csv"))
+    assert digest["dp_fit"].startswith("ValidationError: ")
+    assert digest["given"] == digest["dp_fit"]
 
 
 def test_diff_prints_the_summary_and_keeps_its_exit_code(tmp_path, capsys):

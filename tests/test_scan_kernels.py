@@ -140,7 +140,7 @@ class TestDpOverflow:
                 ref = orc.dp_table_scan(y, d, 4)
             for k in (2, 4):
                 if overflows:
-                    assert _dp_knots(huge, d, k)(k) == \
+                    assert _dp_knots(y, d, k)(k) == \
                         orc.dp_backtrack(ref, k), d
                     with pytest.raises(ValidationError, match="overflow"):
                         dp_fit(huge, ModelParams(d=d, d0=-1, k=k, n=40))

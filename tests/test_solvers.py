@@ -959,22 +959,22 @@ class TestOverflowRefused:
         assert math.isfinite(shape_lse(self._huge(1e150, 30), d, k).sse)
 
     def test_check_membership(self):
-        """Membership screens the unit series, so a member whose squares
-        overflow, or underflow, is still found at a tolerance of its
-        scale, with the same knots and coefficients to rounding; noise
-        stays out."""
+        """Membership screens and solves on the unit series, so a member
+        whose squares overflow, or underflow, is still found at a
+        tolerance of its scale, with the same knots and the coefficients
+        scaled, bit for bit; noise stays out."""
         i = np.arange(1, 21) / 20
         member = 0.3 + i + 2.0 * np.maximum(i - 0.5, 0.0)
         params = ModelParams(d=1, d0=0, k=2, n=20)
         ok, ref = check_membership(member, params)
         assert ok and ref.knots.knots == (0, 10, 20)
-        for e in (600, 540, -540, -600):
+        # at 2^-1000 every entry of the member is still normal
+        for e in (600, 540, -540, -600, -1000):
             ok, got = check_membership(np.ldexp(member, e), params,
                                        tol=math.ldexp(1e-8, e))
             assert ok and got.knots == ref.knots, e
             for c, c0 in zip(got.coeffs, ref.coeffs):
-                np.testing.assert_allclose(np.ldexp(c, -e), c0, rtol=1e-12,
-                                           atol=1e-12)
+                assert np.ldexp(c, -e).tobytes() == np.array(c0).tobytes()
         for theta in (self._huge(1e154), 1e200 * self._huge(1.0, 20)):
             params = ModelParams(d=1, d0=0, k=2, n=theta.size)
             assert check_membership(theta, params) == (False, None)
@@ -1140,13 +1140,22 @@ class TestInvariance:
         _invariance_cases(exhaustive_fit, d, d0, k, 36, range(5))
 
 
-def _same_fit(fit, ref, e):
-    """fit is ref on y 2^e: the same knots, the SSE times 4^e and the
-    fitted values times 2^e, bit for bit."""
+def _values_scaled(fit, ref, e):
+    """fit is ref on y 2^e: the same knots, and each fitted value and each
+    coefficient times 2^e, bit for bit."""
     assert fit.knots == ref.knots
-    assert fit.sse == math.ldexp(ref.sse, 2 * e)
     assert fit.theta_hat.values.tobytes() == \
         np.ldexp(ref.theta_hat.values, e).tobytes()
+    for c, c0 in zip(fit.coeffs, ref.coeffs):
+        assert (c is None) == (c0 is None)
+        if c is not None:
+            assert np.array(c).tobytes() == np.ldexp(c0, e).tobytes()
+
+
+def _same_fit(fit, ref, e):
+    """_values_scaled, and the SSE times 4^e, bit for bit."""
+    _values_scaled(fit, ref, e)
+    assert fit.sse == math.ldexp(ref.sse, 2 * e)
 
 
 # powers of two past which the squares of y ~ 1 overflow (+) or underflow
@@ -1155,8 +1164,8 @@ _EXPONENTS = (540, -540, 600, -600)
 
 
 class TestPowerOfTwoScale:
-    """Every solver searches on the unit series y 2^-e (model._unit), so
-    the fit of x 2^e is that of x scaled (_same_fit), with x = y 2^-(e/2)
+    """Every solver fits on the unit series y 2^-e (model._unit), so the
+    fit of x 2^e is that of x scaled (_same_fit), with x = y 2^-(e/2)
     so that both fits are representable.  On y itself the knots found
     do not move, and a fit is refused only where its SSE overflows."""
 
@@ -1233,6 +1242,66 @@ class TestPowerOfTwoScale:
             assert fit.canonical.b == tuple(
                 np.ldexp(ref.canonical.b, e).tolist())
 
+
+
+class TestNormalRangeScale:
+    """x = y 2^-1000 keeps every entry normal, so it has y's unit series
+    (model._unit), and every fit of x is that of y, fit there and scaled
+    back once by its own power of two: the knots, fitted values and
+    coefficients of x are those of y times 2^-1000, bit for bit
+    (_values_scaled).  The SSE of x underflows, so it is not compared."""
+
+    @staticmethod
+    def _pair(seed, n):
+        y = _jump_noise(n, seed)
+        x = np.ldexp(y, -1000)
+        assert np.all(np.abs(x) >= np.finfo(float).tiny)
+        return y, x
+
+    @pytest.mark.parametrize("d, k", [(0, 3), (1, 3), (2, 2), (3, 4)])
+    def test_dp_fit(self, d, k):
+        p = ModelParams(d=d, d0=-1, k=k, n=40)
+        for seed in range(3):
+            y, x = self._pair(seed, 40)
+            _values_scaled(dp_fit(x, p), dp_fit(y, p), -1000)
+
+    @pytest.mark.parametrize("d, d0", [(1, 0), (2, 1), (1, -1), (0, -1)])
+    def test_exhaustive_fit(self, d, d0):
+        p = ModelParams(d=d, d0=d0, k=3, n=30)
+        for seed in range(3):
+            y, x = self._pair(seed, 30)
+            _values_scaled(exhaustive_fit(x, p), exhaustive_fit(y, p), -1000)
+
+    @pytest.mark.parametrize("d, d0", [(1, 0), (2, 1), (1, -1), (3, 2)])
+    def test_fit_given_knots(self, d, d0):
+        """An empty piece included."""
+        p = ModelParams(d=d, d0=d0, k=4, n=40)
+        for seed in range(3):
+            y, x = self._pair(seed, 40)
+            for knots in ((0, 13, 27, 31, 40), (0, 16, 16, 31, 40)):
+                _values_scaled(fit_given_knots(x, p, knots),
+                               fit_given_knots(y, p, knots), -1000)
+
+    @pytest.mark.parametrize("d0, solver", [(-1, "dp"), (-1, "exhaustive"),
+                                            (0, None)])
+    def test_adaptive_fit(self, d0, solver):
+        """sigma scales with y.  Every SSE and penalty of x underflows to
+        0.0, so k = 1 wins there by the tie rule; tau is large enough that
+        it wins on y too.  Each SSE of x is that of y times 4^-1000,
+        rounded once."""
+        n = 30
+        params = ModelParams(d=1, d0=d0, k=1, n=n)
+        for seed in range(3):
+            fits = []
+            for v, sigma in zip(self._pair(seed, n), (1.0, 2.0 ** -1000)):
+                spec = PenaltySpec(tau=1e3, sigma=sigma, d=1, d0=d0, n=n)
+                fits.append(adaptive_fit(v, params, spec, k_max=4,
+                                         solver=solver, with_trace=True))
+            (ref, ref_trace), (fit, trace) = fits
+            assert ref.k_selected == 1
+            _values_scaled(fit, ref, -1000)
+            assert [row[1] for row in trace] == [
+                math.ldexp(row[1], -2000) for row in ref_trace]
 
 class TestFitResultInvariants:
     def test_sse_recomputable(self):

@@ -1,4 +1,4 @@
-"""Byte-identity digests of the d0 = -1 DP and shape fit over a seeded grid.
+"""Byte-identity digests of the DP, its refits and the shape fit on a grid.
 
 Usage:
 
@@ -11,11 +11,15 @@ REV` of this script's repository, extracted into a temporary directory.
 It records one digest per key (kind, d, n, k):
 
 - `table`: sha256 of the C and nxt bytes of `_dp_table(y, d, k)`;
-- `dp_fit`: its knots, SSE as `float.hex` and sha256 of the theta-hat
-  bytes;
+- `dp_fit`: its knots, SSE as `float.hex`, sha256 of the theta-hat
+  bytes and sha256 of the repr of its per-piece coefficients;
 - `exhaustive`, at k <= 3 and n <= 40 only: the same of
   `exhaustive_fit(y, ModelParams(d, -1, k, n))`, the oracle the dynamic
   program is tested against;
+- `given`, at d >= 1 only: the same of `fit_given_knots(y,
+  ModelParams(d, d - 1, k, n), knots)` at the `dp_fit` knots, the
+  refit of a class with d0 >= 0, or `dp_fit`'s refusal where it
+  refused;
 - `fit` and `adapt`: the exit code and sha256 of stdout and stderr of
   `l0spline fit --solver dp --k k` and `l0spline adapt --solver dp
   --k-max k --sigma 1`, run in process on the series written as a file;
@@ -40,8 +44,8 @@ machine.
 
 The grid: d = 0..6; n = d+1..69, 160, 161, 401 and 999; k = 1, 2, 3, 4
 and 6; ten kinds of series, seeded by (d, n).  That is 24,500 keys, 7,770
-of them with an `exhaustive` field and 4,620 with a `shape` field; a
-`write` takes about 4 minutes on one core.
+of them with an `exhaustive` field, 20,850 with a `given` field and
+4,620 with a `shape` field; a `write` takes about 4 minutes on one core.
 tests/test_identity_tool.py runs the few keys of SMOKE.
 """
 
@@ -117,6 +121,13 @@ def _refusal(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+def _fit(fit) -> str:
+    """The digest of one FitResult."""
+    return (f"{fit.knots.knots} {float(fit.sse).hex()} "
+            f"{_sha(fit.theta_hat.values.tobytes())} "
+            f"{_sha(repr(fit.coeffs).encode())}")
+
+
 def _cli(main, argv) -> str:
     """Exit code and digests of stdout and stderr of one command.  The
     warnings filters are set afresh, so each command warns as it would in
@@ -138,7 +149,8 @@ def digest(kind: str, d: int, n: int, k: int, path: str) -> dict:
     from l0spline import ModelParams
     from l0spline.cli import main
     from l0spline.shape import shape_lse
-    from l0spline.solvers import _dp_table, dp_fit, exhaustive_fit
+    from l0spline.solvers import (_dp_table, dp_fit, exhaustive_fit,
+                                  fit_given_knots)
 
     y = series(kind, d, n)
     params = ModelParams(d=d, d0=-1, k=k, n=n)
@@ -152,13 +164,22 @@ def digest(kind: str, d: int, n: int, k: int, path: str) -> dict:
         solvers = {"dp_fit": dp_fit}
         if k <= 3 and n <= 40:
             solvers["exhaustive"] = exhaustive_fit
+        fits = {}
         for name, solve in solvers.items():
             try:
-                fit = solve(y, params)
-                out[name] = (f"{fit.knots.knots} {float(fit.sse).hex()} "
-                             f"{_sha(fit.theta_hat.values.tobytes())}")
+                fits[name] = solve(y, params)
+                out[name] = _fit(fits[name])
             except Exception as exc:
                 out[name] = _refusal(exc)
+        if d:
+            out["given"] = out["dp_fit"]
+            if "dp_fit" in fits:
+                try:
+                    out["given"] = _fit(fit_given_knots(
+                        y, ModelParams(d=d, d0=d - 1, k=k, n=n),
+                        fits["dp_fit"].knots.knots))
+                except Exception as exc:
+                    out["given"] = _refusal(exc)
         shaped = d <= 3 and k <= 3 and n <= 40
         if shaped:
             try:
