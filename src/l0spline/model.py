@@ -302,15 +302,19 @@ def evaluate_spline(spline: PiecewiseSpline, n: int | None = None) -> np.ndarray
     if kv.n != n:
         raise ValidationError(
             f"spline is defined on grid {kv.n}, asked to evaluate on {n}")
+    return _sample(kv.distinct(),
+                   [c for c in spline.coeffs if c is not None])
+
+
+def _sample(distinct, rows) -> np.ndarray:
+    """The piecewise polynomial with local coefficients rows[p] on the
+    piece (distinct[p], distinct[p+1]], sampled at x = i/n, i = 1..n,
+    with n = distinct[-1]."""
+    n = distinct[-1]
     out = np.empty(n, dtype=float)
-    for p in range(kv.k):
-        lo, hi = kv.knots[p], kv.knots[p + 1]
-        if lo == hi:
-            continue
-        idx = np.arange(lo + 1, hi + 1)
-        u = (idx - lo) / n
-        c = np.asarray(spline.coeffs[p])
-        out[lo:hi] = np.polynomial.polynomial.polyval(u, c)
+    for lo, hi, c in zip(distinct, distinct[1:], rows):
+        out[lo:hi] = np.polynomial.polynomial.polyval(
+            np.arange(1, hi - lo + 1) / n, c)
     return out
 
 
@@ -468,14 +472,12 @@ def _scaled(x, e: int, what: str = "y"):
     it overflows: a fit's values, coefficients and weights at e, its SSE
     or a width at 2 e.  The one refusal of a result that overflows.  The
     check comes first, on the largest magnitude's exponent, so no
-    scaling overflows.  A float takes math's ldexp, the same C ldexp
-    without numpy's scalar overhead, a few microseconds per SSE."""
-    scalar = isinstance(x, float)
-    top = abs(x) if scalar else float(np.abs(x).max(initial=0.0))
+    scaling overflows."""
+    top = float(np.abs(x).max(initial=0.0))
     if not (top == 0.0 or top < math.inf and math.frexp(top)[1] + e <= 1024):
         raise ValidationError(f"least squares costs of {what} overflow; "
                               f"rescale {what} to a smaller magnitude")
-    return math.ldexp(x, e) if scalar else np.ldexp(x, e)
+    return np.ldexp(x, e)
 
 
 def check_membership(theta, params: ModelParams, tol: float = 1e-8,

@@ -37,10 +37,10 @@ from .model import (
     _detrend,
     _finite,
     _on_pieces,
+    _sample,
     _scaled,
     _unit,
     count_knot_vectors,
-    evaluate_spline,
     local_coefficients_from_truncated_power,
     raw_basis,
     transition_boundary,
@@ -117,7 +117,7 @@ class PenaltySpec:
             raise ValidationError(f"tau and sigma^2 must be finite, got "
                                   f"tau={self.tau}, sigma={self.sigma}")
         # the scale of every penalty
-        if not math.isfinite(self.tau * self.sigma ** 2):
+        if not math.isfinite(self.tau * self.sigma * self.sigma):
             raise ValidationError(f"tau * sigma^2 must be finite, got "
                                   f"tau={self.tau}, sigma={self.sigma}")
         transition_boundary(self.d, self.d0)
@@ -133,10 +133,17 @@ def penalty(k: int, spec: PenaltySpec) -> float:
     k * log(en/k) above k0.  Refuses k outside [1; n]: past n no fit has
     more nonempty pieces, and past e n the penalty is negative.
     """
+    return _penalty(k, spec, spec.sigma)
+
+
+def _penalty(k: int, spec: PenaltySpec, sigma: float) -> float:
+    """penalty(k, spec) with sigma in place of spec.sigma, inf where it
+    overflows.  Every product is rounded in turn, so at sigma 2^-e it is
+    4^-e times the penalty at sigma, bit for bit, where both are normal."""
     if not 1 <= k <= spec.n:
         raise ValidationError(f"k must lie in [1;n] = [1;{spec.n}], got {k}")
     k0 = transition_boundary(spec.d, spec.d0)
-    scale = spec.tau * spec.sigma ** 2
+    scale = spec.tau * sigma * sigma
     if k == 1:
         return scale
     if k <= k0:
@@ -324,22 +331,21 @@ class _SegmentSweeper:
 # fitting at fixed knots
 # ---------------------------------------------------------------------------
 
-def _fit_at(unit: np.ndarray, e: int, d: int, d0: int, knots) -> FitResult:
-    """Least squares fit of y at one knot vector, with coeffs in per-piece
-    local storage aligned to the given vector, from its unit series
-    unit = y 2^-e (_unit): the fit there, with the fitted values and
-    coefficients times 2^e and the SSE times 4^e, refused where one of
-    them overflows (_scaled)."""
+def _fit_at(unit: np.ndarray, d: int, d0: int, knots) -> tuple:
+    """Least squares fit of a unit series (_unit) at one knot vector:
+    (knot vector, fitted values, coefficient rows, SSE), with one row of
+    per-piece local storage for each nonempty piece.  _scaled_fit takes
+    it back to the scale of y."""
     n = unit.size
     kv = KnotVector(tuple(knots), d)
     distinct = kv.distinct()
     if d0 == -1:
         # each piece in its own well-conditioned (j/L)^l basis, rescaled to
         # local storage on (j/n)^l
-        coeffs = np.array([segment_cost(unit[lo:hi], d)[1]
-                           * (n / (hi - lo)) ** np.arange(d + 1)
-                           for lo, hi in zip(distinct, distinct[1:])])
-        theta = evaluate_spline(_on_pieces(kv, coeffs.tolist()))
+        rows = np.array([segment_cost(unit[lo:hi], d)[1]
+                         * (n / (hi - lo)) ** np.arange(d + 1)
+                         for lo, hi in zip(distinct, distinct[1:])])
+        theta = _sample(distinct, rows)
     else:
         X = raw_basis(n, d, d0, distinct)
         coef, _, rank, _ = np.linalg.lstsq(X, unit, rcond=_RCOND)
@@ -347,14 +353,21 @@ def _fit_at(unit: np.ndarray, e: int, d: int, d0: int, knots) -> FitResult:
             raise DegenerateSystemError(
                 f"design with knots {distinct} has rank {rank} < {X.shape[1]}")
         theta = X @ coef
-        coeffs = local_coefficients_from_truncated_power(
-            KnotVector(distinct, d), d0, coef).coeffs
+        rows = np.array(local_coefficients_from_truncated_power(
+            KnotVector(distinct, d), d0, coef).coeffs)
     resid = unit - theta
-    # rows as lists here and above: a spline takes Python floats faster
-    # than numpy's
-    spline = _on_pieces(kv, _scaled(np.array(coeffs), e).tolist())
-    return FitResult(SignalVector(_scaled(theta, e)), kv, spline.coeffs,
-                     float(_scaled(resid @ resid, 2 * e)))
+    return kv, theta, rows, float(resid @ resid)
+
+
+def _scaled_fit(fit: tuple, e: int) -> FitResult:
+    """The fit of y from _fit_at's fit of its unit series y 2^-e: the
+    fitted values and coefficients times 2^e and the SSE times 4^e,
+    refused where one of them overflows (_scaled)."""
+    kv, theta, rows, sse = fit
+    # rows as lists: a spline takes Python floats faster than numpy's
+    return FitResult(SignalVector(_scaled(theta, e)), kv,
+                     _on_pieces(kv, _scaled(rows, e).tolist()).coeffs,
+                     float(_scaled(sse, 2 * e)))
 
 
 def fit_given_knots(y, params: ModelParams, knots) -> FitResult:
@@ -365,7 +378,7 @@ def fit_given_knots(y, params: ModelParams, knots) -> FitResult:
     if kv.k != params.k:
         raise ValidationError(
             f"knot vector has {kv.k} pieces, params expect {params.k}")
-    return _fit_at(unit, e, params.d, params.d0, kv.knots)
+    return _scaled_fit(_fit_at(unit, params.d, params.d0, kv.knots), e)
 
 
 # ---------------------------------------------------------------------------
@@ -547,14 +560,14 @@ def dp_fit(y, params: ModelParams) -> FitResult:
     Ties are resolved to the lexicographically smallest knot vector: at
     each step an empty piece first, then the nearest split.  The search
     and the refit run on the unit series (_unit), and the fit is scaled
-    back once (_fit_at), so the knots do not depend on the scale of y.
+    back once (_scaled_fit), so the knots do not depend on the scale of y.
     Refuses d0 != -1, and d > 6, where the table's costs drift from the
     refit, and a fit whose SSE overflows.
     """
     _solver_for(params, "dp")
     unit, e = _unit(_finite(y, "y", params.n))
     knots = _dp_knots(unit, params.d, params.k)(params.k)
-    return _fit_at(unit, e, params.d, -1, knots)
+    return _scaled_fit(_fit_at(unit, params.d, -1, knots), e)
 
 
 def _knot_cost(y: np.ndarray, d: int, d0: int):
@@ -588,14 +601,14 @@ def exhaustive_fit(y, params: ModelParams,
     knot set is screened once (_KnotScreen) and only the sets near the
     best are costed one by one (_KnotScreen.best, _knot_cost), and the
     winner is refit, all on the unit series (_unit); the fit is scaled
-    back once (_fit_at).  Refuses a fit whose SSE overflows, like the
+    back once (_scaled_fit).  Refuses a fit whose SSE overflows, like the
     dynamic program.
     """
     unit, e = _unit(_finite(y, "y", params.n))
     n, d, d0, k = params.n, params.d, params.d0, params.k
     _check_budget(count_knot_vectors(n, k, d), budget)
     knots = _KnotScreen(unit, d, d0, k).best(_knot_cost(unit, d, d0), k)
-    return _fit_at(unit, e, d, d0, knots)
+    return _scaled_fit(_fit_at(unit, d, d0, knots), e)
 
 
 def _solver_for(params: ModelParams, solver: str | None) -> str:
@@ -635,15 +648,19 @@ def adaptive_fit(y, params: ModelParams, spec: PenaltySpec,
     """Penalized selection of the number of pieces.
 
     Minimizes sse(k) + penalty(k) over k in [1; k_max]; ties go to the
-    smallest k.  sse(k) comes from the solver fit_fixed_k would use, with
-    its refusals.  That solver's search runs once, to k_max, and serves
-    every k: the dynamic program runs dp_fit's forward pass at k_max, or
-    at n // (d+1) below it (_dp_knots), read by _backtrack; the
-    exhaustive solver screens every knot set once (_KnotScreen), read by
-    _KnotScreen.best, both on the unit series (_unit).  Every k is refit
-    there at the knots it reads and scaled back (_fit_at), exactly as
-    dp_fit or exhaustive_fit at k would be, and refused where its SSE
-    overflows.
+    smallest k.  The objective is compared on the unit series (_unit),
+    with sigma 2^-e: 4^-e times that of y, bit for bit, where both are
+    normal, and so neither term underflows where those of y would.  The
+    trace reports each term at the scale of y.  sse(k) comes from the
+    solver fit_fixed_k would use, with its refusals.  That solver's
+    search runs once, to k_max, and serves every k: the dynamic program
+    runs dp_fit's forward pass at k_max, or at n // (d+1) below it
+    (_dp_knots), read by _backtrack; the exhaustive solver screens every
+    knot set once (_KnotScreen), read by _KnotScreen.best, both on the
+    unit series.  Every k is refit there
+    at the knots it reads (_fit_at), exactly as dp_fit or exhaustive_fit
+    at k would be, and refused where its SSE overflows; the fit selected
+    is scaled back (_scaled_fit).
     The exhaustive solver checks the budget at every k in turn before it
     screens, so a refusal names the first count over it.  Refuses a
     penalty that overflows at any k, before any solve; k_max outside
@@ -677,10 +694,18 @@ def adaptive_fit(y, params: ModelParams, spec: PenaltySpec,
             _check_budget(count_knot_vectors(params.n, k, d), budget)
         knots = partial(_KnotScreen(unit, d, d0, k_max).best,
                         _knot_cost(unit, d, d0))
-    fits, trace = [], []
-    for k, pen in enumerate(pens, start=1):
-        fits.append(_fit_at(unit, e, d, d0, knots(k)))
-        trace.append((k, fits[-1].sse, pen, fits[-1].sse + pen))
+    fits = [_fit_at(unit, d, d0, knots(k)) for k in range(1, k_max + 1)]
+    trace = []
+    for k, (fit, pen) in enumerate(zip(fits, pens), start=1):
+        sse = float(_scaled(fit[3], 2 * e))
+        trace.append((k, sse, pen, sse + pen))
+    # sigma 2^-e, kept below 2^1024: where it would pass that, every
+    # penalty dwarfs every SSE of the unit series, bounded or not, unless
+    # tau = 0 and every penalty is 0
+    m, f = math.frexp(spec.sigma)
+    sigma = math.ldexp(m, min(f - e, 1024))
     # the first least objective: ties go to the smallest k
-    best = fits[min(range(k_max), key=lambda i: trace[i][3])]
+    j = min(range(k_max),
+            key=lambda i: fits[i][3] + _penalty(i + 1, spec, sigma))
+    best = _scaled_fit(fits[j], e)
     return (best, trace) if with_trace else best

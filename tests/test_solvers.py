@@ -1243,7 +1243,6 @@ class TestPowerOfTwoScale:
                 np.ldexp(ref.canonical.b, e).tolist())
 
 
-
 class TestNormalRangeScale:
     """x = y 2^-1000 keeps every entry normal, so it has y's unit series
     (model._unit), and every fit of x is that of y, fit there and scaled
@@ -1286,22 +1285,35 @@ class TestNormalRangeScale:
                                             (0, None)])
     def test_adaptive_fit(self, d0, solver):
         """sigma scales with y.  Every SSE and penalty of x underflows to
-        0.0, so k = 1 wins there by the tie rule; tau is large enough that
-        it wins on y too.  Each SSE of x is that of y times 4^-1000,
-        rounded once."""
+        0.0, so the trace of x ties at every k, yet the objective is
+        compared on the unit series, which x and y share, and x selects
+        the k that y does, more than 1 piece on every seed.  Each SSE of
+        x is that of y times 4^-1000, rounded once."""
         n = 30
         params = ModelParams(d=1, d0=d0, k=1, n=n)
         for seed in range(3):
             fits = []
             for v, sigma in zip(self._pair(seed, n), (1.0, 2.0 ** -1000)):
-                spec = PenaltySpec(tau=1e3, sigma=sigma, d=1, d0=d0, n=n)
+                spec = PenaltySpec(tau=1.0, sigma=sigma, d=1, d0=d0, n=n)
                 fits.append(adaptive_fit(v, params, spec, k_max=4,
                                          solver=solver, with_trace=True))
             (ref, ref_trace), (fit, trace) = fits
-            assert ref.k_selected == 1
+            assert ref.k_selected > 1
+            assert {row[3] for row in trace} == {0.0}
             _values_scaled(fit, ref, -1000)
             assert [row[1] for row in trace] == [
                 math.ldexp(row[1], -2000) for row in ref_trace]
+
+    @pytest.mark.parametrize("tau, k", [(0.0, 4), (1.0, 1)])
+    def test_adaptive_fit_sigma_far_above_y(self, tau, k):
+        """sigma 2^-e overflows on x: without a penalty the least SSE wins,
+        as on y; with one the penalty dwarfs every SSE, and k = 1 wins."""
+        y, x = self._pair(0, 40)
+        params = ModelParams(d=1, d0=-1, k=1, n=40)
+        spec = PenaltySpec(tau=tau, sigma=1e100, d=1, d0=-1, n=40)
+        fits = [adaptive_fit(v, params, spec, k_max=4) for v in (y, x)]
+        assert [fit.k_selected for fit in fits] == [k, k]
+
 
 class TestFitResultInvariants:
     def test_sse_recomputable(self):
