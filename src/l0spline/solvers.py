@@ -657,10 +657,9 @@ def adaptive_fit(y, params: ModelParams, spec: PenaltySpec,
     runs dp_fit's forward pass at k_max, or at n // (d+1) below it
     (_dp_knots), read by _backtrack; the exhaustive solver screens every
     knot set once (_KnotScreen), read by _KnotScreen.best, both on the
-    unit series.  Every k is refit there
-    at the knots it reads (_fit_at), exactly as dp_fit or exhaustive_fit
-    at k would be, and refused where its SSE overflows; the fit selected
-    is scaled back (_scaled_fit).
+    unit series.  Every k is refit there at the knots it reads (_fit_at),
+    exactly as dp_fit or exhaustive_fit at k would be, and refused where
+    its SSE overflows; the fit selected is scaled back (_scaled_fit).
     The exhaustive solver checks the budget at every k in turn before it
     screens, so a refusal names the first count over it.  Refuses a
     penalty that overflows at any k, before any solve; k_max outside
