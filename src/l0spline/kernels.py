@@ -19,6 +19,7 @@ from .model import (
     KnotVector,
     ModelParams,
     PiecewiseSpline,
+    _taylor_shift,
     evaluate_spline,
     local_coefficients_from_truncated_power,
     raw_basis,
@@ -368,14 +369,6 @@ def _rational_nullspace(rows, ncols):
     return basis
 
 
-def _poly_add_shifted(poly, coef, tau, ell):
-    """Add coef * (x - tau)^ell to an ascending-coefficient Fraction poly."""
-    out = list(poly)
-    for t in range(ell + 1):
-        out[t] += coef * math.comb(ell, t) * (-tau) ** (ell - t)
-    return out
-
-
 def _poly_eval(poly, x):
     acc = Fraction(0)
     for c in reversed(poly):
@@ -466,11 +459,11 @@ def sparse_construct(d: int, d0: int, k: int) -> SparseSystem:
         knots_int = tuple(int(t * n) for t in tau)
         # accumulate piece polynomials in global coordinates
         poly = [Fraction(0)] * (d + 1)
-        piece_polys = [list(poly)]
+        piece_polys = [poly]
         for j in range(1, k - 1):
-            for t, ell in enumerate(range(d0 + 1, d + 1)):
-                poly = _poly_add_shifted(poly, v[(j - 1) * g + t], tau[j], ell)
-            piece_polys.append(list(poly))
+            block = [0] * (d0 + 1) + list(v[(j - 1) * g: j * g])
+            poly = [a + b for a, b in zip(poly, _taylor_shift(block, -tau[j]))]
+            piece_polys.append(poly)
         # the last knot must absorb the remaining jump exactly
         for r in range(0, d0 + 1):
             if _poly_eval(_poly_derivative(poly, r), t_last) != 0:

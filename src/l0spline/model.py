@@ -380,50 +380,67 @@ def transition_matrix(d: int, d0: int, gap: float) -> np.ndarray:
     return M
 
 
-def _shift_poly(coefs: np.ndarray, delta: float) -> np.ndarray:
-    """Rewrite sum_l c_l u^l in powers of v where u = v + delta."""
-    dd = len(coefs) - 1
-    out = np.zeros_like(np.asarray(coefs, dtype=float))
-    for m in range(dd + 1):
-        acc = 0.0
-        for ell in range(m, dd + 1):
-            acc += math.comb(ell, m) * (delta ** (ell - m)) * coefs[ell]
-        out[m] = acc
+def _taylor_shift(coefs, delta) -> list:
+    """sum_l c_l (v + delta)^l in powers of v: entry m sums
+    (comb(l, m) delta^(l-m)) c_l over l = m..d in that order, starting
+    from the integer 0, which keeps Fractions exact and floats as from
+    0.0."""
+    out = []
+    for m in range(len(coefs)):
+        acc = 0
+        for ell in range(m, len(coefs)):
+            acc += math.comb(ell, m) * delta ** (ell - m) * coefs[ell]
+        out.append(acc)
     return out
+
+
+def _local_rows(knots, n: int, terms) -> list:
+    """Per-piece local storage (PiecewiseSpline.coeffs) of a sum of terms
+    (t, right, c), each the polynomial sum_l c_l (x - t/n)^l, active on
+    the pieces right of knot t (t <= lo) where right, else on those left
+    of it (t >= hi).  A piece's row sums, from 0 and in term order, its
+    active terms shifted to its start lo/n (_taylor_shift); the first
+    term is the polynomial at 0, active on every piece.  Empty pieces
+    get None."""
+    rows = []
+    for lo, hi in zip(knots, knots[1:]):
+        row = None
+        if lo < hi:
+            row = [0] * len(terms[0][2])
+            for t, right, c in terms:
+                if (t <= lo) if right else (t >= hi):
+                    row = [a + b for a, b in
+                           zip(row, _taylor_shift(c, (lo - t) / n))]
+        rows.append(row)
+    return rows
+
+
+def _truncated_power_rows(knots, n: int, d: int, d0: int, g: list) -> list:
+    """_local_rows of truncated power coefficients g, in basis_matrix's
+    column order: the polynomial block at 0, then each inner knot's block
+    of powers d0+1..d, right of the knot."""
+    pad = [0.0] * (d0 + 1)
+    per_knot = d - d0
+    return _local_rows(knots, n, [(0, True, g[:d + 1])] + [
+        (t, True, pad + g[d + 1 + j * per_knot: d + 1 + (j + 1) * per_knot])
+        for j, t in enumerate(knots[1:-1])])
 
 
 def local_coefficients_from_truncated_power(
         knots: KnotVector, d0: int, global_coefs) -> PiecewiseSpline:
     """Convert truncated power coefficients (as produced against
-    basis_matrix's column order) into local per-piece storage."""
+    basis_matrix's column order) into local per-piece storage.  Refuses
+    d0 outside [-1, d-1]."""
     kv = knots
     d = kv.d
-    n = kv.n
+    transition_boundary(d, d0)
     g = np.asarray(global_coefs, dtype=float)
-    n_poly = d + 1
-    per_knot = d - d0
-    expected = n_poly + (kv.k - 1) * per_knot
+    expected = d + 1 + (kv.k - 1) * (d - d0)
     if g.size != expected:
         raise ValidationError(
             f"expected {expected} coefficients, got {g.size}")
-    coeffs = []
-    for p in range(kv.k):
-        lo, hi = kv.knots[p], kv.knots[p + 1]
-        if lo == hi:
-            coeffs.append(None)
-            continue
-        tau = lo / n
-        local = _shift_poly(g[:n_poly], tau)
-        for j in range(1, kv.k):
-            if kv.knots[j] > lo:
-                continue
-            block = np.zeros(d + 1)
-            seg = g[n_poly + (j - 1) * per_knot: n_poly + j * per_knot]
-            block[d0 + 1: d + 1] = seg
-            delta = (lo - kv.knots[j]) / n
-            local = local + _shift_poly(block, delta)
-        coeffs.append(tuple(local))
-    return PiecewiseSpline(kv, tuple(coeffs))
+    return PiecewiseSpline(kv, tuple(
+        _truncated_power_rows(kv.knots, kv.n, d, d0, g.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -510,10 +527,9 @@ def check_membership(theta, params: ModelParams, tol: float = 1e-8,
         X = raw_basis(n, d, d0, kv.distinct())
         coef, _, _, _ = np.linalg.lstsq(X, unit, rcond=None)
         if np.max(np.abs(X @ coef - unit)) <= t:
-            local = local_coefficients_from_truncated_power(
-                KnotVector(kv.distinct(), d), d0, coef)
-            return True, _on_pieces(kv, _scaled(np.array(local.coeffs), e,
-                                                "theta"))
+            rows = _truncated_power_rows(kv.distinct(), n, d, d0,
+                                         coef.tolist())
+            return True, _on_pieces(kv, _scaled(rows, e, "theta"))
     return False, None
 
 

@@ -24,6 +24,7 @@ from .model import (
     _chunk_buffer,
     _finite,
     _knot_columns,
+    _local_rows,
     _rescore,
     _scaled,
     _unit,
@@ -392,52 +393,24 @@ def _shape_result(rep: MonotoneCanonical, theta: np.ndarray, sse: float,
                   e: int) -> ShapeFitResult:
     """The fit of y from that of its unit series y 2^-e (_unit): weights
     and fitted values times 2^e, the SSE times 4^e, refused where one of
-    them overflows (_scaled)."""
+    them overflows (_scaled).  Its local coefficients are those of the
+    terms c_l x^l / l!, b_j (x - t_j)^d right of each knot t_j and
+    a_j (t_j - x)^d = (-1)^d a_j (x - t_j)^d left of it (_local_rows)."""
     rep = MonotoneCanonical(rep.j_star, *(
         _scaled(v, e) for v in (rep.a, rep.b, rep.c)), rep.knots)
-    return ShapeFitResult(SignalVector(_scaled(theta, e)), rep.knots,
-                          _local_coeffs_from_canonical(rep),
-                          float(_scaled(sse, 2 * e)), rep)
-
-
-def _local_coeffs_from_canonical(rep: MonotoneCanonical) -> tuple:
-    """Exact per-piece local polynomial coefficients of the canonical
-    representation, in the (x - knots[p]/n) basis."""
-    kv = rep.knots
-    d, n, k = kv.d, kv.n, kv.k
-    coeffs = []
-    for p in range(k):
-        lo, hi = kv.knots[p], kv.knots[p + 1]
-        if lo == hi:
-            coeffs.append(None)
-            continue
-        tau_p = lo / n
-        local = np.zeros(d + 1)
-        # free polynomial block, shifted
-        for ell in range(d):
-            w = rep.c[ell] / math.factorial(ell)
-            for m in range(ell + 1):
-                local[m] += w * math.comb(ell, m) * tau_p ** (ell - m)
-        # right hinges active on this piece: knot <= lo
-        for jx, bj in enumerate(rep.b, start=rep.j_star):
-            t = kv.knots[jx]
-            if t > lo:
-                continue
-            delta = tau_p - t / n
-            for m in range(d + 1):
-                local[m] += bj * math.comb(d, m) * delta ** (d - m)
-        # left hinges active on this piece: knot >= hi
-        for jx, aj in enumerate(rep.a, start=1):
-            t = kv.knots[jx]
-            if t < hi:
-                continue
-            # a_j (tau_j - x)^d = a_j (-1)^d (x - tau_j)^d
-            delta = tau_p - t / n
-            for m in range(d + 1):
-                local[m] += (aj * (-1.0) ** d * math.comb(d, m)
-                             * delta ** (d - m))
-        coeffs.append(tuple(local))
-    return tuple(coeffs)
+    kv, d = rep.knots, rep.knots.d
+    hinge = [0.0] * d
+    terms = ([(0, True, [c / math.factorial(ell)
+                         for ell, c in enumerate(rep.c)] + [0.0])]
+             + [(kv.knots[j], True, hinge + [b])
+                for j, b in enumerate(rep.b, start=rep.j_star)]
+             + [(kv.knots[j], False, hinge + [(-1.0) ** d * a])
+                for j, a in enumerate(rep.a, start=1)])
+    return ShapeFitResult(
+        SignalVector(_scaled(theta, e)), kv,
+        tuple(None if row is None else tuple(row)
+              for row in _local_rows(kv.knots, kv.n, terms)),
+        float(_scaled(sse, 2 * e)), rep)
 
 
 def fit_shape_given_knots(y, d: int, knots, j_star: int) -> ShapeFitResult:

@@ -39,9 +39,9 @@ from .model import (
     _on_pieces,
     _sample,
     _scaled,
+    _truncated_power_rows,
     _unit,
     count_knot_vectors,
-    local_coefficients_from_truncated_power,
     raw_basis,
     transition_boundary,
     validate_knots,
@@ -353,8 +353,7 @@ def _fit_at(unit: np.ndarray, d: int, d0: int, knots) -> tuple:
             raise DegenerateSystemError(
                 f"design with knots {distinct} has rank {rank} < {X.shape[1]}")
         theta = X @ coef
-        rows = np.array(local_coefficients_from_truncated_power(
-            KnotVector(distinct, d), d0, coef).coeffs)
+        rows = _truncated_power_rows(distinct, n, d, d0, coef.tolist())
     resid = unit - theta
     return kv, theta, rows, float(resid @ resid)
 

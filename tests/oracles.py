@@ -682,6 +682,82 @@ def reexpand_coefs(knots, d, d0, dedup_coef):
     return np.asarray(g)
 
 
+def _exact_local(knots, d, parts):
+    """Exact local coefficients of a sum of polynomial parts (t, on, c),
+    each sum_l c_l (x - t/n)^l on the pieces (lo, hi] with on(lo, hi):
+    per nonempty piece, the Fractions of its d + 1 coefficients in powers
+    of (x - lo/n), each part expanded there by the binomial theorem, and
+    per coefficient the sum of the magnitudes of the products expanded.
+    Empty pieces give None."""
+    n = knots[-1]
+    rows = []
+    for lo, hi in zip(knots, knots[1:]):
+        if lo == hi:
+            rows.append(None)
+            continue
+        exact, mag = [Fraction(0)] * (d + 1), [Fraction(0)] * (d + 1)
+        for t, on, c in parts:
+            if not on(lo, hi):
+                continue
+            delta = Fraction(lo - t, n)
+            for ell, cl in enumerate(c):
+                for m in range(ell + 1):
+                    v = math.comb(ell, m) * delta ** (ell - m) * Fraction(cl)
+                    exact[m] += v
+                    mag[m] += abs(v)
+        rows.append((exact, mag))
+    return rows
+
+
+def exact_local_from_truncated_power(knots, d, d0, g):
+    """_exact_local of truncated power coefficients g in
+    truncated_power_design's column order: x^l for l in [0;d], then
+    ((x - n_j/n)_+)^l for l in [d0+1;d] at each inner knot n_j."""
+    per_knot = d - d0
+    parts = [(0, lambda lo, hi: True, list(g[:d + 1]))]
+    for j, t in enumerate(knots[1:-1]):
+        block = g[d + 1 + j * per_knot: d + 1 + (j + 1) * per_knot]
+        parts.append((t, lambda lo, hi, t=t: t <= lo,
+                      [0] * (d0 + 1) + list(block)))
+    return _exact_local(knots, d, parts)
+
+
+def exact_local_from_canonical(knots, d, j_star, a, b, c):
+    """_exact_local of a canonical shape member in shape_design's terms:
+    c_l x^l / l!, a_j ((n_j - i)/n)_+^d = a_j (-1)^d (x - n_j/n)^d left of
+    each knot n_j, j in [1;j_star], and b_j ((i - n_j)/n)_+^d right of
+    each knot n_j, j in [j_star;k-1] (at d = 0 the indicators of
+    shape_design)."""
+    parts = [(0, lambda lo, hi: True,
+              [Fraction(v) / math.factorial(ell) for ell, v in enumerate(c)])]
+    for j, aj in enumerate(a, start=1):
+        parts.append((knots[j], lambda lo, hi, t=knots[j]: hi <= t,
+                      [0] * d + [(-1) ** d * Fraction(aj)]))
+    for j, bj in enumerate(b, start=j_star):
+        parts.append((knots[j], lambda lo, hi, t=knots[j]: t <= lo,
+                      [0] * d + [bj]))
+    return _exact_local(knots, d, parts)
+
+
+def local_rounding_ratio(coeffs, exact):
+    """Largest |coefficient - exact| over the unit roundoff 2^-53 times
+    the coefficient's sum of magnitudes (from _exact_local), over every
+    coefficient of every piece: inf where a piece's emptiness disagrees,
+    or a sum of magnitudes of 0 comes with an error."""
+    worst = 0.0
+    for row, ex in zip(coeffs, exact, strict=True):
+        if (row is None) != (ex is None):
+            return math.inf
+        if row is None:
+            continue
+        for v, e, m in zip(row, *ex, strict=True):
+            err = abs(Fraction(float(v)) - e)
+            if err:
+                worst = max(worst, math.inf if not m
+                            else float(err / (m * Fraction(1, 2 ** 53))))
+    return worst
+
+
 def dp_table_scan(y, d, k_max):
     """The segment-neighbourhood table (C, nxt) costed one start at a time:
     the reference the blocked forward pass must match bit for bit.  y is

@@ -25,7 +25,9 @@ def test_smoke_digests():
     assert len(first) == len(identity.SMOKE)
     for (kind, d, n, k), digest in zip(identity.SMOKE, first.values()):
         assert ("exhaustive" in digest) == (k <= 3 and n <= 40)
-        assert ("shape" in digest) == (d <= 3 and k <= 3 and n <= 40)
+        shaped = d <= 3 and k <= 3 and n <= 40
+        for field in ("shape", "shape_coeffs", "shapefit"):
+            assert (field in digest) == shaped
         assert ("given" in digest) == (d >= 1)
         if d:
             # the d0 = d - 1 refit at the dynamic program's knots: it
@@ -42,8 +44,9 @@ def test_smoke_digests():
             assert digest["dp_fit"].startswith(f"{ref.knots.knots} ")
             assert digest["fit"].startswith("exit 0 ")
             continue
-        if "shape" in digest:
-            assert "; shapefit exit 0 " in digest["shape"]
+        if shaped:
+            assert digest["shapefit"].startswith("exit 0 ")
+            assert "Error" not in digest["shape_coeffs"]
         C, nxt = _dp_table(identity.series(kind, d, n), d, k)
         assert digest["table"] == hashlib.sha256(
             C.tobytes() + nxt.tobytes()).hexdigest()

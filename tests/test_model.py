@@ -246,6 +246,37 @@ class TestEvaluateSpline:
         np.testing.assert_array_equal(evaluate_spline(sp), np.full(4, 2.0))
 
 
+class TestLocalCoefficientsFromTruncatedPower:
+    @pytest.mark.parametrize("d", range(7))
+    def test_within_rounding_of_exact(self, d):
+        """Every local coefficient is within 8 (d + 2) unit roundoffs of
+        the sum of magnitudes of its products of the exact conversion,
+        at every d0, with and without empty pieces."""
+        rng = np.random.default_rng(d)
+        n = 4 * (d + 1) + 3
+        for knots in ((0, d + 2, 2 * d + 5, n),
+                      (0, 0, d + 1, 2 * d + 3, 2 * d + 3, n)):
+            kv = KnotVector(knots, d)
+            for d0 in range(-1, d):
+                size = d + 1 + (kv.k - 1) * (d - d0)
+                for _ in range(5):
+                    g = rng.standard_normal(size) * 10.0 ** rng.uniform(
+                        -3, 3, size)
+                    sp = local_coefficients_from_truncated_power(kv, d0, g)
+                    exact = orc.exact_local_from_truncated_power(
+                        knots, d, d0, g)
+                    assert orc.local_rounding_ratio(
+                        sp.coeffs, exact) <= 8 * (d + 2)
+
+    @pytest.mark.parametrize("d0,size", ((-2, 5), (1, 2)))
+    def test_d0_outside_the_class_refused(self, d0, size):
+        """d0 = -2 and d0 = d are no class, though each size here is the
+        one that d0 asks for."""
+        with pytest.raises(ValidationError, match="d0"):
+            local_coefficients_from_truncated_power(
+                KnotVector((0, 2, 4), 1), d0, np.ones(size))
+
+
 class TestTransitionCoefficients:
     def test_diagonal_is_one(self):
         for d in range(4):

@@ -21,6 +21,7 @@ from l0spline.model import (
     ModelParams,
     check_membership,
     count_knot_vectors,
+    evaluate_spline,
     iter_knot_vectors,
 )
 from l0spline.shape import (
@@ -237,6 +238,43 @@ class TestFitShapeGivenKnots:
         for make in (tuple, lambda t: KnotVector(t, 1)):
             with pytest.raises(error):
                 fit_shape_given_knots(y, 1, make(knots), 1)
+
+
+class TestLocalCoefficients:
+    """A shape fit's local coefficients, at every pivot, so with left
+    hinges active (j_star >= 1) and without."""
+
+    @staticmethod
+    def _fits(d, j_star):
+        rng = np.random.default_rng([d, j_star])
+        n = 6 * (d + 1) + 5
+        fits = []
+        for _ in range(4):
+            y, knots, _ = sample_shape_member(rng, d, 3, n)
+            fits.append(fit_shape_given_knots(y, d, knots, j_star))
+        fits.append(shape_lse(rng.standard_normal(n), d, 3))
+        return fits
+
+    @pytest.mark.parametrize("j_star", range(4))
+    @pytest.mark.parametrize("d", range(4))
+    def test_spline_reproduces_theta_hat(self, d, j_star):
+        for fit in self._fits(d, j_star):
+            theta = fit.theta_hat.values
+            assert np.max(np.abs(evaluate_spline(fit.spline) - theta)) \
+                <= 1e-12 * np.max(np.abs(theta))
+
+    @pytest.mark.parametrize("j_star", range(4))
+    @pytest.mark.parametrize("d", range(4))
+    def test_within_rounding_of_exact(self, d, j_star):
+        """Every local coefficient is within 8 (d + 2) unit roundoffs of
+        the sum of magnitudes of its products of the exact conversion of
+        the fit's canonical form."""
+        for fit in self._fits(d, j_star):
+            rep = fit.canonical
+            exact = orc.exact_local_from_canonical(
+                rep.knots.knots, d, rep.j_star, rep.a, rep.b, rep.c)
+            assert orc.local_rounding_ratio(fit.coeffs, exact) \
+                <= 8 * (d + 2)
 
 
 class TestShapeLse:

@@ -25,8 +25,12 @@ It records one digest per key (kind, d, n, k):
   --k-max k --sigma 1`, run in process on the series written as a file;
 - `shape`, at d <= 3, k <= 3 and n <= 40 only: the knots, pivot, SSE as
   `float.hex`, sha256 of the theta-hat bytes and sha256 of the canonical
-  a, b, c and local coefficients of `shape_lse(y, d, k)`, then the same
-  exit code and digests of `l0spline shapefit --k k`.
+  a, b, c of `shape_lse(y, d, k)`;
+- `shape_coeffs`, on the same keys: sha256 of the repr of that fit's
+  local coefficients, as the Python floats of its spline, so a change
+  confined to the conversion from a, b, c shows here alone;
+- `shapefit`, on the same keys: the exit code and digests of
+  `l0spline shapefit --k k`.
 
 A call that raises records the error type and message instead.  To
 compare a working tree with its parent commit:
@@ -45,7 +49,8 @@ machine.
 The grid: d = 0..6; n = d+1..69, 160, 161, 401 and 999; k = 1, 2, 3, 4
 and 6; ten kinds of series, seeded by (d, n).  That is 24,500 keys, 7,770
 of them with an `exhaustive` field, 20,850 with a `given` field and
-4,620 with a `shape` field; a `write` takes about 4 minutes on one core.
+4,620 with each of the `shape`, `shape_coeffs` and `shapefit` fields; a
+`write` takes about 4 minutes on one core.
 tests/test_identity_tool.py runs the few keys of SMOKE.
 """
 
@@ -185,12 +190,13 @@ def digest(kind: str, d: int, n: int, k: int, path: str) -> dict:
             try:
                 fit = shape_lse(y, d, k)
                 rep = fit.canonical
-                terms = repr((rep.a, rep.b, rep.c, fit.coeffs)).encode()
+                terms = repr((rep.a, rep.b, rep.c)).encode()
                 out["shape"] = (
                     f"{fit.knots.knots} {rep.j_star} {float(fit.sse).hex()} "
                     f"{_sha(fit.theta_hat.values.tobytes())} {_sha(terms)}")
+                out["shape_coeffs"] = _sha(repr(fit.spline.coeffs).encode())
             except Exception as exc:
-                out["shape"] = _refusal(exc)
+                out["shape"] = out["shape_coeffs"] = _refusal(exc)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(f"{v!r}\n" for v in y.tolist()))
     common = ["--input", path, "--d", str(d), "--d0", "-1", "--solver", "dp"]
@@ -198,7 +204,7 @@ def digest(kind: str, d: int, n: int, k: int, path: str) -> dict:
     out["adapt"] = _cli(main, ["adapt", *common, "--k-max", str(k),
                                "--sigma", "1"])
     if shaped:
-        out["shape"] += "; shapefit " + _cli(
+        out["shapefit"] = _cli(
             main, ["shapefit", "--input", path, "--d", str(d), "--k", str(k)])
     return out
 
